@@ -1,17 +1,20 @@
 """Average-precision evaluation for oriented boxes.
 
 Per class, predictions across all images are sorted by score and matched
-greedily against ground truth using rotated IoU; each truth box can be
-claimed once. AP is the area under the all-point-interpolated
-precision-recall curve. mAP averages over classes that appear in the
-truth; classes with no truth are excluded from the mean.
+greedily against ground truth using rotated IoU, read from one pred x truth
+IoU matrix per image; each truth box can be claimed once. AP is the area
+under the all-point-interpolated precision-recall curve. mAP averages over
+classes that appear in the truth; classes with no truth are excluded from
+the mean.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import OrientedBox, rotated_iou
+from .geometry import OrientedBox, iou_matrix
+# benchmarks/tracer.py wraps this module's binding to count scalar IoU calls
+from .geometry import rotated_iou  # noqa: F401
 
 
 def _ap_from_pr(tp_flags: np.ndarray, n_truth: int) -> float:
@@ -41,27 +44,27 @@ def eval_map(preds: list[list[OrientedBox]], truth: list[list[OrientedBox]],
     classes = sorted({b.class_id for img in truth for b in img})
     per_class: dict[int, float] = {}
     for cls in classes:
-        records = []  # (score, image index, box)
+        records = []  # (score, image index, row in its IoU matrix, box)
+        ious = []  # per image: class-cls preds x class-cls truth IoU
         n_truth = 0
-        for idx, img_truth in enumerate(truth):
-            n_truth += sum(1 for b in img_truth if b.class_id == cls)
-        for idx, img_preds in enumerate(preds):
-            for b in img_preds:
-                if b.class_id == cls:
-                    records.append((b.score, idx, b))
-        records.sort(key=lambda r: (-r[0], r[1], r[2].cx, r[2].cy))
-        matched: dict[int, set[int]] = {i: set() for i in range(len(truth))}
+        for idx, (img_preds, img_truth) in enumerate(zip(preds, truth)):
+            cls_preds = [b for b in img_preds if b.class_id == cls]
+            cls_truth = [b for b in img_truth if b.class_id == cls]
+            n_truth += len(cls_truth)
+            records += [(b.score, idx, row, b)
+                        for row, b in enumerate(cls_preds)]
+            ious.append(iou_matrix(cls_preds, cls_truth))
+        records.sort(key=lambda r: (-r[0], r[1], r[3].cx, r[3].cy))
+        free = [np.ones(m.shape[1], dtype=bool) for m in ious]
         flags = np.zeros(len(records), dtype=np.int64)
-        for i, (_, idx, pred) in enumerate(records):
-            best_iou, best_j = 0.0, -1
-            for j, t in enumerate(truth[idx]):
-                if t.class_id != cls or j in matched[idx]:
-                    continue
-                iou = rotated_iou(pred, t)
-                if iou > best_iou:
-                    best_iou, best_j = iou, j
-            if best_j >= 0 and best_iou >= iou_thresh:
-                matched[idx].add(best_j)
+        for i, (_, idx, row, _) in enumerate(records):
+            # the first unclaimed truth of highest IoU, if that IoU is > 0
+            cand = np.where(free[idx], ious[idx][row], 0.0)
+            if not cand.size:
+                continue
+            j = int(np.argmax(cand))
+            if cand[j] > 0.0 and cand[j] >= iou_thresh:
+                free[idx][j] = False
                 flags[i] = 1
         per_class[cls] = _ap_from_pr(flags, n_truth)
     if not per_class:

@@ -75,8 +75,11 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
         ("normalize_vec", lambda: gradcheck(
             lambda a: sum_all(mul(normalize_vec(a), normalize_vec(a))),
             _rand(rng, (2,))), 1e-6),
+        # sum_all is linear, so a central difference has no truncation
+        # error at any step; a large step shrinks its rounding error below
+        # the tight bound.
         ("sum_linear", lambda: gradcheck(
-            lambda a: sum_all(a), _rand(rng, (3, 3))), 1e-10),
+            lambda a: sum_all(a), _rand(rng, (3, 3)), eps=1e-2), 1e-10),
     ]
     return [CheckResult(name, fn(), bound) for name, fn, bound in results]
 

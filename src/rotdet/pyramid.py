@@ -255,29 +255,29 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
     a, k = config.anchors, config.classes
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
         scores = sigmoid(logits).data[image_index]
-        raw = deltas.data[image_index]
         _, hh, ww = scores.shape
+        scores = scores.reshape(a, k, hh, ww)
+        cls_id = np.argmax(scores, axis=1)
+        score = np.take_along_axis(scores, cls_id[:, np.newaxis], axis=1)[:, 0]
+        ai, r, c = np.nonzero(score >= score_threshold)
+        if not len(ai):
+            continue
+        d = deltas.data[image_index].reshape(a, 6, hh, ww)
+        d = d[ai, :, r, c].astype(np.float64)
         anchor_size = stride * config.anchor_scale
-        for ai in range(a):
-            cls_block = scores[ai * k:(ai + 1) * k]
-            box_block = raw[ai * 6:(ai + 1) * 6]
-            for r in range(hh):
-                for c in range(ww):
-                    cls_id = int(np.argmax(cls_block[:, r, c]))
-                    score = float(cls_block[cls_id, r, c])
-                    if score < score_threshold:
-                        continue
-                    dcx, dcy, dw, dh, ax, ay = (float(v)
-                                                for v in box_block[:, r, c])
-                    cx = (c + 0.5) * stride + dcx * anchor_size
-                    cy = (r + 0.5) * stride + dcy * anchor_size
-                    bw = anchor_size * math.exp(dw)
-                    bh = anchor_size * math.exp(dh)
-                    if math.hypot(ax, ay) < 1e-6:
-                        theta = 0.0
-                    else:
-                        theta = eaem.decode(
-                            eaem.normalize((ax, ay), config.omega))
-                    out.append(OrientedBox(cx, cy, bw, bh, theta,
-                                           class_id=cls_id, score=score))
+        cx = (c + 0.5) * stride + d[:, 0] * anchor_size
+        cy = (r + 0.5) * stride + d[:, 1] * anchor_size
+        # math.exp, not np.exp: the two differ in the last bit on a few
+        # percent of inputs, and kept boxes must not move.
+        bw = [anchor_size * math.exp(v) for v in d[:, 2].tolist()]
+        bh = [anchor_size * math.exp(v) for v in d[:, 3].tolist()]
+        ax, ay = d[:, 4].tolist(), d[:, 5].tolist()
+        live = np.array([math.hypot(x, y) >= 1e-6 for x, y in zip(ax, ay)])
+        theta = np.zeros(len(ai))
+        if live.any():
+            theta[live] = eaem.decode(
+                eaem.normalize(d[live][:, 4:], config.omega))
+        out += [OrientedBox(*box, class_id=cid, score=sc) for *box, cid, sc in
+                zip(cx.tolist(), cy.tolist(), bw, bh, theta.tolist(),
+                    cls_id[ai, r, c].tolist(), score[ai, r, c].tolist())]
     return out

@@ -148,6 +148,17 @@ class TestCli:
         assert main(["--config", small_cfg, "eval", "--mode", "oracle"]) == 0
         assert "mAP@0.5 = 1.0000" in capsys.readouterr().out
 
+    def test_eval_model_runs_and_repeats(self, small_cfg, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["--config", small_cfg, "eval", "--mode",
+                         "model"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        (line,) = [ln for ln in outputs[0].splitlines()
+                   if ln.startswith("mAP@0.5 = ")]
+        assert 0.0 <= float(line.split("= ")[1]) <= 1.0
+
     def test_eval_empty_zero(self, small_cfg, capsys):
         assert main(["--config", small_cfg, "eval", "--mode", "empty"]) == 0
         assert "mAP@0.5 = 0.0000" in capsys.readouterr().out

@@ -1,10 +1,15 @@
 """Average-precision evaluator against hand-traced fixtures."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rotdet.evalmap import eval_map, eval_map_sweep
-from rotdet.geometry import OrientedBox
+from rotdet.evalmap import _ap_from_pr, eval_map, eval_map_sweep
+from rotdet.geometry import OrientedBox, rotated_iou
+from test_geometry import decisive
 
 
 def _box(cx, cy=0.0, cls=0, score=1.0):
@@ -88,3 +93,52 @@ def test_sweep_between_extremes():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         eval_map([[]], [[], []], 0.5)
+
+
+def _reference_eval_map(preds, truth, iou_thresh):
+    """The scalar-IoU matching loop eval_map replaced, kept as its oracle."""
+    classes = sorted({b.class_id for img in truth for b in img})
+    per_class = {}
+    for cls in classes:
+        n_truth = sum(1 for img in truth for b in img if b.class_id == cls)
+        records = [(b.score, idx, b) for idx, img in enumerate(preds)
+                   for b in img if b.class_id == cls]
+        records.sort(key=lambda r: (-r[0], r[1], r[2].cx, r[2].cy))
+        matched = {i: set() for i in range(len(truth))}
+        flags = np.zeros(len(records), dtype=np.int64)
+        for i, (_, idx, pred) in enumerate(records):
+            best_iou, best_j = 0.0, -1
+            for j, t in enumerate(truth[idx]):
+                if t.class_id != cls or j in matched[idx]:
+                    continue
+                iou = rotated_iou(pred, t)
+                if iou > best_iou:
+                    best_iou, best_j = iou, j
+            if best_j >= 0 and best_iou >= iou_thresh:
+                matched[idx].add(best_j)
+                flags[i] = 1
+        per_class[cls] = _ap_from_pr(flags, n_truth)
+    if not per_class:
+        return 0.0, {}
+    return float(np.mean(list(per_class.values()))), per_class
+
+
+_scene_box = st.builds(
+    OrientedBox, cx=st.floats(0, 30), cy=st.floats(0, 30),
+    w=st.floats(2, 10), h=st.floats(2, 10), theta=st.floats(0, 2 * math.pi),
+    class_id=st.integers(0, 1), score=st.sampled_from([0.3, 0.6, 0.9]))
+_images = st.lists(st.tuples(st.lists(_scene_box, max_size=6),
+                             st.lists(_scene_box, max_size=6)),
+                   min_size=1, max_size=3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(_images, st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.95]))
+@settings(max_examples=100, deadline=None)
+def test_matches_scalar_reference(images, iou_thresh):
+    preds = [p for p, _ in images]
+    truth = [t for _, t in images]
+    assume(decisive(((a, b) for p, t in images for a in p for b in t),
+                    iou_thresh))
+    assert eval_map(preds, truth, iou_thresh) == \
+        _reference_eval_map(preds, truth, iou_thresh)

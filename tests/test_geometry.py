@@ -1,16 +1,67 @@
 """Rotated-box geometry: polygons, IoU routes, NMS, annotations."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rotdet.geometry import (OrientedBox, box_to_polygon, clip_convex,
+from rotdet import geometry
+from rotdet.geometry import (OrientedBox, box_polygons, box_to_polygon,
+                             clip_convex, iou_matrix, iou_pairs,
                              load_annotations, polygon_area,
                              raster_iou_oracle, rotated_iou, rotated_nms,
                              save_annotations)
+
+# The batched kernel guards its divisions; a warning here is a defect.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+KERNEL_TOL = 1e-12  # kernel vs scalar IoU differ only in shoelace rounding
+
+box_st = st.builds(
+    OrientedBox,
+    cx=st.floats(-8, 8), cy=st.floats(-8, 8),
+    w=st.floats(0.5, 6), h=st.floats(0.5, 6),
+    theta=st.floats(0, 2 * math.pi),
+    class_id=st.integers(0, 1),
+    score=st.sampled_from([0.25, 0.5, 0.75, 1.0]))  # few values: many ties
+
+
+@st.composite
+def box_lists(draw, max_size=14):
+    """Boxes with some exact duplicates among them."""
+    boxes = draw(st.lists(box_st, max_size=max_size))
+    if boxes:
+        boxes += draw(st.lists(st.sampled_from(boxes), max_size=3))
+    return draw(st.permutations(boxes))
+
+
+def _reference_nms(boxes, iou_threshold):
+    """The scalar greedy loop rotated_nms replaced, kept as its oracle."""
+    ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
+    kept = []
+    for cand in ordered:
+        if all(rotated_iou(cand, k) <= iou_threshold for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def decisive(pairs, threshold):
+    """True when rounding in the last bits cannot decide any pair: no pair
+    touches with a zero-area (but >= 3 vertex) clip, and no nonzero IoU
+    lies within KERNEL_TOL of the threshold (IoU never exceeds 1)."""
+    for a, b in pairs:
+        poly = clip_convex(box_to_polygon(a), box_to_polygon(b))
+        if len(poly) >= 3 and abs(polygon_area(poly)) <= 1e-9:
+            return False
+        iou = rotated_iou(a, b)
+        if (iou > 0.0 and threshold < 1.0
+                and abs(iou - threshold) <= KERNEL_TOL):
+            return False
+    return True
 
 
 def _poly_set(poly, tol=1e-9):
@@ -200,3 +251,137 @@ def test_annotation_bad_line(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(ValueError):
         load_annotations(path)
+
+
+def _all_pairs(boxes):
+    i, j = np.meshgrid(np.arange(len(boxes)), np.arange(len(boxes)),
+                       indexing="ij")
+    return i.ravel(), j.ravel()
+
+
+def _kernel(boxes, subj, clip):
+    areas = np.array([b.w * b.h for b in boxes])
+    return iou_pairs(box_polygons(boxes), areas, subj, clip)
+
+
+class TestIouKernel:
+    @given(st.lists(box_st, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_box_polygons_bitwise(self, boxes):
+        want = np.reshape([box_to_polygon(b) for b in boxes], (-1, 4, 2))
+        assert np.array_equal(box_polygons(boxes), want)
+
+    @given(st.lists(box_st, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar(self, boxes):
+        i, j = _all_pairs(boxes)
+        want = [rotated_iou(boxes[a], boxes[b]) for a, b in zip(i, j)]
+        np.testing.assert_allclose(_kernel(boxes, i, j), want,
+                                   rtol=0, atol=KERNEL_TOL)
+
+    @given(box_st, box_st)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_raster_oracle(self, a, b):
+        got = _kernel([a, b], np.array([0]), np.array([1]))[0]
+        assert abs(got - raster_iou_oracle(a, b, 256)) <= 1e-2
+
+    @given(st.lists(box_st, min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_pair_independent_of_chunk(self, boxes):
+        i, j = _all_pairs(boxes)
+        whole = _kernel(boxes, i, j)
+        with mock.patch.object(geometry, "IOU_CHUNK", 3):
+            chunked = _kernel(boxes, i, j)
+        single = [_kernel(boxes, i[k:k + 1], j[k:k + 1])[0]
+                  for k in range(len(i))]
+        assert np.array_equal(whole, chunked)
+        assert np.array_equal(whole, single)
+
+    @given(st.lists(box_st, max_size=6), st.lists(box_st, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_iou_matrix_matches_scalar(self, subjects, clippers):
+        got = iou_matrix(subjects, clippers)
+        assert got.shape == (len(subjects), len(clippers))
+        want = [[rotated_iou(s, c) for c in clippers] for s in subjects]
+        np.testing.assert_allclose(got, np.reshape(want, got.shape),
+                                   rtol=0, atol=KERNEL_TOL)
+
+    def test_identical_and_disjoint(self):
+        a = OrientedBox(2, 3, 4, 2, 0.5)
+        b = OrientedBox(20, 3, 4, 2, 0.5)
+        got = iou_matrix([a, b], [a, b])
+        assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert got[0, 1] == 0.0 and got[1, 0] == 0.0
+
+    def test_empty(self):
+        assert iou_matrix([], []).shape == (0, 0)
+        assert _kernel([], np.array([], dtype=int),
+                       np.array([], dtype=int)).shape == (0,)
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+
+
+class TestBatchedNms:
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @given(box_lists(), THRESHOLDS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, block, boxes, threshold):
+        assume(decisive(itertools.permutations(boxes, 2), threshold))
+        with mock.patch.object(geometry, "NMS_BLOCK", block):
+            assert rotated_nms(boxes, threshold) == \
+                _reference_nms(boxes, threshold)
+
+    def test_matches_reference_many_blocks(self):
+        rng = np.random.default_rng(11)
+        boxes = [OrientedBox(rng.uniform(0, 60), rng.uniform(0, 60),
+                             rng.uniform(4, 16), rng.uniform(4, 16),
+                             rng.uniform(0, 2 * math.pi),
+                             class_id=int(rng.integers(2)),
+                             score=float(rng.uniform()))
+                 for _ in range(200)]
+        assert rotated_nms(boxes, 0.3) == _reference_nms(boxes, 0.3)
+
+    @given(box_lists(), THRESHOLDS)
+    @settings(max_examples=60, deadline=None)
+    def test_idempotent(self, boxes, threshold):
+        kept = rotated_nms(boxes, threshold)
+        assert rotated_nms(kept, threshold) == kept
+
+    @given(box_lists(), THRESHOLDS, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_input_order_independent(self, boxes, threshold, rnd):
+        # the tie-break key orders boxes fully unless two distinct boxes
+        # share it
+        key = {(b.score, b.class_id, b.cx, b.cy) for b in boxes}
+        assume(len(key) == len(set(boxes)))
+        shuffled = list(boxes)
+        rnd.shuffle(shuffled)
+        assert rotated_nms(shuffled, threshold) == \
+            rotated_nms(boxes, threshold)
+
+    def test_empty(self):
+        assert rotated_nms([], 0.5) == []
+
+    def test_threshold_one_keeps_everything(self):
+        b = OrientedBox(0, 0, 2, 1, 0.3, score=0.9)
+        kept = rotated_nms([b, b, OrientedBox(0.1, 0, 2, 1, 0.3, score=0.5)],
+                           1.0)
+        assert len(kept) == 3
+
+    def test_threshold_zero_drops_any_overlap(self):
+        a = OrientedBox(0, 0, 2, 2, 0, score=0.9)
+        overlapping = OrientedBox(1.9, 0, 2, 2, 0.2, score=0.8)
+        apart = OrientedBox(10, 0, 2, 2, 0, score=0.7)
+        assert rotated_nms([apart, overlapping, a], 0.0) == [a, apart]
+
+    def test_equal_scores_break_ties_by_class_then_position(self):
+        boxes = [OrientedBox(cx, 0, 2, 2, 0, class_id=cls, score=0.5)
+                 for cx, cls in ((20, 0), (10, 1), (0, 1), (30, 0))]
+        assert [(b.class_id, b.cx) for b in rotated_nms(boxes, 0.5)] == \
+            [(0, 20.0), (0, 30.0), (1, 0.0), (1, 10.0)]
+
+    def test_negative_threshold_keeps_only_the_first(self):
+        boxes = [OrientedBox(0, 0, 1, 1, 0, score=0.4),
+                 OrientedBox(50, 0, 1, 1, 0, score=0.8)]
+        assert rotated_nms(boxes, -0.1) == [boxes[1]]

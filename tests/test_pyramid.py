@@ -7,10 +7,11 @@ import pytest
 
 from rotdet import angle
 from rotdet.errors import ShapeError
+from rotdet.geometry import OrientedBox
 from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
                             assemble_forward, bottom_up, decode_boxes)
-from rotdet.tensor import Tensor
+from rotdet.tensor import Tensor, sigmoid
 
 
 def _dirac_identity(conv):
@@ -165,3 +166,56 @@ class TestDecodeBoxes:
         deltas[0, 4:, 0, 0] = 1e-9
         boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 1)), deltas), cfg)
         assert boxes[0].theta == 0.0
+
+
+def _reference_decode(head, config, score_threshold, image_index=0):
+    """The per-cell loop decode_boxes replaced, kept as its oracle."""
+    out = []
+    a, k = config.anchors, config.classes
+    for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
+        scores = sigmoid(logits).data[image_index]
+        raw = deltas.data[image_index]
+        _, hh, ww = scores.shape
+        anchor_size = stride * config.anchor_scale
+        for ai in range(a):
+            cls_block = scores[ai * k:(ai + 1) * k]
+            box_block = raw[ai * 6:(ai + 1) * 6]
+            for r in range(hh):
+                for c in range(ww):
+                    cls_id = int(np.argmax(cls_block[:, r, c]))
+                    score = float(cls_block[cls_id, r, c])
+                    if score < score_threshold:
+                        continue
+                    dcx, dcy, dw, dh, ax, ay = (float(v)
+                                                for v in box_block[:, r, c])
+                    if math.hypot(ax, ay) < 1e-6:
+                        theta = 0.0
+                    else:
+                        theta = angle.decode(
+                            angle.normalize((ax, ay), config.omega))
+                    out.append(OrientedBox(
+                        (c + 0.5) * stride + dcx * anchor_size,
+                        (r + 0.5) * stride + dcy * anchor_size,
+                        anchor_size * math.exp(dw), anchor_size * math.exp(dh),
+                        theta, class_id=cls_id, score=score))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+def test_decode_matches_per_cell_loop(dtype, omega):
+    cfg = NetworkConfig(anchors=2, classes=3, omega=omega)
+    rng = np.random.default_rng(4)
+    logits, boxes = [], []
+    for cells in (8, 4, 2):
+        logits.append(Tensor(rng.normal(size=(2, 6, cells, cells)),
+                             dtype=dtype))
+        deltas = rng.normal(scale=0.5, size=(2, 12, cells, cells))
+        deltas[:, 4:6, 0, :] = 0.0  # degenerate angle vectors: prior angle
+        boxes.append(Tensor(deltas, dtype=dtype))
+    head = HeadOutputs(logits=logits, boxes=boxes)
+    for image in (0, 1):
+        got = decode_boxes(head, cfg, 0.6, image_index=image)
+        want = _reference_decode(head, cfg, 0.6, image_index=image)
+        assert len(got) > 10
+        assert got == want
