@@ -88,6 +88,10 @@ def _validate(values: dict[str, dict]) -> None:
     if net["strip_len"] < 3 or net["strip_len"] % 2 == 0:
         raise ConfigError(
             f"[network] strip_len must be odd and >= 3, got {net['strip_len']}")
+    # an even window would shrink the attention map against its input
+    if net["pool_window"] < 1 or net["pool_window"] % 2 == 0:
+        raise ConfigError(
+            f"[network] pool_window must be odd and >= 1, got {net['pool_window']}")
     for key in ("stem_channels", "branch_out", "backbone_channels",
                 "anchors", "classes"):
         if net[key] < 1:

@@ -5,7 +5,8 @@ greedily against ground truth using rotated IoU, read from one pred x truth
 IoU matrix per image; each truth box can be claimed once. AP is the area
 under the all-point-interpolated precision-recall curve. mAP averages over
 classes that appear in the truth; classes with no truth are excluded from
-the mean.
+the mean. The matrices do not depend on the threshold, so an IoU sweep
+builds them once and matches them at every threshold.
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ def _ap_from_pr(tp_flags: np.ndarray, n_truth: int) -> float:
     return float(np.sum((recall[1:] - recall[:-1]) * prec_env[1:]))
 
 
-def eval_map(preds: list[list[OrientedBox]], truth: list[list[OrientedBox]],
-             iou_thresh: float = 0.5) -> tuple[float, dict[int, float]]:
-    """Mean AP and per-class AP at a single IoU matching threshold.
-
-    ``preds`` and ``truth`` are parallel per-image box lists.
+def _match_tables(preds: list[list[OrientedBox]],
+                  truth: list[list[OrientedBox]]) -> dict[int, tuple]:
+    """Per truth class: its predictions in matching order as (image index,
+    row) pairs, one pred x truth IoU matrix per image, and the truth count.
     """
     if len(preds) != len(truth):
         raise ValueError("preds and truth must cover the same images")
     classes = sorted({b.class_id for img in truth for b in img})
-    per_class: dict[int, float] = {}
+    tables = {}
     for cls in classes:
         records = []  # (score, image index, row in its IoU matrix, box)
         ious = []  # per image: class-cls preds x class-cls truth IoU
@@ -55,25 +55,50 @@ def eval_map(preds: list[list[OrientedBox]], truth: list[list[OrientedBox]],
                         for row, b in enumerate(cls_preds)]
             ious.append(iou_matrix(cls_preds, cls_truth))
         records.sort(key=lambda r: (-r[0], r[1], r[3].cx, r[3].cy))
-        free = [np.ones(m.shape[1], dtype=bool) for m in ious]
-        flags = np.zeros(len(records), dtype=np.int64)
-        for i, (_, idx, row, _) in enumerate(records):
-            # the first unclaimed truth of highest IoU, if that IoU is > 0
-            cand = np.where(free[idx], ious[idx][row], 0.0)
-            if not cand.size:
-                continue
-            j = int(np.argmax(cand))
-            if cand[j] > 0.0 and cand[j] >= iou_thresh:
-                free[idx][j] = False
-                flags[i] = 1
-        per_class[cls] = _ap_from_pr(flags, n_truth)
+        order = [(idx, row) for _, idx, row, _ in records]
+        tables[cls] = (order, ious, n_truth)
+    return tables
+
+
+def _match_ap(order, ious, n_truth: int, iou_thresh: float) -> float:
+    """AP of one class: greedy matching of ``order`` at ``iou_thresh``."""
+    free = [np.ones(m.shape[1], dtype=bool) for m in ious]
+    flags = np.zeros(len(order), dtype=np.int64)
+    for i, (idx, row) in enumerate(order):
+        # the first unclaimed truth of highest IoU, if that IoU is > 0
+        cand = np.where(free[idx], ious[idx][row], 0.0)
+        if not cand.size:
+            continue
+        j = int(np.argmax(cand))
+        if cand[j] > 0.0 and cand[j] >= iou_thresh:
+            free[idx][j] = False
+            flags[i] = 1
+    return _ap_from_pr(flags, n_truth)
+
+
+def _map_at(tables: dict[int, tuple],
+            iou_thresh: float) -> tuple[float, dict[int, float]]:
+    per_class = {cls: _match_ap(*table, iou_thresh)
+                 for cls, table in tables.items()}
     if not per_class:
         return 0.0, {}
     return float(np.mean(list(per_class.values()))), per_class
 
 
+def eval_map(preds: list[list[OrientedBox]], truth: list[list[OrientedBox]],
+             iou_thresh: float = 0.5) -> tuple[float, dict[int, float]]:
+    """Mean AP and per-class AP at a single IoU matching threshold.
+
+    ``preds`` and ``truth`` are parallel per-image box lists.
+    """
+    return _map_at(_match_tables(preds, truth), iou_thresh)
+
+
 def eval_map_sweep(preds, truth,
                    thresholds=tuple(np.arange(0.5, 1.0, 0.05))) -> float:
-    """COCO-style mean of single-threshold mAP over an IoU sweep."""
-    return float(np.mean([eval_map(preds, truth, float(t))[0]
-                          for t in thresholds]))
+    """COCO-style mean of single-threshold mAP over an IoU sweep.
+
+    The IoU matrices are built once and matched at every threshold.
+    """
+    tables = _match_tables(preds, truth)
+    return float(np.mean([_map_at(tables, float(t))[0] for t in thresholds]))

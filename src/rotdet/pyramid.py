@@ -29,7 +29,7 @@ from .errors import ShapeError
 from .geometry import OrientedBox
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
-from .tensor import Tensor, add, concat_channels, conv2d, sigmoid
+from .tensor import Tensor, add, concat_channels, sigmoid
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,16 @@ was created with ``requires_grad=True``. The op set is exactly what the
 feature blocks need: conv2d (with groups and stride), quarter rotations,
 average pooling, sigmoid, channel concat/slice, and elementwise arithmetic.
 
-All forward math is plain single-threaded numpy, so two identical runs
+A convolution is one ``np.matmul`` per direction: the padded input's
+patches are copied once into a (groups, Cg*kH*kW, N*oH*oW) layout, the
+kernel multiplies it in the forward pass, and the backward pass multiplies
+by its transpose and adds the patch gradients back into place. The
+optional bias is added in the same node. Padding is a zero buffer with one
+slice copy, skipped when the padding is zero. Average pooling is kH*kW
+strided adds of the padded input, in row-major window order, and its
+backward pass is kH*kW strided adds of the scaled gradient.
+
+All forward math is plain numpy in a fixed order, so two identical runs
 produce bit-identical outputs and gradients.
 """
 
@@ -327,21 +336,47 @@ def rot90(x: Tensor, direction: str) -> Tensor:
 # -- convolution and pooling --------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``x`` with ``ph`` zero rows and ``pw`` zero columns on each side."""
+    if not (ph or pw):
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
+def _windows(kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
+    """Kernel offset (i, j) with the row and column slices of the padded
+    input it reads, in row-major (i, j) order."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, slice(i, i + sh * oh, sh), slice(j, j + sw * ow, sw)
+
+
+def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
             oh: int, ow: int) -> np.ndarray:
+    """Patches of ``xp`` laid out as (G, Cg*kh*kw, N*oh*ow) for matmul."""
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-    return cols
+    cg = c // groups
+    cols = np.empty((groups, cg, kh, kw, n, oh, ow), dtype=xp.dtype)
+    # (N, C, ...) viewed as (G, Cg, N, ...): the copy does the transpose
+    src = xp.reshape(n, groups, cg, *xp.shape[2:]).transpose(1, 2, 0, 3, 4)
+    for i, j, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
+        cols[:, :, i, j] = src[..., rs, cs]
+    return cols.reshape(groups, cg * kh * kw, n * oh * ow)
 
 
-def _col2im(gcols: np.ndarray, xp_shape, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+def _col2im(gcols: np.ndarray, xp_shape, groups, kh, kw, sh, sw, oh,
+            ow) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: sums patch gradients back into place."""
+    n, c = xp_shape[:2]
+    cg = c // groups
     gxp = np.zeros(xp_shape, dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
+    dst = gxp.reshape(n, groups, cg, *xp_shape[2:]).transpose(1, 2, 0, 3, 4)
+    gc = gcols.reshape(groups, cg, kh, kw, n, oh, ow)
+    for i, j, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
+        dst[..., rs, cs] += gc[:, :, i, j]
     return gxp
 
 
@@ -352,6 +387,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
     Kernel layout is (out_channels, in_channels // groups, kH, kW);
     ``groups == in_channels`` gives a depthwise convolution. Output spatial
     extent is floor((H + 2*padH - kH) / strideH) + 1 and must be positive.
+    The optional per-channel ``bias`` is added in the same graph node.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and kernel")
@@ -368,32 +404,42 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
     ow = (w + 2 * pw - kw) // sw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty: ({oh}, {ow})")
+    if bias is not None and (bias.ndim != 1 or bias.shape[0] != oc):
+        raise ShapeError(f"bias {bias.shape} does not match channels of "
+                         f"{(n, oc, oh, ow)}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
-    # (N, G, Cg*kh*kw, oh*ow) x (G, OCg, Cg*kh*kw)
-    colsr = cols.reshape(n, groups, cg * kh * kw, oh * ow)
+    xp = _padded(x.data, ph, pw)
+    xp_shape = xp.shape
+    cols = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
     wr = kernel.data.reshape(groups, oc // groups, cg * kh * kw)
-    out = np.einsum("gok,ngkl->ngol", wr, colsr, optimize=True)
-    out = np.ascontiguousarray(out.reshape(n, oc, oh, ow))
+    # (G, OCg, K) @ (G, K, N*oh*ow) -> (N, OC, oh, ow)
+    out = np.matmul(wr, cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+    out = np.ascontiguousarray(out)
+    parents = (x, kernel)
+    if bias is not None:
+        out += bias.data.reshape(1, -1, 1, 1)
+        parents += (bias,)
 
     def bwd(g):
-        go = g.reshape(n, groups, oc // groups, oh * ow)
-        gw = np.einsum("ngol,ngkl->gok", go, colsr, optimize=True)
-        kernel._accumulate(gw.reshape(kernel.shape))
-        gcols = np.einsum("gok,ngol->ngkl", wr, go, optimize=True)
-        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-        gxp = _col2im(gcols, xp.shape, kh, kw, sh, sw, oh, ow)
+        go = g.reshape(n, oc, oh * ow).transpose(1, 0, 2)
+        go = np.ascontiguousarray(go).reshape(groups, oc // groups, n * oh * ow)
+        if bias is not None:
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        kernel._accumulate(
+            np.matmul(go, cols.transpose(0, 2, 1)).reshape(kernel.shape))
+        gcols = np.matmul(wr.transpose(0, 2, 1), go)
+        gxp = _col2im(gcols, xp_shape, groups, kh, kw, sh, sw, oh, ow)
         x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
 
-    out_t = Tensor._from_op(out, (x, kernel), bwd)
-    if bias is not None:
-        out_t = bias_add(out_t, bias)
-    return out_t
+    return Tensor._from_op(out, parents, bwd)
 
 
 def avg_pool(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
-    """Mean pooling with zero padding; the divisor always counts padded cells."""
+    """Mean pooling with zero padding; the divisor always counts padded cells.
+
+    The output is the sum of kh*kw strided views of the padded input, added
+    in row-major window order, times 1/(kh*kw).
+    """
     if x.ndim != 4:
         raise ShapeError("avg_pool expects a 4-D tensor")
     kh, kw = _as_pair(window)
@@ -407,18 +453,22 @@ def avg_pool(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
     if oh < 1 or ow < 1:
         raise ShapeError(f"avg_pool output would be empty: ({oh}, {ow})")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
+    xp = _padded(x.data, ph, pw)
+    xp_shape = xp.shape
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    for _, _, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
+        out += xp[..., rs, cs]
     inv = 1.0 / (kh * kw)
-    out = cols.sum(axis=(2, 3)) * inv
+    out *= inv
 
     def bwd(g):
-        gcols = np.broadcast_to(
-            (g * inv)[:, :, None, None], (n, c, kh, kw, oh, ow))
-        gxp = _col2im(np.ascontiguousarray(gcols), xp.shape, kh, kw, sh, sw, oh, ow)
+        gi = g * inv
+        gxp = np.zeros(xp_shape, dtype=gi.dtype)
+        for _, _, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
+            gxp[..., rs, cs] += gi
         x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), bwd)
+    return Tensor._from_op(out, (x,), bwd)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -144,6 +144,21 @@ class TestCli:
         assert main(["--config", small_cfg, "forward", "--image", str(img),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("window,code", [
+        (0, 2), (2, 2), (6, 2), (1, 0), (7, 0)])
+    def test_forward_pool_window(self, tmp_path, capsys, window, code):
+        path = tmp_path / "pool.ini"
+        path.write_text(SMALL.replace("pool_window = 3",
+                                      f"pool_window = {window}"))
+        assert main(["--config", str(path), "forward", "--out",
+                     str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "pool_window" in err
+        else:
+            assert (tmp_path / "o" / "CP2.rmkt").exists()
+
     def test_eval_oracle_perfect(self, small_cfg, capsys):
         assert main(["--config", small_cfg, "eval", "--mode", "oracle"]) == 0
         assert "mAP@0.5 = 1.0000" in capsys.readouterr().out

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from rotdet import angle
+from rotdet import angle, mdcaa, msk
+from rotdet.config import load_config
 from rotdet.errors import ShapeError
 from rotdet.geometry import OrientedBox
 from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
                             assemble_forward, bottom_up, decode_boxes)
-from rotdet.tensor import Tensor, sigmoid
+from rotdet.scenes import gen_scene
+from rotdet.tensor import Tensor, add, gradients, sigmoid, smooth_l1, sum_all
+from test_tensor import _reference_avg_pool, _reference_conv2d
 
 
 def _dirac_identity(conv):
@@ -129,6 +132,40 @@ class TestAssemble:
         assert b.w == b.h == 8 * cfg.anchor_scale
         assert b.theta == 0.0
         assert b.score == 0.5
+
+
+def _forward_and_gradients():
+    """Named tensors of one seeded 256² batch-1 forward of the default
+    network, then the parameter gradients of a Smooth-L1 loss on its head."""
+    cfg = load_config()
+    w = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                              cfg.network, dtype=np.float32)
+    image, _ = gen_scene(11, cfg.scene, cfg.canvas)
+    feats, head = assemble_forward(
+        Tensor(image.data[np.newaxis], dtype=np.float32), w)
+    named = {**feats.named(), **head.named()}
+    loss = sum_all(smooth_l1(head.boxes[0]))
+    for t in head.boxes[1:] + head.logits:
+        loss = add(loss, sum_all(smooth_l1(t)))
+    params = w.tensors()
+    grads = gradients(loss, [t for t, _ in params.values()])
+    return ({k: t.data for k, t in named.items()},
+            {k: g for k, g in zip(params, grads)})
+
+
+def test_forward_and_gradients_bit_equal_to_reference_ops(monkeypatch):
+    # The matmul conv2d and strided-add avg_pool must reproduce the seeded
+    # forward dumps and gradients of the einsum / im2col ops byte for byte.
+    feats, grads = _forward_and_gradients()
+    monkeypatch.setattr(msk, "conv2d", _reference_conv2d)
+    monkeypatch.setattr(mdcaa, "avg_pool", _reference_avg_pool)
+    ref_feats, ref_grads = _forward_and_gradients()
+    assert feats["M1"].shape == (1, 40, 128, 128)
+    for got, want in ((feats, ref_feats), (grads, ref_grads)):
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestDecodeBoxes:

@@ -2,11 +2,93 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotdet.errors import ContractError, ShapeError
-from rotdet.tensor import (Tensor, add, avg_pool, backward, concat_channels,
-                           conv2d, gradcheck, gradients, mul, rot90, sigmoid,
-                           slice_channels, sum_all)
+from rotdet.tensor import (Tensor, _as_pair, add, avg_pool, backward,
+                           bias_add, concat_channels, conv2d, gradcheck,
+                           gradients, mul, rot90, sigmoid, slice_channels,
+                           sum_all)
+
+# Convolution and pooling copy into preallocated buffers; a warning here
+# (overflow, invalid cast) is a defect.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+# -- the einsum / im2col implementations conv2d and avg_pool replaced --------
+
+
+def _reference_im2col(xp, kh, kw, sh, sw, oh, ow):
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+    return cols
+
+
+def _reference_col2im(gcols, xp_shape, kh, kw, sh, sw, oh, ow):
+    gxp = np.zeros(xp_shape, dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
+    return gxp
+
+
+def _reference_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
+                      bias=None):
+    """conv2d as an einsum over an (N, C, kh, kw, oh, ow) im2col buffer,
+    with the bias as a separate ``bias_add`` node."""
+    n, c, h, w = x.shape
+    oc, cg, kh, kw = kernel.shape
+    sh, sw = _as_pair(stride)
+    ph, pw = _as_pair(padding)
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = _reference_im2col(xp, kh, kw, sh, sw, oh, ow)
+    colsr = cols.reshape(n, groups, cg * kh * kw, oh * ow)
+    wr = kernel.data.reshape(groups, oc // groups, cg * kh * kw)
+    out = np.einsum("gok,ngkl->ngol", wr, colsr, optimize=True)
+    out = np.ascontiguousarray(out.reshape(n, oc, oh, ow))
+
+    def bwd(g):
+        go = g.reshape(n, groups, oc // groups, oh * ow)
+        gw = np.einsum("ngol,ngkl->gok", go, colsr, optimize=True)
+        kernel._accumulate(gw.reshape(kernel.shape))
+        gcols = np.einsum("gok,ngol->ngkl", wr, go, optimize=True)
+        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+        gxp = _reference_col2im(gcols, xp.shape, kh, kw, sh, sw, oh, ow)
+        x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
+
+    out_t = Tensor._from_op(out, (x, kernel), bwd)
+    if bias is not None:
+        out_t = bias_add(out_t, bias)
+    return out_t
+
+
+def _reference_avg_pool(x, window, stride=None, padding=(0, 0)):
+    """avg_pool as a sum over an (N, C, kh, kw, oh, ow) im2col buffer."""
+    kh, kw = _as_pair(window)
+    sh, sw = _as_pair(stride if stride is not None else window)
+    ph, pw = _as_pair(padding)
+    n, c, h, w = x.shape
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = _reference_im2col(xp, kh, kw, sh, sw, oh, ow)
+    inv = 1.0 / (kh * kw)
+    out = cols.sum(axis=(2, 3)) * inv
+
+    def bwd(g):
+        gcols = np.broadcast_to(
+            (g * inv)[:, :, None, None], (n, c, kh, kw, oh, ow))
+        gxp = _reference_col2im(np.ascontiguousarray(gcols), xp.shape, kh, kw,
+                                sh, sw, oh, ow)
+        x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
+
+    return Tensor._from_op(np.ascontiguousarray(out), (x,), bwd)
 
 
 def naive_conv2d(x, k, stride=(1, 1), padding=(0, 0), groups=1):
@@ -166,6 +248,108 @@ class TestAvgPool:
             avg_pool(Tensor(np.zeros((1, 1, 2, 2))), (5, 5))
 
 
+# f64 differs from the einsum path only in summation order; f32 likewise,
+# at single precision
+REFERENCE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def _assert_rel_close(got, want, tol):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-30)
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= tol * scale
+
+
+def _out_and_grads(op, leaves, seed):
+    """Output of ``op`` and the gradients w.r.t. ``leaves`` of sum(out * r),
+    with r a seeded standard-normal array."""
+    out = op(*leaves)
+    r = np.random.default_rng(seed).standard_normal(out.shape)
+    loss = sum_all(mul(out, Tensor(r.astype(out.dtype))))
+    return [out.data] + gradients(loss, list(leaves))
+
+
+@st.composite
+def conv_cases(draw):
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 4))
+    depthwise = draw(st.booleans())
+    groups = c if depthwise else 1
+    oc = c * draw(st.integers(1, 2)) if depthwise else draw(st.integers(1, 4))
+    m = draw(st.sampled_from([3, 5]))
+    kh, kw = draw(st.sampled_from([(1, 1), (3, 3), (1, m), (m, 1)]))
+    stride = (draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2])))
+    same = draw(st.booleans())
+    padding = ((kh - 1) // 2, (kw - 1) // 2) if same else (0, 0)
+    h = draw(st.integers(kh, 9))
+    w = draw(st.integers(kw, 9))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    with_bias = draw(st.booleans())
+    seed = draw(st.integers(0, 2**31))
+    return (n, c, h, w, oc, groups, kh, kw, stride, padding, dtype,
+            with_bias, seed)
+
+
+class TestAgainstReference:
+    """conv2d and avg_pool against the einsum / im2col code they replaced."""
+
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_conv2d_output_and_gradients(self, case):
+        (n, c, h, w, oc, groups, kh, kw, stride, padding, dtype, with_bias,
+         seed) = case
+        rng = np.random.default_rng(seed)
+        xd = rng.standard_normal((n, c, h, w)).astype(dtype)
+        kd = rng.standard_normal((oc, c // groups, kh, kw)).astype(dtype)
+        bd = rng.standard_normal(oc).astype(dtype) if with_bias else None
+        results = []
+        for op in (conv2d, _reference_conv2d):
+            leaves = [Tensor(xd, requires_grad=True),
+                      Tensor(kd, requires_grad=True)]
+            if with_bias:
+                leaves.append(Tensor(bd, requires_grad=True))
+
+            def run(x, k, b=None, op=op):
+                return op(x, k, stride=stride, padding=padding,
+                          groups=groups, bias=b)
+
+            results.append(_out_and_grads(run, leaves, seed + 1))
+        for got, want in zip(*results):
+            _assert_rel_close(got, want, REFERENCE_TOL[dtype])
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
+           st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7]),
+           st.sampled_from([None, 1, 2]), st.booleans(),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
+    @settings(max_examples=150, deadline=None)
+    def test_avg_pool_output_and_gradient(self, n, c, h, w, k, stride, same,
+                                          dtype, seed):
+        pad = (k - 1) // 2 if same else 0
+        assume(min(h, w) + 2 * pad >= k)  # a non-empty output
+        xd = np.random.default_rng(seed).standard_normal(
+            (n, c, h, w)).astype(dtype)
+        results = [
+            _out_and_grads(lambda x, op=op: op(x, k, stride=stride,
+                                               padding=pad),
+                           [Tensor(xd, requires_grad=True)], seed + 1)
+            for op in (avg_pool, _reference_avg_pool)]
+        for got, want in zip(*results):
+            _assert_rel_close(got, want, REFERENCE_TOL[dtype])
+
+    def test_bias_is_one_node(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        out = conv2d(x, k, padding=(1, 1), bias=b)
+        assert out._parents == (x, k, b)
+
+    def test_bias_shape_checked(self):
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        k = Tensor(np.zeros((3, 2, 1, 1)))
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(x, k, bias=Tensor(np.zeros(2)))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert sigmoid(Tensor(np.array(0.0))).item() == 0.5
@@ -289,6 +473,17 @@ class TestGradcheck:
         err = gradcheck(
             lambda a, b: sum_all(sigmoid(conv2d(a, b, padding=(1, 1)))),
             [x, k], eps=1e-5)
+        assert err <= 1e-6
+
+    def test_conv_with_bias(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((2, 2, 5, 4)), dtype=np.float64)
+        k = Tensor(rng.standard_normal((3, 2, 3, 1)), dtype=np.float64)
+        b = Tensor(rng.standard_normal(3), dtype=np.float64)
+        err = gradcheck(
+            lambda a, c, d: sum_all(sigmoid(
+                conv2d(a, c, stride=(2, 1), padding=(1, 0), bias=d))),
+            [x, k, b], eps=1e-5)
         assert err <= 1e-6
 
     def test_bad_eps_rejected(self):
