@@ -61,13 +61,6 @@ def encode(theta, omega: float = 1.0) -> AngleCode:
     return AngleCode(x, y, omega)
 
 
-def encode_jacobian(theta, omega: float = 1.0) -> tuple:
-    """d(x, y)/d(theta) of :func:`encode`."""
-    omega = _check_omega(omega)
-    phase = omega * np.asarray(theta, dtype=np.float64)
-    return (-omega * np.sin(phase), omega * np.cos(phase))
-
-
 def normalize(xy, omega: float = 1.0) -> AngleCode:
     """Project a raw 2-vector (or (..., 2) array) onto the unit circle."""
     omega = _check_omega(omega)

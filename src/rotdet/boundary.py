@@ -32,11 +32,7 @@ def loss_landscape(method: str, target_theta: float, omega: float = 1.0,
     p = eaem.period(omega)
     thetas = np.arange(samples) * (p / samples)
     if method == "direct_smoothl1":
-        d = thetas - target_theta
-        absd = np.abs(d)
-        return np.where(absd < SMOOTH_L1_BETA,
-                        0.5 * d * d / SMOOTH_L1_BETA,
-                        absd - 0.5 * SMOOTH_L1_BETA)
+        return smooth_l1(Tensor(thetas - target_theta), SMOOTH_L1_BETA).data
     if method == "eaem_chord":
         pred = eaem.encode(thetas, omega)
         target = eaem.encode(target_theta % p, omega)

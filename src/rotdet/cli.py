@@ -15,7 +15,7 @@ import numpy as np
 from . import angle as eaem
 from . import boundary, gradsuite
 from .config import Config, load_config
-from .errors import ConfigError, GenerationError, ShapeError
+from .errors import ConfigError, FormatError, GenerationError, ShapeError
 from .evalmap import eval_map, eval_map_sweep
 from .geometry import rotated_nms, save_annotations
 from .msk import STRIP_SIZES, count_params
@@ -253,7 +253,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ShapeError, GenerationError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, ShapeError, GenerationError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,49 +7,24 @@ and range-checked on load.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .pyramid import NetworkConfig
 from .scenes import SceneSpec
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "network": {
-        "stem_channels": int,
-        "branch_out": int,
-        "backbone_channels": int,
-        "strip_len": int,
-        "pool_window": int,
-        "omega": float,
-        "anchors": int,
-        "classes": int,
-        "anchor_scale": float,
-    },
-    "data": {
-        "seed": int,
-        "images": int,
-        "objects": int,
-        "canvas": int,
-        "min_size": float,
-        "max_size": float,
-    },
-    "eval": {
-        "iou_threshold": float,
-        "nms_threshold": float,
-        "score_threshold": float,
-        "coco_sweep": bool,
-    },
-}
-
 _DEFAULTS = {
-    "network": {"stem_channels": 8, "branch_out": 8, "backbone_channels": 16,
-                "strip_len": 11, "pool_window": 7, "omega": 1.0, "anchors": 1,
-                "classes": 2, "anchor_scale": 4.0},
+    "network": {f.name: f.default for f in fields(NetworkConfig)},
     "data": {"seed": 42, "images": 4, "objects": 3, "canvas": 256,
              "min_size": 20.0, "max_size": 60.0},
     "eval": {"iou_threshold": 0.5, "nms_threshold": 0.3,
              "score_threshold": 0.05, "coco_sweep": False},
 }
+# each key takes the type of its default
+_SCHEMA: dict[str, dict[str, type]] = {
+    section: {key: type(value) for key, value in defaults.items()}
+    for section, defaults in _DEFAULTS.items()}
 
 
 @dataclass(frozen=True)
@@ -75,10 +50,13 @@ def _parse_value(section: str, key: str, raw: str):
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _validate(values: dict[str, dict]) -> None:
@@ -96,13 +74,25 @@ def _validate(values: dict[str, dict]) -> None:
                 "anchors", "classes"):
         if net[key] < 1:
             raise ConfigError(f"[network] {key} must be positive")
+    if net["anchor_scale"] <= 0:
+        raise ConfigError(
+            f"[network] anchor_scale must be positive, got {net['anchor_scale']}")
     data = values["data"]
-    if data["canvas"] % 64:
-        raise ConfigError(f"[data] canvas must be divisible by 64, got {data['canvas']}")
+    if data["canvas"] < 64 or data["canvas"] % 64:
+        raise ConfigError(
+            f"[data] canvas must be a positive multiple of 64, got {data['canvas']}")
+    if data["seed"] < 0:
+        raise ConfigError(f"[data] seed must be >= 0, got {data['seed']}")
+    for key in ("images", "objects"):
+        if data[key] < 1:
+            raise ConfigError(f"[data] {key} must be positive, got {data[key]}")
+    if data["min_size"] <= 0:
+        raise ConfigError(
+            f"[data] min_size must be positive, got {data['min_size']}")
     if data["min_size"] > data["max_size"]:
         raise ConfigError("[data] min_size exceeds max_size")
     ev = values["eval"]
-    for key in ("iou_threshold", "nms_threshold"):
+    for key in ("iou_threshold", "nms_threshold", "score_threshold"):
         if not (0.0 <= ev[key] <= 1.0):
             raise ConfigError(f"[eval] {key} must be in [0, 1]")
 
@@ -127,12 +117,7 @@ def load_config(path: str | None = None) -> Config:
     data = values["data"]
     ev = values["eval"]
     return Config(
-        network=NetworkConfig(
-            stem_channels=net["stem_channels"], branch_out=net["branch_out"],
-            backbone_channels=net["backbone_channels"],
-            strip_len=net["strip_len"], pool_window=net["pool_window"],
-            omega=net["omega"], anchors=net["anchors"],
-            classes=net["classes"], anchor_scale=net["anchor_scale"]),
+        network=NetworkConfig(**net),
         data_seed=data["seed"],
         images=data["images"],
         scene=SceneSpec(objects=data["objects"], classes=net["classes"],

@@ -19,3 +19,7 @@ class GenerationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Configuration file is malformed or contains unknown keys."""
+
+
+class FormatError(ValueError):
+    """A file is not in the format its reader expects, or is cut short."""

@@ -10,8 +10,8 @@ from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import MskModuleWeights, msk_module_forward
 from .pyramid import NetworkConfig, NetworkWeights, assemble_forward
 from .tensor import (Tensor, add, avg_pool, bias_add, concat_channels, conv2d,
-                     gradcheck, mul, normalize_vec, rot90, sigmoid,
-                     slice_channels, smooth_l1, sum_all)
+                     gradcheck, mul, normalize_vec, rot90, sigmoid, smooth_l1,
+                     sum_all)
 
 
 @dataclass(frozen=True)
@@ -37,51 +37,53 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
     k = _rand(rng, (3, 2, 3, 3))
     kd = _rand(rng, (2, 1, 1, 3))
     results = [
-        ("conv2d", lambda: gradcheck(
+        ("conv2d", gradcheck(
             lambda a, b: sum_all(sigmoid(conv2d(a, b, padding=(1, 1)))),
             [_rand(rng, (1, 2, 6, 6)), _rand(rng, (3, 2, 3, 3))]), 1e-6),
-        ("conv2d_strided", lambda: gradcheck(
+        ("conv2d_strided", gradcheck(
             lambda a, b: sum_all(sigmoid(conv2d(a, b, stride=(2, 2)))),
             [_rand(rng, (1, 2, 7, 7)), _rand(rng, (2, 2, 3, 3))]), 1e-6),
-        ("conv2d_depthwise", lambda: gradcheck(
+        ("conv2d_depthwise", gradcheck(
             lambda a, b: sum_all(sigmoid(conv2d(a, b, padding=(0, 1), groups=2))),
             [_rand(rng, (1, 2, 5, 5)), kd]), 1e-6),
-        ("rot90", lambda: gradcheck(
+        ("rot90", gradcheck(
             lambda a: sum_all(sigmoid(rot90(a, "ccw"))), _rand(rng, (1, 2, 4, 5))),
          1e-6),
-        ("avg_pool", lambda: gradcheck(
+        ("avg_pool", gradcheck(
             lambda a: sum_all(sigmoid(avg_pool(a, (2, 2), stride=(1, 1),
                                                padding=(1, 1)))),
             _rand(rng, (1, 2, 5, 5))), 1e-6),
-        ("sigmoid", lambda: gradcheck(
+        ("sigmoid", gradcheck(
             lambda a: sum_all(sigmoid(a)), _rand(rng, (2, 3))), 1e-6),
-        ("concat_channels", lambda: gradcheck(
+        ("concat_channels", gradcheck(
             lambda a, b: sum_all(sigmoid(concat_channels([a, b]))),
             [_rand(rng, (1, 2, 3, 3)), _rand(rng, (1, 3, 3, 3))]), 1e-6),
-        ("slice_channels", lambda: gradcheck(
-            lambda a: sum_all(sigmoid(slice_channels(a, 1, 3))),
-            _rand(rng, (1, 4, 3, 3))), 1e-6),
-        ("add", lambda: gradcheck(
+    ]
+    # A draw no check reads, like x and k above: it keeps the inputs of the
+    # checks below what they are for this seed.
+    rng.standard_normal((1, 4, 3, 3))
+    results += [
+        ("add", gradcheck(
             lambda a, b: sum_all(sigmoid(add(a, b))),
             [_rand(rng, (2, 3)), _rand(rng, (2, 3))]), 1e-6),
-        ("mul", lambda: gradcheck(
+        ("mul", gradcheck(
             lambda a, b: sum_all(mul(a, b)),
             [_rand(rng, (2, 3)), _rand(rng, (2, 3))]), 1e-6),
-        ("bias_add", lambda: gradcheck(
+        ("bias_add", gradcheck(
             lambda a, b: sum_all(sigmoid(bias_add(a, b))),
             [_rand(rng, (1, 3, 2, 2)), _rand(rng, (3,))]), 1e-6),
-        ("smooth_l1", lambda: gradcheck(
+        ("smooth_l1", gradcheck(
             lambda a: sum_all(smooth_l1(a, 1.0)), _rand(rng, (8,))), 1e-6),
-        ("normalize_vec", lambda: gradcheck(
+        ("normalize_vec", gradcheck(
             lambda a: sum_all(mul(normalize_vec(a), normalize_vec(a))),
             _rand(rng, (2,))), 1e-6),
         # sum_all is linear, so a central difference has no truncation
         # error at any step; a large step shrinks its rounding error below
         # the tight bound.
-        ("sum_linear", lambda: gradcheck(
+        ("sum_linear", gradcheck(
             lambda a: sum_all(a), _rand(rng, (3, 3)), eps=1e-2), 1e-10),
     ]
-    return [CheckResult(name, fn(), bound) for name, fn, bound in results]
+    return [CheckResult(name, err, bound) for name, err, bound in results]
 
 
 def block_checks(seed: int = 0) -> list[CheckResult]:

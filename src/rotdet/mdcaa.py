@@ -20,11 +20,12 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .msk import ConvParams
-from .tensor import Tensor, avg_pool, concat_channels, mul, rot90, sigmoid
+from .tensor import (Tensor, WeightSet, avg_pool, concat_channels, mul,
+                     rot90, sigmoid)
 
 
 @dataclass
-class MdcaaWeights:
+class MdcaaWeights(WeightSet):
     """Per-level attention weights; all strip convs are depthwise."""
 
     channels: int
@@ -57,27 +58,6 @@ class MdcaaWeights:
         # fusion mixes main + anti + concat(H, V): 4C channels down to C
         w.fusion = ConvParams.create(rng, c, 4 * c, 1, 1, dtype=dtype)
         return w
-
-    def parameters(self) -> list[Tensor]:
-        convs = [self.pointwise, self.seq_vertical, self.seq_horizontal,
-                 self.horizontal, self.vertical, self.diag_main,
-                 self.diag_anti, self.fusion]
-        params = []
-        for conv in convs:
-            params += conv.parameters()
-        return params
-
-    def tensors(self, prefix: str = "mdcaa") -> dict[str, tuple[Tensor, str]]:
-        named = {}
-        named.update(self.pointwise.tensors(f"{prefix}.pointwise"))
-        named.update(self.seq_vertical.tensors(f"{prefix}.seq_vertical"))
-        named.update(self.seq_horizontal.tensors(f"{prefix}.seq_horizontal"))
-        named.update(self.horizontal.tensors(f"{prefix}.horizontal"))
-        named.update(self.vertical.tensors(f"{prefix}.vertical"))
-        named.update(self.diag_main.tensors(f"{prefix}.diag_main"))
-        named.update(self.diag_anti.tensors(f"{prefix}.diag_anti"))
-        named.update(self.fusion.tensors(f"{prefix}.fusion"))
-        return named
 
 
 def diagonal_branch(hv: Tensor, w: MdcaaWeights, which: str) -> Tensor:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, concat_channels, conv2d, uniform_init
+from .tensor import Tensor, WeightSet, concat_channels, conv2d, uniform_init
 
 STRIP_SIZES = (5, 7, 9, 11)
 
@@ -29,7 +29,7 @@ def _same_pad(kh: int, kw: int) -> tuple[int, int]:
 
 
 @dataclass
-class ConvParams:
+class ConvParams(WeightSet):
     """One convolution layer: kernel, per-channel bias, geometry."""
 
     kernel: Tensor
@@ -51,20 +51,9 @@ class ConvParams:
                       padding=_same_pad(kh, kw), groups=self.groups,
                       bias=self.bias)
 
-    def n_params(self) -> int:
-        # bias excluded by convention; the count model is kernel-only
-        return int(np.prod(self.kernel.shape))
-
-    def tensors(self, prefix: str) -> dict[str, tuple[Tensor, str]]:
-        return {f"{prefix}.kernel": (self.kernel, "kernel"),
-                f"{prefix}.bias": (self.bias, "bias")}
-
-    def parameters(self) -> list[Tensor]:
-        return [self.kernel, self.bias]
-
 
 @dataclass
-class MskModuleWeights:
+class MskModuleWeights(WeightSet):
     """Weights of one five-branch module."""
 
     in_channels: int
@@ -97,23 +86,6 @@ class MskModuleWeights:
             col = ConvParams.create(rng, branch_out, mid, m, 1, dtype=dtype)
             w.branches.append((reduce, row, col))
         return w
-
-    def parameters(self) -> list[Tensor]:
-        params = self.identity_reduce.parameters() + self.identity_conv.parameters()
-        for branch in self.branches:
-            for conv in branch:
-                params += conv.parameters()
-        return params
-
-    def tensors(self, prefix: str = "msk") -> dict[str, tuple[Tensor, str]]:
-        named = {}
-        named.update(self.identity_reduce.tensors(f"{prefix}.identity.reduce"))
-        named.update(self.identity_conv.tensors(f"{prefix}.identity.conv3"))
-        for m, (reduce, row, col) in zip(STRIP_SIZES, self.branches):
-            named.update(reduce.tensors(f"{prefix}.m{m}.reduce"))
-            named.update(row.tensors(f"{prefix}.m{m}.row"))
-            named.update(col.tensors(f"{prefix}.m{m}.col"))
-        return named
 
 
 def msk_module_forward(x: Tensor, w: MskModuleWeights) -> Tensor:

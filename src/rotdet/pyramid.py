@@ -29,7 +29,7 @@ from .errors import ShapeError
 from .geometry import OrientedBox
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
-from .tensor import Tensor, add, concat_channels, sigmoid
+from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class PyramidFeatures:
     C: list[Tensor]
     M: list[Tensor]
     CP: list[Tensor]
-    N: list[Tensor]
     N5: Tensor
     fused: list[Tensor]
 
@@ -101,7 +100,7 @@ class HeadOutputs:
 
 
 @dataclass
-class NetworkWeights:
+class NetworkWeights(WeightSet):
     config: NetworkConfig
     backbone: list[ConvParams] = field(default_factory=list)
     tower_stem: ConvParams = None
@@ -149,39 +148,6 @@ class NetworkWeights:
                 rng, cfg.anchors * 6, fc, 3, 3, dtype=dtype))
         return w
 
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for conv in self.backbone + [self.tower_stem] + \
-                self.bottom_up_down + self.bottom_up_fuse + \
-                list(self.fusion_adjust.values()) + self.head_cls + self.head_box:
-            params += conv.parameters()
-        for mod in self.msk:
-            params += mod.parameters()
-        for att in self.mdcaa:
-            params += att.parameters()
-        return params
-
-    def tensors(self) -> dict[str, tuple[Tensor, str]]:
-        named = {}
-        for i, conv in enumerate(self.backbone):
-            named.update(conv.tensors(f"backbone.{i}"))
-        named.update(self.tower_stem.tensors("tower_stem"))
-        for i, mod in enumerate(self.msk):
-            named.update(mod.tensors(f"msk.{i + 1}"))
-        for i, att in enumerate(self.mdcaa):
-            named.update(att.tensors(f"mdcaa.cp{i + 2}"))
-        for i, conv in enumerate(self.bottom_up_down):
-            named.update(conv.tensors(f"bottom_up.down.{i + 1}"))
-        for i, conv in enumerate(self.bottom_up_fuse):
-            named.update(conv.tensors(f"bottom_up.fuse.{i + 1}"))
-        for name, conv in self.fusion_adjust.items():
-            named.update(conv.tensors(f"fusion.adjust.{name}"))
-        for i, conv in enumerate(self.head_cls):
-            named.update(conv.tensors(f"head.cls.{i}"))
-        for i, conv in enumerate(self.head_box):
-            named.update(conv.tensors(f"head.box.{i}"))
-        return named
-
 
 def bottom_up(m_levels: list[Tensor], down_convs: list[ConvParams],
               fuse_convs: list[ConvParams]) -> tuple[list[Tensor], Tensor]:
@@ -225,7 +191,7 @@ def assemble_forward(image: Tensor,
     stem = w.tower_stem(image)
     m_levels = msk_block_forward(stem, w.msk)
     cp_levels = [mdcaa_apply(m_levels[k], w.mdcaa[k - 1]) for k in (1, 2, 3)]
-    n_levels, n5 = bottom_up(m_levels, w.bottom_up_down, w.bottom_up_fuse)
+    _, n5 = bottom_up(m_levels, w.bottom_up_down, w.bottom_up_fuse)
 
     adj = w.fusion_adjust
     fused = [
@@ -236,8 +202,8 @@ def assemble_forward(image: Tensor,
     ]
     logits = [conv(f) for conv, f in zip(w.head_cls, fused)]
     boxes = [conv(f) for conv, f in zip(w.head_box, fused)]
-    feats = PyramidFeatures(C=c_levels, M=m_levels, CP=cp_levels,
-                            N=n_levels, N5=n5, fused=fused)
+    feats = PyramidFeatures(C=c_levels, M=m_levels, CP=cp_levels, N5=n5,
+                            fused=fused)
     return feats, HeadOutputs(logits=logits, boxes=boxes)
 
 

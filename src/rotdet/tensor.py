@@ -5,7 +5,7 @@ that produced a tensor keeps a backward closure and its parents, so calling
 ``backward`` on a scalar result accumulates gradients into every leaf that
 was created with ``requires_grad=True``. The op set is exactly what the
 feature blocks need: conv2d (with groups and stride), quarter rotations,
-average pooling, sigmoid, channel concat/slice, and elementwise arithmetic.
+average pooling, sigmoid, channel concat, and elementwise arithmetic.
 
 A convolution is one ``np.matmul`` per direction: the padded input's
 patches are copied once into a (groups, Cg*kH*kW, N*oH*oW) layout, the
@@ -18,10 +18,14 @@ backward pass is kH*kW strided adds of the scaled gradient.
 
 All forward math is plain numpy in a fixed order, so two identical runs
 produce bit-identical outputs and gradients.
+
+Weight sets are dataclasses deriving from ``WeightSet``: their parameters
+are the tensors ``named_parameters`` finds by walking their fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Sequence
 
@@ -59,12 +63,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=np.float32, requires_grad=False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
@@ -94,17 +92,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
     # -- autograd -------------------------------------------------------------
 
@@ -299,18 +286,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 
     return Tensor._from_op(
         np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
-
-
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 4 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"bad channel slice [{start}:{stop}] for {x.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(x.data, dtype=g.dtype)
-        full[:, start:stop] = g
-        x._accumulate(full)
-
-    return Tensor._from_op(x.data[:, start:stop].copy(), (x,), bwd)
 
 
 def rot90(x: Tensor, direction: str) -> Tensor:
@@ -517,7 +492,7 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
     return worst
 
 
-# -- deterministic initialization ---------------------------------------------
+# -- weight sets --------------------------------------------------------------
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int,
@@ -526,3 +501,35 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int,
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
                   requires_grad=True)
+
+
+def named_parameters(obj, prefix: str = "") -> dict[str, Tensor]:
+    """Every tensor reachable from ``obj``, keyed by its attribute path.
+
+    The walk descends dataclass fields in declaration order, list and tuple
+    items by index and dict items by key, so a network's tensors get names
+    such as ``mdcaa.0.diag_main.kernel``. Anything else is a leaf with no
+    tensors.
+    """
+    if isinstance(obj, Tensor):
+        return {prefix: obj}
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif isinstance(obj, dict):
+        items = obj.items()
+    else:
+        return {}
+    named = {}
+    for key, value in items:
+        path = f"{prefix}.{key}" if prefix else str(key)
+        named.update(named_parameters(value, path))
+    return named
+
+
+class WeightSet:
+    """Base of the weight dataclasses: their parameters are found by walking."""
+
+    def parameters(self) -> list[Tensor]:
+        return list(named_parameters(self).values())

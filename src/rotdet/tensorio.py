@@ -1,18 +1,20 @@
-"""File interchange: the RMKT binary tensor format, PGM images, manifests.
+"""File interchange: the RMKT binary tensor format and PGM images.
 
 RMKT layout: magic bytes 0x52 0x4D 0x4B 0x54 ("RMKT"), version byte 0x01,
 dtype byte (0 = float32, 1 = float64), ndim byte, ndim little-endian u32
 extents, then the row-major little-endian payload. Round-trips are
-bit-exact.
+bit-exact. Both readers raise :class:`FormatError` on a file that is not
+in their format or is cut short.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from .errors import FormatError
 from .tensor import Tensor
 
 MAGIC = b"RMKT"
@@ -35,20 +37,27 @@ def save_tensor(path, t: Tensor) -> None:
 def load_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not an RMKT file")
+    if raw[:4] != MAGIC or len(raw) < 7:
+        raise FormatError(f"{path}: not an RMKT file")
     version, code, ndim = raw[4], raw[5], raw[6]
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported RMKT version {version}")
+        raise FormatError(f"{path}: unsupported RMKT version {version}")
     if code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    off = 7
-    shape = struct.unpack_from(f"<{ndim}I", raw, off)
-    off += 4 * ndim
+        raise FormatError(f"{path}: unknown dtype code {code}")
+    off = 7 + 4 * ndim
+    if len(raw) < off:
+        raise FormatError(f"{path}: RMKT header cut short")
+    shape = struct.unpack_from(f"<{ndim}I", raw, 7)
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
+    if len(raw) - off < count * dtype.itemsize:
+        raise FormatError(
+            f"{path}: RMKT payload cut short for shape {shape}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-    return Tensor(data.reshape(shape).astype(dtype.newbyteorder("=")))
+    try:
+        return Tensor(data.reshape(shape).astype(dtype.newbyteorder("=")))
+    except ValueError as exc:  # non-finite values
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # -- PGM images (P2 ascii / P5 binary), values scaled to [0, 1] ---------------
@@ -87,44 +96,21 @@ def load_pgm(path) -> np.ndarray:
                 j += 1
             tokens.append(raw[i:j])
             i = j
-    magic = tokens[0]
+    if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
+        raise FormatError(f"{path}: not a PGM file")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise FormatError(f"{path}: PGM header has a non-numeric field")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if magic == b"P5":
-        data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=i + 1)
-    elif magic == b"P2":
-        data = np.array(raw[i:].split()[:w * h], dtype=np.uint8)
+    if w < 1 or h < 1 or not 1 <= maxval <= 255:
+        raise FormatError(
+            f"{path}: PGM header {w}x{h} maxval {maxval} is not an 8-bit image")
+    if tokens[0] == b"P5":
+        data = np.frombuffer(raw[i + 1:i + 1 + w * h], dtype=np.uint8)
     else:
-        raise ValueError(f"{path}: not a PGM file")
+        try:
+            data = np.array(raw[i:].split()[:w * h], dtype=np.uint8)
+        except (ValueError, OverflowError):
+            raise FormatError(f"{path}: PGM pixel is not a byte value") from None
+    if data.size != w * h:
+        raise FormatError(f"{path}: PGM pixel data cut short")
     return data.reshape(h, w).astype(np.float64) / maxval
-
-
-# -- weight directories -------------------------------------------------------
-# A weight set is a directory of RMKT tensors plus "manifest.txt" with one
-# line per tensor: "<name>\t<file>\t<dim0xdim1x...>\t<role>".
-
-
-def save_weight_dir(directory, named: dict[str, tuple[Tensor, str]]) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for name, (tensor, role) in named.items():
-        fname = name.replace("/", "_") + ".rmkt"
-        save_tensor(directory / fname, tensor)
-        shape = "x".join(str(d) for d in tensor.shape)
-        lines.append(f"{name}\t{fname}\t{shape}\t{role}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def load_weight_dir(directory) -> dict[str, tuple[Tensor, str]]:
-    directory = Path(directory)
-    named: dict[str, tuple[Tensor, str]] = {}
-    for line in (directory / "manifest.txt").read_text().splitlines():
-        if not line.strip():
-            continue
-        name, fname, shape, role = line.split("\t")
-        tensor = load_tensor(directory / fname)
-        got = "x".join(str(d) for d in tensor.shape)
-        if got != shape:
-            raise ValueError(f"{name}: manifest says {shape}, file has {got}")
-        named[name] = (tensor, role)
-    return named

@@ -155,17 +155,3 @@ class TestCodeDistance:
         with pytest.raises(ContractError):
             angle.code_distance(angle.encode(0.1, 1.0),
                                 angle.encode(0.1, 2.0))
-
-
-def test_encode_jacobian_matches_finite_differences():
-    h = 1e-7
-    for omega in (0.5, 1.0, 2.0):
-        p = angle.period(omega)
-        for theta in (h, 0.5, p / 2, p - 10 * h):
-            jx, jy = angle.encode_jacobian(theta, omega)
-            num_x = (math.cos(omega * (theta + h)) -
-                     math.cos(omega * (theta - h))) / (2 * h)
-            num_y = (math.sin(omega * (theta + h)) -
-                     math.sin(omega * (theta - h))) / (2 * h)
-            assert abs(jx - num_x) <= 1e-8
-            assert abs(jy - num_y) <= 1e-8

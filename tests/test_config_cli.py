@@ -1,10 +1,12 @@
 """Strict config loading and the command-line surface."""
 
+import configparser
+
 import numpy as np
 import pytest
 
 from rotdet.cli import main
-from rotdet.config import load_config
+from rotdet.config import _SCHEMA, load_config
 from rotdet.errors import ConfigError
 from rotdet.tensor import Tensor
 from rotdet.tensorio import load_tensor, save_tensor
@@ -24,6 +26,61 @@ objects = 2
 min_size = 10
 max_size = 20
 """
+
+
+# Every schema key at the edges of its range: (section, key, value, exit
+# code of `eval --mode model`, which reads every key, on the SMALL config).
+BOUNDARIES = [
+    ("network", "stem_channels", "0", 2), ("network", "stem_channels", "1", 0),
+    ("network", "branch_out", "0", 2), ("network", "branch_out", "1", 0),
+    ("network", "backbone_channels", "0", 2),
+    ("network", "backbone_channels", "1", 0),
+    ("network", "strip_len", "1", 2), ("network", "strip_len", "3", 0),
+    ("network", "strip_len", "4", 2),
+    ("network", "pool_window", "0", 2), ("network", "pool_window", "1", 0),
+    ("network", "pool_window", "2", 2),
+    ("network", "omega", "0", 2), ("network", "omega", "0.5", 0),
+    ("network", "omega", "2", 0), ("network", "omega", "2.5", 2),
+    ("network", "omega", "nan", 2),
+    ("network", "anchors", "0", 2), ("network", "anchors", "1", 0),
+    ("network", "anchors", "2", 0),
+    ("network", "classes", "0", 2), ("network", "classes", "1", 0),
+    ("network", "anchor_scale", "-1", 2), ("network", "anchor_scale", "0", 2),
+    ("network", "anchor_scale", "0.5", 0),
+    ("network", "anchor_scale", "inf", 2),
+    ("data", "seed", "-1", 2), ("data", "seed", "0", 0),
+    ("data", "images", "0", 2), ("data", "images", "1", 0),
+    ("data", "objects", "-1", 2), ("data", "objects", "0", 2),
+    ("data", "objects", "1", 0),
+    ("data", "canvas", "-64", 2), ("data", "canvas", "0", 2),
+    ("data", "canvas", "63", 2), ("data", "canvas", "64", 0),
+    ("data", "canvas", "100", 2), ("data", "canvas", "128", 0),
+    ("data", "min_size", "-1", 2), ("data", "min_size", "0", 2),
+    ("data", "min_size", "0.5", 0), ("data", "min_size", "20", 0),
+    ("data", "min_size", "20.5", 2),
+    ("data", "max_size", "9.5", 2), ("data", "max_size", "10", 0),
+    ("data", "max_size", "inf", 2),
+    ("eval", "iou_threshold", "-0.1", 2), ("eval", "iou_threshold", "0", 0),
+    ("eval", "iou_threshold", "1", 0), ("eval", "iou_threshold", "1.5", 2),
+    ("eval", "nms_threshold", "-0.1", 2), ("eval", "nms_threshold", "0", 0),
+    ("eval", "nms_threshold", "1", 0), ("eval", "nms_threshold", "1.5", 2),
+    ("eval", "score_threshold", "-0.1", 2),
+    ("eval", "score_threshold", "0", 0), ("eval", "score_threshold", "1", 0),
+    ("eval", "score_threshold", "2", 2),
+    ("eval", "coco_sweep", "yes", 0), ("eval", "coco_sweep", "no", 0),
+    ("eval", "coco_sweep", "maybe", 2),
+]
+
+
+# Files the readers must reject: a P6 (colour) header, a P5 image cut short,
+# four bytes of neither format, and an RMKT float32 payload cut short.
+MALFORMED = {
+    "p6.pgm": b"P6\n2 2\n255\n" + bytes(12),
+    "short.pgm": b"P5\n4 4\n255\n" + bytes(3),
+    "xxxx.pgm": b"XXXX",
+    "xxxx.rmkt": b"XXXX",
+    "short.rmkt": b"RMKT\x01\x00\x01" + (8).to_bytes(4, "little") + bytes(12),
+}
 
 
 @pytest.fixture
@@ -84,6 +141,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_boundaries_cover_every_key(self):
+        assert {(sec, key) for sec, key, _, _ in BOUNDARIES} == {
+            (sec, key) for sec, keys in _SCHEMA.items() for key in keys}
+
+    @pytest.mark.parametrize("section,key,value,code", BOUNDARIES)
+    def test_key_at_boundary(self, tmp_path, capsys, section, key, value,
+                             code):
+        parser = configparser.ConfigParser()
+        parser.read_string(SMALL)
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        path = tmp_path / "edge.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert main(["--config", str(path), "eval", "--mode", "model"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert key in err
+
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[eval]\ncoco_sweep = yes\n")
@@ -123,6 +201,25 @@ class TestCli:
                      str(dst)]) == 0
         assert "max_roundtrip_err" in capsys.readouterr().out
         assert load_tensor(dst).shape == (100, 2)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_forward_malformed_image_exits_2(self, small_cfg, tmp_path,
+                                             capsys, name):
+        img = tmp_path / name
+        img.write_bytes(MALFORMED[name])
+        assert main(["--config", small_cfg, "forward", "--image", str(img),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["xxxx.rmkt", "short.rmkt"])
+    def test_angle_codec_malformed_input_exits_2(self, tmp_path, capsys,
+                                                 name):
+        src = tmp_path / "thetas.rmkt"
+        src.write_bytes(MALFORMED[name])
+        assert main(["angle-codec", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "thetas.rmkt" in err and "Traceback" not in err
 
     def test_angle_codec_no_action(self, capsys):
         assert main(["angle-codec"]) == 2

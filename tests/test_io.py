@@ -1,12 +1,11 @@
-"""Serialization: RMKT tensors, PGM images, weight directories."""
+"""Serialization: RMKT tensors and PGM images."""
 
 import numpy as np
 import pytest
 
-from rotdet.msk import MskModuleWeights
+from rotdet.errors import FormatError
 from rotdet.tensor import Tensor
-from rotdet.tensorio import (load_pgm, load_tensor, load_weight_dir, save_pgm,
-                             save_tensor, save_weight_dir)
+from rotdet.tensorio import load_pgm, load_tensor, save_pgm, save_tensor
 
 
 class TestRmkt:
@@ -62,6 +61,23 @@ class TestRmkt:
         with pytest.raises(ValueError, match="dtype"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("keep", [0, 3, 6, 7, 10, 15, 16, 38])
+    def test_cut_short(self, tmp_path, keep):
+        # 7 header bytes, two u32 extents, then a 2x3 float32 payload
+        path = tmp_path / "t.rmkt"
+        save_tensor(path, Tensor(np.zeros((2, 3), dtype=np.float32)))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError):
+            load_tensor(path)
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "nan.rmkt"
+        save_tensor(path, Tensor(np.zeros(2)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + np.array([np.nan]).tobytes())
+        with pytest.raises(FormatError, match="finite"):
+            load_tensor(path)
+
 
 class TestPgm:
     @pytest.mark.parametrize("binary", [True, False])
@@ -96,29 +112,20 @@ class TestPgm:
         with pytest.raises(ValueError):
             load_pgm(path)
 
+    @pytest.mark.parametrize("content", [
+        b"", b"P5\n2 2\n", b"P5\n2 x\n255\n" + bytes(4),
+        b"P5\n0 2\n255\n", b"P5\n2 2\n0\n" + bytes(4),
+        b"P5\n2 2\n65535\n" + bytes(8), b"P5\n2 2\n255\n" + bytes(3),
+        b"P2\n2 2\n255\n1 2 3\n", b"P2\n2 2\n255\n1 2 3 300\n",
+        b"P2\n2 2\n255\n1 2 3 x\n"],
+        ids=["empty", "no-maxval", "bad-width", "zero-width", "zero-maxval",
+             "16-bit", "p5-short", "p2-short", "p2-overflow", "p2-text"])
+    def test_rejects_malformed(self, tmp_path, content):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(content)
+        with pytest.raises(FormatError):
+            load_pgm(path)
+
     def test_rejects_3d(self, tmp_path):
         with pytest.raises(ValueError):
             save_pgm(tmp_path / "y.pgm", np.zeros((2, 2, 3)))
-
-
-class TestWeightDir:
-    def test_module_weights_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        w = MskModuleWeights.create(rng, 4, 3)
-        named = w.tensors("msk")
-        save_weight_dir(tmp_path / "weights", named)
-        back = load_weight_dir(tmp_path / "weights")
-        assert set(back) == set(named)
-        for name, (tensor, role) in named.items():
-            got, got_role = back[name]
-            assert got_role == role
-            assert np.array_equal(got.data, tensor.data)
-            assert got.data.dtype == tensor.data.dtype
-
-    def test_manifest_shape_mismatch_detected(self, tmp_path):
-        d = tmp_path / "weights"
-        save_weight_dir(d, {"a": (Tensor(np.zeros((2, 3))), "kernel")})
-        manifest = (d / "manifest.txt").read_text()
-        (d / "manifest.txt").write_text(manifest.replace("2x3", "3x2"))
-        with pytest.raises(ValueError, match="manifest says"):
-            load_weight_dir(d)

@@ -7,6 +7,7 @@ from rotdet.errors import ContractError, ShapeError
 from rotdet.mdcaa import (MdcaaWeights, diagonal_branch, mdcaa_apply,
                           mdcaa_weights)
 from rotdet.tensor import Tensor, conv2d, rot90
+from test_tensor import assert_walk_covers_graph
 
 
 def _zero(w):
@@ -31,6 +32,13 @@ def _passthrough(w):
         _dirac(conv)
     # fusion selects the main-diagonal slot of [main, anti, H, V]
     w.fusion.kernel.data[np.arange(c), np.arange(c), 0, 0] = 1.0
+
+
+def test_parameter_walk_covers_attention_graph():
+    rng = np.random.default_rng(13)
+    w = MdcaaWeights.create(rng, 3, strip_len=5, pool_window=3)
+    f = Tensor(rng.standard_normal((1, 3, 8, 8)))
+    assert_walk_covers_graph(w, [mdcaa_apply(f, w)], 16)
 
 
 class TestAttentionMap:

@@ -9,6 +9,7 @@ from rotdet.errors import ContractError, ShapeError
 from rotdet.msk import (STRIP_SIZES, MskModuleWeights, count_params,
                         msk_block_forward, msk_module_forward)
 from rotdet.tensor import Tensor, conv2d
+from test_tensor import assert_walk_covers_graph
 
 
 def _zero_biases(weights):
@@ -90,6 +91,14 @@ class TestMskModule:
         w = MskModuleWeights.create(rng, 4, 3)
         with pytest.raises(ShapeError):
             msk_module_forward(Tensor(np.zeros((1, 5, 8, 8))), w)
+
+
+def test_parameter_walk_covers_module_graph():
+    # identity 1x1 + 3x3 and four (1x1, 1xm, mx1) branches: 14 convs
+    rng = np.random.default_rng(12)
+    w = MskModuleWeights.create(rng, 4, 2, downsample=True)
+    out = msk_module_forward(Tensor(rng.standard_normal((1, 4, 8, 8))), w)
+    assert_walk_covers_graph(w, [out], 28)
 
 
 class TestMskBlock:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotdet import angle, mdcaa, msk
 from rotdet.config import load_config
@@ -13,8 +15,10 @@ from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
                             assemble_forward, bottom_up, decode_boxes)
 from rotdet.scenes import gen_scene
-from rotdet.tensor import Tensor, add, gradients, sigmoid, smooth_l1, sum_all
-from test_tensor import _reference_avg_pool, _reference_conv2d
+from rotdet.tensor import (Tensor, add, gradients, named_parameters, sigmoid,
+                           smooth_l1, sum_all)
+from test_tensor import (_reference_avg_pool, _reference_conv2d,
+                         assert_walk_covers_graph)
 
 
 def _dirac_identity(conv):
@@ -134,6 +138,13 @@ class TestAssemble:
         assert b.score == 0.5
 
 
+def test_parameter_walk_covers_network_graph():
+    w = NetworkWeights.create(np.random.default_rng(9), NetworkConfig())
+    image = Tensor(np.random.default_rng(10).standard_normal((1, 3, 64, 64)))
+    _, head = assemble_forward(image, w)
+    assert_walk_covers_graph(w, head.logits + head.boxes, 204)
+
+
 def _forward_and_gradients():
     """Named tensors of one seeded 256² batch-1 forward of the default
     network, then the parameter gradients of a Smooth-L1 loss on its head."""
@@ -147,8 +158,8 @@ def _forward_and_gradients():
     loss = sum_all(smooth_l1(head.boxes[0]))
     for t in head.boxes[1:] + head.logits:
         loss = add(loss, sum_all(smooth_l1(t)))
-    params = w.tensors()
-    grads = gradients(loss, [t for t, _ in params.values()])
+    params = named_parameters(w)
+    grads = gradients(loss, list(params.values()))
     return ({k: t.data for k, t in named.items()},
             {k: g for k, g in zip(params, grads)})
 
@@ -256,3 +267,62 @@ def test_decode_matches_per_cell_loop(dtype, omega):
         want = _reference_decode(head, cfg, 0.6, image_index=image)
         assert len(got) > 10
         assert got == want
+
+
+@st.composite
+def encoded_heads(draw):
+    """Known boxes at chosen cells of a 64² image's head, and the f64 head
+    tensors that encode them: center and log-extent deltas against the
+    cell's anchor, the unit-circle angle code, and logits high at the box's
+    class and low everywhere else."""
+    cfg = NetworkConfig(anchors=draw(st.integers(1, 2)),
+                        classes=draw(st.integers(1, 3)),
+                        omega=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        anchor_scale=draw(st.floats(1.0, 8.0)))
+    a, k = cfg.anchors, cfg.classes
+    sizes = [64 // stride for stride in cfg.strides]
+    logits = [np.full((1, a * k, n, n), -20.0) for n in sizes]
+    deltas = [np.zeros((1, a * 6, n, n)) for n in sizes]
+    boxes = {}
+    for _ in range(draw(st.integers(1, 6))):
+        level = draw(st.integers(0, 2))
+        ai = draw(st.integers(0, a - 1))
+        r, c = (draw(st.integers(0, sizes[level] - 1)) for _ in range(2))
+        stride = cfg.strides[level]
+        anchor = stride * cfg.anchor_scale
+        cx, cy = ((i + 0.5) * stride + draw(st.floats(-1.0, 1.0)) * anchor
+                  for i in (c, r))
+        w, h = (anchor * math.exp(draw(st.floats(-2.0, 2.0)))
+                for _ in range(2))
+        theta = draw(st.floats(0.0, angle.period(cfg.omega),
+                               exclude_max=True))
+        cls = draw(st.integers(0, k - 1))
+        code = angle.encode(theta, cfg.omega)
+        # a cell drawn twice keeps only its last box
+        logits[level][0, ai * k:(ai + 1) * k, r, c] = -20.0
+        logits[level][0, ai * k + cls, r, c] = 20.0
+        deltas[level][0, ai * 6:(ai + 1) * 6, r, c] = (
+            (cx - (c + 0.5) * stride) / anchor,
+            (cy - (r + 0.5) * stride) / anchor,
+            math.log(w / anchor), math.log(h / anchor), code.x, code.y)
+        boxes[level, ai, r, c] = OrientedBox(cx, cy, w, h, theta,
+                                             class_id=cls)
+    head = HeadOutputs(logits=[Tensor(t) for t in logits],
+                       boxes=[Tensor(t) for t in deltas])
+    # decode_boxes walks levels, then anchors, rows and columns
+    return cfg, head, [boxes[key] for key in sorted(boxes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoded_heads())
+def test_decode_inverts_encode(case):
+    cfg, head, want = case
+    got = decode_boxes(head, cfg, score_threshold=0.5)
+    assert len(got) == len(want)
+    for g, b in zip(got, want):
+        assert g.class_id == b.class_id
+        assert g.score > 0.5
+        for field in ("cx", "cy", "w", "h"):
+            assert getattr(g, field) == pytest.approx(getattr(b, field),
+                                                      rel=0, abs=1e-9)
+        assert angle.circular_error(g.theta, b.theta, cfg.omega) <= 1e-9

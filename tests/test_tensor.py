@@ -1,15 +1,17 @@
 """Tensor engine: op contracts, invariants, gradients."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotdet.errors import ContractError, ShapeError
-from rotdet.tensor import (Tensor, _as_pair, add, avg_pool, backward,
-                           bias_add, concat_channels, conv2d, gradcheck,
-                           gradients, mul, rot90, sigmoid, slice_channels,
-                           sum_all)
+from rotdet.tensor import (Tensor, WeightSet, _as_pair, add, avg_pool,
+                           backward, bias_add, concat_channels, conv2d,
+                           gradcheck, gradients, mul, named_parameters, rot90,
+                           sigmoid, sum_all)
 
 # Convolution and pooling copy into preallocated buffers; a warning here
 # (overflow, invalid cast) is a defect.
@@ -389,8 +391,7 @@ class TestConcatAndAdd:
         start = 0
         for p in parts:
             stop = start + p.shape[1]
-            assert np.array_equal(
-                slice_channels(out, start, stop).data, p.data)
+            assert np.array_equal(out.data[:, start:stop], p.data)
             start = stop
 
     def test_spatial_mismatch_rejected(self):
@@ -489,6 +490,69 @@ class TestGradcheck:
     def test_bad_eps_rejected(self):
         with pytest.raises(ContractError):
             gradcheck(lambda a: sum_all(a), Tensor(np.ones(2)), eps=0.0)
+
+
+def graph_leaves(out: Tensor) -> set[int]:
+    """Ids of the grad-requiring leaves reachable from ``out``."""
+    leaves, seen, stack = set(), set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._parents:
+            stack.extend(t._parents)
+        elif t.requires_grad:
+            leaves.add(id(t))
+    return leaves
+
+
+def assert_walk_covers_graph(weights, outputs, count):
+    """The walk names each parameter once, and a loss over ``outputs`` reaches
+    exactly the walked tensors and gives each a gradient."""
+    params = weights.parameters()
+    assert len(named_parameters(weights)) == len(params) == count
+    assert len(set(map(id, params))) == count
+    loss = sum_all(outputs[0])
+    for t in outputs[1:]:
+        loss = add(loss, sum_all(t))
+    assert graph_leaves(loss) == set(map(id, params))
+    backward(loss)
+    assert all(p.grad is not None for p in params)
+
+
+@dataclass
+class _Leafy(WeightSet):
+    w: Tensor
+    size: int = 3
+
+
+@dataclass
+class _Nested(WeightSet):
+    inner: _Leafy
+    pair: tuple
+    table: dict
+    items: list
+
+
+class TestNamedParameters:
+    def test_walks_fields_items_and_keys(self):
+        t = [Tensor(np.full(2, float(i)), requires_grad=True) for i in range(5)]
+        w = _Nested(inner=_Leafy(t[0]), pair=(t[1], _Leafy(t[2], 7)),
+                    table={"a": t[3], "b": "not a tensor"},
+                    items=[None, [t[4]]])
+        named = named_parameters(w)
+        assert list(named) == ["inner.w", "pair.0", "pair.1.w", "table.a",
+                               "items.1.0"]
+        assert [id(v) for v in named.values()] == list(map(id, t))
+        assert w.parameters() == list(named.values())
+        assert named_parameters(w.inner, "net") == {"net.w": t[0]}
+
+    def test_tensor_and_plain_values(self):
+        t = Tensor(np.ones(1))
+        assert named_parameters(t, "x") == {"x": t}
+        assert named_parameters(3) == {}
+        assert named_parameters("text") == {}
 
 
 def test_non_finite_rejected():
