@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import numpy as np
 from . import angle as eaem
 from . import boundary, gradsuite
 from .config import Config, load_config
-from .errors import ConfigError, FormatError, GenerationError, ShapeError
+from .errors import (ConfigError, DegenerateInputError, FormatError,
+                     GenerationError, ShapeError)
 from .evalmap import eval_map, eval_map_sweep
 from .geometry import rotated_nms, save_annotations
 from .msk import STRIP_SIZES, count_params
@@ -35,6 +37,35 @@ def _dtype(name: str):
 
 def _seed(cfg: Config, args) -> int:
     return args.seed if args.seed is not None else cfg.data_seed
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _reduce_angles(thetas, omega: float):
+    """Angles modulo the codec's period. Rounding can land a tiny negative
+    angle on the period itself, which is the angle 0."""
+    p = eaem.period(omega)
+    reduced = np.mod(thetas, p)
+    return np.where(reduced < p, reduced, 0.0)
 
 
 def cmd_param_count(cfg: Config, args) -> int:
@@ -98,7 +129,7 @@ def cmd_gradcheck(cfg: Config, args) -> int:
 def cmd_angle_codec(cfg: Config, args) -> int:
     omega = cfg.network.omega
     if args.encode is not None:
-        code = eaem.encode(args.encode, omega)
+        code = eaem.encode(_reduce_angles(args.encode, omega), omega)
         print(f"theta={args.encode:.9f} omega={omega} -> "
               f"x={code.x:.12f} y={code.y:.12f}")
         return EXIT_OK
@@ -109,7 +140,10 @@ def cmd_angle_codec(cfg: Config, args) -> int:
         return EXIT_OK
     if args.input is not None:
         thetas = load_tensor(args.input).data.astype(np.float64).ravel()
-        thetas = np.mod(thetas, eaem.period(omega))
+        if thetas.size == 0:
+            print(f"error: {args.input} holds no angles", file=sys.stderr)
+            return EXIT_USAGE
+        thetas = _reduce_angles(thetas, omega)
         code = eaem.encode(thetas, omega)
         back = eaem.decode(code)
         err = np.abs(back - thetas)
@@ -200,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oriented-detection building blocks: audits, forwards, "
                     "checks, codec tools, synthetic evaluation.")
     parser.add_argument("--config", help="path to a config file")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_non_negative_int, default=None,
                         help="master seed (default: the config's data seed)")
     parser.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -214,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gradcheck", help="finite-difference verification suite")
 
     p = sub.add_parser("angle-codec", help="encode/decode orientations")
-    p.add_argument("--encode", type=float, help="angle in radians")
-    p.add_argument("--decode", type=float, nargs=2, metavar=("X", "Y"))
+    p.add_argument("--encode", type=_finite_float, help="angle in radians")
+    p.add_argument("--decode", type=_finite_float, nargs=2, metavar=("X", "Y"))
     p.add_argument("--input", help="RMKT tensor of angles")
     p.add_argument("--out", help="output RMKT file for encoded codes")
 
     p = sub.add_parser("boundary-exp", help="periodic-boundary loss experiment")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--steps", type=_non_negative_int, default=500)
+    p.add_argument("--lr", type=_positive_float, default=0.1)
     p.add_argument("--csv", help="directory for per-step loss traces")
 
     p = sub.add_parser("eval", help="synthetic-scene detection evaluation")
@@ -254,7 +288,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, FormatError, ShapeError, GenerationError,
-            FileNotFoundError) as exc:
+            DegenerateInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -102,7 +102,11 @@ def load_config(path: str | None = None) -> Config:
     values = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():

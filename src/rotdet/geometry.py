@@ -12,8 +12,7 @@ pairs whose circumscribed circles do not overlap, whose IoU is exactly 0.
 
 The scalar :func:`rotated_iou` is the test oracle for the kernel, beside
 the independent raster oracle, which rates a pair by point-in-box tests
-over a uniform grid. It also serves scene placement in ``scenes``, where
-one candidate at a time is compared against the boxes already placed.
+over a uniform grid.
 """
 
 from __future__ import annotations
@@ -60,21 +59,18 @@ class OrientedBox:
 
 def box_to_polygon(b: OrientedBox) -> np.ndarray:
     """Four CCW vertices (positive shoelace area) of the box, shape (4, 2)."""
-    c, s = math.cos(b.theta), math.sin(b.theta)
-    hw, hh = 0.5 * b.w, 0.5 * b.h
-    local = np.array([(-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)])
-    rot = np.array([(c, -s), (s, c)])
-    return local @ rot.T + np.array([b.cx, b.cy])
+    return box_polygons([b])[0]
 
 
 def box_polygons(boxes: list[OrientedBox]) -> np.ndarray:
-    """:func:`box_to_polygon` of each box, bit for bit, shape (N, 4, 2)."""
+    """Four CCW vertices of each box, shape (N, 4, 2); a box's row does not
+    depend on the other boxes in the list."""
     p = np.array([(b.cx, b.cy, 0.5 * b.w, 0.5 * b.h, math.cos(b.theta),
                    math.sin(b.theta)) for b in boxes]).reshape(len(boxes), 6)
     local = np.empty((len(boxes), 4, 2))
     local[..., 0] = p[:, 2:3] * np.array([-1.0, 1.0, 1.0, -1.0])
     local[..., 1] = p[:, 3:4] * np.array([-1.0, -1.0, 1.0, 1.0])
-    rot_t = np.empty((len(boxes), 2, 2))  # rot.T of box_to_polygon
+    rot_t = np.empty((len(boxes), 2, 2))  # transposed rotation by theta
     rot_t[:, 0, 0], rot_t[:, 0, 1] = p[:, 4], p[:, 5]
     rot_t[:, 1, 0], rot_t[:, 1, 1] = -p[:, 5], p[:, 4]
     return local @ rot_t + p[:, np.newaxis, :2]
@@ -119,7 +115,7 @@ def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Exact intersection-over-union of two rotated rectangles, in [0, 1]."""
-    pa, pb = box_to_polygon(a), box_to_polygon(b)
+    pa, pb = box_polygons([a, b])
     inter_poly = clip_convex(pa, pb)
     inter = abs(polygon_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
     union = a.w * a.h + b.w * b.h - inter
@@ -128,7 +124,8 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
-def _points_in_box(px: np.ndarray, py: np.ndarray, b: OrientedBox) -> np.ndarray:
+def points_in_box(px: np.ndarray, py: np.ndarray, b: OrientedBox) -> np.ndarray:
+    """Which points (px, py) lie in the box, edges included."""
     c, s = math.cos(b.theta), math.sin(b.theta)
     dx, dy = px - b.cx, py - b.cy
     u = c * dx + s * dy
@@ -140,14 +137,14 @@ def raster_iou_oracle(a: OrientedBox, b: OrientedBox, grid: int = 1024) -> float
     """Brute-force IoU over a uniform grid covering both boxes' extent."""
     if grid < 256:
         raise ValueError("grid must be at least 256")
-    corners = np.vstack([box_to_polygon(a), box_to_polygon(b)])
+    corners = box_polygons([a, b]).reshape(8, 2)
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid)
     ys = np.linspace(lo[1], hi[1], grid)
     px, py = np.meshgrid(xs, ys)
-    in_a = _points_in_box(px, py, a)
-    in_b = _points_in_box(px, py, b)
+    in_a = points_in_box(px, py, a)
+    in_b = points_in_box(px, py, b)
     union = np.count_nonzero(in_a | in_b)
     if union == 0:
         return 0.0

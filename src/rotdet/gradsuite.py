@@ -9,9 +9,8 @@ import numpy as np
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import MskModuleWeights, msk_module_forward
 from .pyramid import NetworkConfig, NetworkWeights, assemble_forward
-from .tensor import (Tensor, add, avg_pool, bias_add, concat_channels, conv2d,
-                     gradcheck, mul, normalize_vec, rot90, sigmoid, smooth_l1,
-                     sum_all)
+from .tensor import (Tensor, add, avg_pool, concat_channels, conv2d, gradcheck,
+                     mul, normalize_vec, rot90, sigmoid, smooth_l1, sum_all)
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,7 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
     # A draw no check reads, like x and k above: it keeps the inputs of the
     # checks below what they are for this seed.
     rng.standard_normal((1, 4, 3, 3))
+    eye = Tensor(np.eye(3).reshape(3, 3, 1, 1))  # conv2d(a, eye) is a
     results += [
         ("add", gradcheck(
             lambda a, b: sum_all(sigmoid(add(a, b))),
@@ -69,8 +69,8 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
         ("mul", gradcheck(
             lambda a, b: sum_all(mul(a, b)),
             [_rand(rng, (2, 3)), _rand(rng, (2, 3))]), 1e-6),
-        ("bias_add", gradcheck(
-            lambda a, b: sum_all(sigmoid(bias_add(a, b))),
+        ("conv2d_bias", gradcheck(
+            lambda a, b: sum_all(sigmoid(conv2d(a, eye, bias=b))),
             [_rand(rng, (1, 3, 2, 2)), _rand(rng, (3,))]), 1e-6),
         ("smooth_l1", gradcheck(
             lambda a: sum_all(smooth_l1(a, 1.0)), _rand(rng, (8,))), 1e-6),

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import OrientedBox, box_to_polygon, rotated_iou
+from .geometry import OrientedBox, box_polygons, iou_matrix, points_in_box
+# unused here; benchmarks/tracer.py wraps this binding by name
+from .geometry import rotated_iou  # noqa: F401
 from .tensor import Tensor
 
 MAX_PLACEMENT_TRIES = 200
@@ -31,24 +33,20 @@ class SceneSpec:
         return 0.35 + 0.6 * class_id / (self.classes - 1)
 
 
-def _render_box(canvas: np.ndarray, box: OrientedBox, intensity: float) -> None:
+def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
+                  spec: SceneSpec) -> None:
+    """Set pixels whose centers lie in a box to its class intensity."""
     h, w = canvas.shape
-    poly = box_to_polygon(box)
-    x0 = max(int(math.floor(poly[:, 0].min())), 0)
-    x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
-    y0 = max(int(math.floor(poly[:, 1].min())), 0)
-    y1 = min(int(math.ceil(poly[:, 1].max())) + 1, h)
-    if x0 >= x1 or y0 >= y1:
-        return
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    px = xs + 0.5
-    py = ys + 0.5
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    dx, dy = px - box.cx, py - box.cy
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    inside = (np.abs(u) <= 0.5 * box.w) & (np.abs(v) <= 0.5 * box.h)
-    canvas[y0:y1, x0:x1][inside] = intensity
+    for box, poly in zip(boxes, box_polygons(boxes)):
+        x0 = max(int(math.floor(poly[:, 0].min())), 0)
+        x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
+        y0 = max(int(math.floor(poly[:, 1].min())), 0)
+        y1 = min(int(math.ceil(poly[:, 1].max())) + 1, h)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        ys, xs = np.mgrid[y0:y1, x0:x1]
+        inside = points_in_box(xs + 0.5, ys + 0.5, box)
+        canvas[y0:y1, x0:x1][inside] = spec.class_intensity(box.class_id)
 
 
 def gen_scene(seed: int, spec: SceneSpec,
@@ -64,7 +62,6 @@ def gen_scene(seed: int, spec: SceneSpec,
     img = rng.uniform(0.0, spec.noise_level, size=(canvas, canvas))
     boxes: list[OrientedBox] = []
     for _ in range(spec.objects):
-        placed = False
         for _ in range(MAX_PLACEMENT_TRIES):
             w = rng.uniform(spec.min_size, spec.max_size)
             h = rng.uniform(spec.min_size, w)  # canonical w >= h
@@ -76,15 +73,14 @@ def gen_scene(seed: int, spec: SceneSpec,
             cy = rng.uniform(radius, canvas - radius)
             cls = int(rng.integers(0, spec.classes))
             cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
-            if all(rotated_iou(cand, b) <= spec.max_overlap for b in boxes):
+            if (not boxes or
+                    iou_matrix([cand], boxes).max() <= spec.max_overlap):
                 boxes.append(cand)
-                placed = True
                 break
-        if not placed:
+        else:
             raise GenerationError(
                 f"could not place object {len(boxes) + 1} of {spec.objects} "
                 f"within {MAX_PLACEMENT_TRIES} tries")
-    for b in boxes:
-        _render_box(img, b, spec.class_intensity(b.class_id))
+    _render_boxes(img, boxes, spec)
     image = Tensor(np.repeat(img[np.newaxis].astype(np.float32), 3, axis=0))
     return image, boxes

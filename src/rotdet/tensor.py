@@ -193,19 +193,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor._from_op(x.data * c, (x,), bwd)
 
 
-def bias_add(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias vector to a 4-D feature map."""
-    if x.ndim != 4 or bias.ndim != 1 or bias.shape[0] != x.shape[1]:
-        raise ShapeError(f"bias {bias.shape} does not match channels of {x.shape}")
-    b4 = bias.data.reshape(1, -1, 1, 1)
-
-    def bwd(g):
-        x._accumulate(g)
-        bias._accumulate(g.sum(axis=(0, 2, 3)))
-
-    return Tensor._from_op(x.data + b4, (x, bias), bwd)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function, outputs strictly in (0, 1)."""
     v = x.data

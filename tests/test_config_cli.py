@@ -1,11 +1,12 @@
 """Strict config loading and the command-line surface."""
 
+import argparse
 import configparser
 
 import numpy as np
 import pytest
 
-from rotdet.cli import main
+from rotdet.cli import build_parser, main
 from rotdet.config import _SCHEMA, load_config
 from rotdet.errors import ConfigError
 from rotdet.tensor import Tensor
@@ -72,6 +73,77 @@ BOUNDARIES = [
 ]
 
 
+# Every command-line flag at the edges of what it accepts: (subcommand or
+# None for a top-level flag, flag, argv, exit code, what stderr must name
+# when the code is 2). {name} in argv and in the named text is a path from
+# the `flag_paths` fixture. boundary-exp exits 1, its check failing, when
+# zero steps train nothing.
+FLAGS = [
+    (None, "--config", "--config {cfg} param-count", 0, None),
+    (None, "--config", "--config {missing} param-count", 2, "{missing}"),
+    (None, "--config", "--config {dir} param-count", 2, "{dir}"),
+    (None, "--config", "--config {no_header} param-count", 2, "{no_header}"),
+    (None, "--config", "--config {duplicate} param-count", 2, "{duplicate}"),
+    (None, "--config", "--config {not_utf8} param-count", 2, "{not_utf8}"),
+    (None, "--seed", "--config {cfg} --seed 0 eval --mode oracle", 0, None),
+    (None, "--seed", "--config {cfg} --seed -1 eval --mode oracle", 2,
+     "--seed"),
+    (None, "--seed", "--seed x param-count", 2, "--seed"),
+    (None, "--dtype", "--config {cfg} --dtype f64 forward --out {new}", 0,
+     None),
+    (None, "--dtype", "--dtype f16 param-count", 2, "--dtype"),
+    ("forward", "--out", "--config {cfg} forward --out {new}", 0, None),
+    ("forward", "--out", "--config {cfg} forward --out {file}", 2, "{file}"),
+    ("forward", "--out", "--config {cfg} forward", 2, "--out"),
+    ("forward", "--image", "--config {cfg} forward --image {image} --out "
+     "{new}", 0, None),
+    ("forward", "--image", "--config {cfg} forward --image {dir} --out {new}",
+     2, "{dir}"),
+    ("forward", "--image", "--config {cfg} forward --image {missing} --out "
+     "{new}", 2, "{missing}"),
+    ("angle-codec", "--encode", "angle-codec --encode 0", 0, None),
+    ("angle-codec", "--encode", "angle-codec --encode 100", 0, None),
+    ("angle-codec", "--encode", "angle-codec --encode=-1e-20", 0, None),
+    ("angle-codec", "--encode", "angle-codec --encode nan", 2, "--encode"),
+    ("angle-codec", "--encode", "angle-codec --encode inf", 2, "--encode"),
+    ("angle-codec", "--encode", "angle-codec --encode=-inf", 2, "--encode"),
+    ("angle-codec", "--encode", "angle-codec --encode x", 2, "--encode"),
+    ("angle-codec", "--decode", "angle-codec --decode 1 0", 0, None),
+    ("angle-codec", "--decode", "angle-codec --decode 0 0", 2,
+     "zero-length vector"),
+    ("angle-codec", "--decode", "angle-codec --decode nan 1", 2, "--decode"),
+    ("angle-codec", "--decode", "angle-codec --decode 1 inf", 2, "--decode"),
+    ("angle-codec", "--input", "angle-codec --input {angles}", 0, None),
+    ("angle-codec", "--input", "angle-codec --input {empty}", 2, "{empty}"),
+    ("angle-codec", "--input", "angle-codec --input {dir}", 2, "{dir}"),
+    ("angle-codec", "--input", "angle-codec --input {missing}", 2,
+     "{missing}"),
+    ("angle-codec", "--out", "angle-codec --input {angles} --out {new}", 0,
+     None),
+    ("angle-codec", "--out", "angle-codec --input {angles} --out {dir}", 2,
+     "{dir}"),
+    ("boundary-exp", "--steps", "boundary-exp --steps 1", 0, None),
+    ("boundary-exp", "--steps", "boundary-exp --steps 0", 1, None),
+    ("boundary-exp", "--steps", "boundary-exp --steps -1", 2, "--steps"),
+    ("boundary-exp", "--steps", "boundary-exp --steps 1.5", 2, "--steps"),
+    ("boundary-exp", "--lr", "boundary-exp --steps 1 --lr 0.1", 0, None),
+    ("boundary-exp", "--lr", "boundary-exp --lr 0", 2, "--lr"),
+    ("boundary-exp", "--lr", "boundary-exp --lr=-0.1", 2, "--lr"),
+    ("boundary-exp", "--lr", "boundary-exp --lr nan", 2, "--lr"),
+    ("boundary-exp", "--lr", "boundary-exp --lr inf", 2, "--lr"),
+    ("boundary-exp", "--csv", "boundary-exp --steps 1 --csv {new}", 0, None),
+    ("boundary-exp", "--csv", "boundary-exp --steps 1 --csv {file}", 2,
+     "{file}"),
+    ("eval", "--mode", "--config {cfg} eval --mode model", 0, None),
+    ("eval", "--mode", "--config {cfg} eval --mode oracle", 0, None),
+    ("eval", "--mode", "--config {cfg} eval --mode empty", 0, None),
+    ("eval", "--mode", "eval --mode best", 2, "--mode"),
+    ("gen-data", "--out", "--config {cfg} gen-data --out {new}", 0, None),
+    ("gen-data", "--out", "--config {cfg} gen-data --out {file}", 2,
+     "{file}"),
+]
+
+
 # Files the readers must reject: a P6 (colour) header, a P5 image cut short,
 # four bytes of neither format, and an RMKT float32 payload cut short.
 MALFORMED = {
@@ -88,6 +160,48 @@ def small_cfg(tmp_path):
     path = tmp_path / "small.ini"
     path.write_text(SMALL)
     return str(path)
+
+
+@pytest.fixture
+def flag_paths(tmp_path):
+    """The paths FLAGS names; `new` and `missing` do not exist."""
+    paths = {name: tmp_path / name for name in (
+        "cfg", "missing", "dir", "no_header", "duplicate", "not_utf8", "new",
+        "file", "image", "angles", "empty")}
+    paths["cfg"].write_text(SMALL)
+    paths["dir"].mkdir()
+    paths["no_header"].write_text("seed = 1\n")
+    paths["duplicate"].write_text("[data]\nseed = 1\nseed = 2\n")
+    paths["not_utf8"].write_bytes(b"\xff[data]\n")
+    paths["file"].write_text("")
+    save_tensor(paths["image"], Tensor(np.zeros((3, 64, 64))))
+    # -1e-20 reduces to the period itself before it wraps to 0
+    save_tensor(paths["angles"], Tensor(np.array([-1e-20, 0.0, 3.0, 100.0])))
+    save_tensor(paths["empty"], Tensor(np.zeros(0)))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        return exc.code
+
+
+def _parser_flags() -> set:
+    """(subcommand or None, flag) for every option of build_parser()."""
+    flags = set()
+
+    def walk(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, name)
+            elif not isinstance(action, argparse._HelpAction):
+                flags.add((command, action.option_strings[-1]))
+
+    walk(build_parser(), None)
+    return flags
 
 
 class TestConfig:
@@ -169,6 +283,21 @@ class TestConfig:
         path.write_text("[eval]\ncoco_sweep = maybe\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+
+class TestFlags:
+    def test_flags_cover_every_option(self):
+        assert {(cmd, flag) for cmd, flag, *_ in FLAGS} == _parser_flags()
+
+    @pytest.mark.parametrize("command,flag,argv,code,named", FLAGS)
+    def test_flag_at_boundary(self, flag_paths, capsys, command, flag, argv,
+                              code, named):
+        args = [arg.format(**flag_paths) for arg in argv.split()]
+        assert _exit_code(args) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 2:
+            assert named.format(**flag_paths) in err
 
 
 class TestCli:

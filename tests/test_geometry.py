@@ -268,6 +268,7 @@ class TestIouKernel:
     @given(st.lists(box_st, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_box_polygons_bitwise(self, boxes):
+        """A box's row does not depend on the other boxes in the list."""
         want = np.reshape([box_to_polygon(b) for b in boxes], (-1, 4, 2))
         assert np.array_equal(box_polygons(boxes), want)
 

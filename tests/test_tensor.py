@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from rotdet.errors import ContractError, ShapeError
 from rotdet.tensor import (Tensor, WeightSet, _as_pair, add, avg_pool,
-                           backward, bias_add, concat_channels, conv2d,
-                           gradcheck, gradients, mul, named_parameters, rot90,
-                           sigmoid, sum_all)
+                           backward, concat_channels, conv2d, gradcheck,
+                           gradients, mul, named_parameters, rot90, sigmoid,
+                           sum_all)
 
 # Convolution and pooling copy into preallocated buffers; a warning here
 # (overflow, invalid cast) is a defect.
@@ -41,7 +41,7 @@ def _reference_col2im(gcols, xp_shape, kh, kw, sh, sw, oh, ow):
 def _reference_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
                       bias=None):
     """conv2d as an einsum over an (N, C, kh, kw, oh, ow) im2col buffer,
-    with the bias as a separate ``bias_add`` node."""
+    with the bias added in a node of its own."""
     n, c, h, w = x.shape
     oc, cg, kh, kw = kernel.shape
     sh, sw = _as_pair(stride)
@@ -65,9 +65,15 @@ def _reference_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
         x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
 
     out_t = Tensor._from_op(out, (x, kernel), bwd)
-    if bias is not None:
-        out_t = bias_add(out_t, bias)
-    return out_t
+    if bias is None:
+        return out_t
+
+    def bias_bwd(g):
+        out_t._accumulate(g)
+        bias._accumulate(g.sum(axis=(0, 2, 3)))
+
+    return Tensor._from_op(out_t.data + bias.data.reshape(1, -1, 1, 1),
+                           (out_t, bias), bias_bwd)
 
 
 def _reference_avg_pool(x, window, stride=None, padding=(0, 0)):
