@@ -67,7 +67,13 @@ def normalize(xy, omega: float = 1.0) -> AngleCode:
     arr = np.asarray(xy, dtype=np.float64)
     if arr.shape[-1] != 2:
         raise ContractError(f"expected trailing extent 2, got shape {arr.shape}")
-    norm = np.sqrt(arr[..., 0] ** 2 + arr[..., 1] ** 2)
+    with np.errstate(over="ignore"):
+        sq = arr[..., 0] ** 2 + arr[..., 1] ** 2
+    big = ~np.isfinite(sq)
+    if np.any(big):  # the squares overflowed: scale by the larger component
+        arr = arr / np.where(big, np.abs(arr).max(axis=-1), 1.0)[..., np.newaxis]
+        sq = arr[..., 0] ** 2 + arr[..., 1] ** 2
+    norm = np.sqrt(sq)
     if np.any(norm <= 1e-12):
         raise DegenerateInputError("zero-length vector has no direction")
     x = arr[..., 0] / norm

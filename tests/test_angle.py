@@ -62,6 +62,18 @@ class TestNormalize:
         with pytest.raises(DegenerateInputError):
             angle.normalize((1e-13, 0.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_components_do_not_overflow(self):
+        code = angle.normalize((1e308, 1e308))
+        assert code.x == code.y == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert angle.decode(code) == pytest.approx(math.pi / 4, abs=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rescale_leaves_finite_rows_alone(self):
+        code = angle.normalize(np.array([[3.0, 4.0], [-1e308, 1e200]]))
+        assert (code.x[0], code.y[0]) == (0.6, 0.8)
+        assert (code.x[1], code.y[1]) == pytest.approx((-1.0, 0.0), abs=1e-15)
+
 
 class TestArgUnit:
     def test_axis_cases(self):

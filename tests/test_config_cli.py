@@ -2,6 +2,7 @@
 
 import argparse
 import configparser
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,7 @@ FLAGS = [
     ("angle-codec", "--encode", "angle-codec --encode=-inf", 2, "--encode"),
     ("angle-codec", "--encode", "angle-codec --encode x", 2, "--encode"),
     ("angle-codec", "--decode", "angle-codec --decode 1 0", 0, None),
+    ("angle-codec", "--decode", "angle-codec --decode 1e308 1e308", 0, None),
     ("angle-codec", "--decode", "angle-codec --decode 0 0", 2,
      "zero-length vector"),
     ("angle-codec", "--decode", "angle-codec --decode nan 1", 2, "--decode"),
@@ -320,6 +322,12 @@ class TestCli:
         assert main(["angle-codec", "--decode", str(x), str(y)]) == 0
         theta = float(capsys.readouterr().out.split("theta=")[1])
         assert theta == pytest.approx(1.234, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_angle_codec_decode_huge_vector(self, capsys):
+        assert main(["angle-codec", "--decode", "1e308", "1e308"]) == 0
+        theta = float(capsys.readouterr().out.split("theta=")[1])
+        assert theta == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_angle_codec_input_tensor(self, tmp_path, capsys):
         thetas = np.random.default_rng(0).uniform(0, 6.28, size=100)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from rotdet import geometry
 from rotdet.geometry import (OrientedBox, box_polygons, box_to_polygon,
                              clip_convex, iou_matrix, iou_pairs,
-                             load_annotations, polygon_area,
+                             load_annotations, points_in_box, polygon_area,
                              raster_iou_oracle, rotated_iou, rotated_nms,
                              save_annotations)
 
@@ -106,6 +107,14 @@ class TestBoxToPolygon:
         with pytest.raises(ValueError):
             OrientedBox(0, 0, 0, 1, 0)
 
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"box {field} must be finite"):
+            OrientedBox(**kwargs)
+
 
 class TestRotatedIou:
     def test_identical(self):
@@ -159,7 +168,101 @@ def _random_box(rng):
                        rng.uniform(0, 2 * math.pi))
 
 
+def _reference_raster_counts(a, b, grid):
+    """Grid points in a, in b and in both, by testing every point of the
+    grid x grid mesh: the mask the row count replaced, kept as its oracle."""
+    corners = box_polygons([a, b]).reshape(8, 2)
+    lo = corners.min(axis=0)
+    hi = corners.max(axis=0)
+    xs = np.linspace(lo[0], hi[0], grid)
+    ys = np.linspace(lo[1], hi[1], grid)
+    px, py = np.meshgrid(xs, ys)
+    in_a = points_in_box(px, py, a)
+    in_b = points_in_box(px, py, b)
+    return (np.count_nonzero(in_a), np.count_nonzero(in_b),
+            np.count_nonzero(in_a & in_b))
+
+
+def _criterion_8_pairs(count):
+    """The first ``count`` box pairs acceptance criterion 8 draws."""
+    rng = np.random.default_rng(8)
+    pairs = []
+    for _ in range(count):
+        a, b = [OrientedBox(rng.uniform(-4, 4), rng.uniform(-4, 4),
+                            rng.uniform(0.5, 6), rng.uniform(0.5, 6),
+                            rng.uniform(0, 2 * math.pi)) for _ in range(2)]
+        pairs.append((a, b))
+    return pairs
+
+
+# Quarter turns put cos or sin at exactly 0 or at about 6e-17.
+QUARTER = st.integers(0, 3).map(lambda k: 0.5 * math.pi * k)
+# Multiples of 1/8: sums of centers and half extents stay exact, so boxes
+# built to touch do touch, and grid points land on their edges.
+EIGHTHS = st.integers(-32, 32).map(lambda k: k / 8.0)
+SIZES = st.integers(2, 40).map(lambda k: k / 8.0)
+
+
+def _quarter_box(cx, cy, span_x, span_y, turn):
+    """Box with world extents span_x by span_y, turned a multiple of pi/2."""
+    if turn in (0.0, math.pi):
+        return OrientedBox(cx, cy, span_x, span_y, turn)
+    return OrientedBox(cx, cy, span_y, span_x, turn)
+
+
+@st.composite
+def raster_pairs(draw):
+    """Free pairs, plus boxes that share an edge, touch at a corner, are
+    identical, or nest, with quarter-turn angles among the draws."""
+    kind = draw(st.sampled_from(["free", "same", "inside", "edge", "corner"]))
+    cx, cy, span_x, span_y = (draw(EIGHTHS), draw(EIGHTHS), draw(SIZES),
+                              draw(SIZES))
+    if kind in ("edge", "corner") or draw(st.booleans()):
+        a = _quarter_box(cx, cy, span_x, span_y, draw(QUARTER))
+    else:
+        theta = draw(st.one_of(QUARTER, st.floats(0, 2 * math.pi)))
+        a = draw(box_st.map(lambda b: OrientedBox(b.cx, b.cy, b.w, b.h, theta)))
+    if kind == "same":
+        return a, a
+    if kind == "inside":
+        fw, fh = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
+        return a, OrientedBox(a.cx, a.cy, fw * a.w, fh * a.h, a.theta)
+    if kind == "free":
+        return a, draw(box_st)
+    span_xb, span_yb = draw(SIZES), draw(SIZES)
+    dx = 0.5 * (span_x + span_xb)
+    dy = 0.5 * (span_y + span_yb) * (1 if kind == "corner"
+                                     else draw(st.integers(-3, 3)) / 4)
+    sx, sy = draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))
+    return a, _quarter_box(cx + sx * dx, cy + sy * dy, span_xb, span_yb,
+                           draw(QUARTER))
+
+
 class TestRasterOracle:
+    @given(raster_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_row_counts_match_mask(self, pair):
+        a, b = pair
+        assert (geometry._raster_counts(a, b, 256)
+                == _reference_raster_counts(a, b, 256))
+
+    def test_same_bits_as_mask_on_criterion_8_draws(self):
+        for a, b in _criterion_8_pairs(50):
+            in_a, in_b, inter = _reference_raster_counts(a, b, 1024)
+            assert raster_iou_oracle(a, b, 1024) == inter / (in_a + in_b - inter)
+
+    def test_memory_linear_in_grid(self):
+        """One float64 grid x grid array alone would take 8 MiB."""
+        a, b = _criterion_8_pairs(1)[0]
+        raster_iou_oracle(a, b, 1024)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            raster_iou_oracle(a, b, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_identical(self):
         b = OrientedBox(0, 0, 3, 2, 0.4)
         assert raster_iou_oracle(b, b, 256) == 1.0
@@ -250,6 +353,16 @@ def test_annotation_bad_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n")
     with pytest.raises(ValueError):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("line,field", [("nan 2 3 1 0 0", "cx"),
+                                        ("1 2 inf 1 0 0", "w"),
+                                        ("1 2 3 1 -inf 0", "theta")])
+def test_annotation_non_finite_field(tmp_path, line, field):
+    path = tmp_path / "bad.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=f"box {field} must be finite"):
         load_annotations(path)
 
 
