@@ -26,6 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# largest |cx|, |cy|, w or h a box may have: the clipping and shoelace
+# arithmetic squares coordinates, which overflows not far above 1e150
+MAX_BOX_COORD = 1e100
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,10 @@ class OrientedBox:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"box {name} must be finite, got {value}")
+            if name != "theta" and abs(value) > MAX_BOX_COORD:
+                raise ValueError(
+                    f"box {name} must be at most {MAX_BOX_COORD:g} in magnitude, "
+                    f"got {value}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extents must be positive: w={self.w}, h={self.h}")
         w, h, theta = self.w, self.h, self.theta

@@ -3,13 +3,13 @@
 Pipeline: average pool (stride 1, same padding) -> pointwise conv -> a fan
 of depthwise strip convolutions. One path applies a vertical (mx1) strip
 then a horizontal (1xm) strip, giving the combined HV map. Two single-
-direction paths give H-only and V-only maps, concatenated into CHV. Two
-diagonal paths rotate the HV map a quarter turn (clockwise for the main
-diagonal, counterclockwise for the anti diagonal), run a depthwise strip
-conv, and rotate back. Everything is concatenated, mixed by a 1x1 conv,
-and squashed by a sigmoid into an attention map strictly inside (0, 1)
-with the same extents as the input. Applying the module multiplies the
-input by that map.
+direction paths give the H-only (1xm) and V-only (mx1) maps over the pooled
+features. The ``diag_main`` and ``diag_anti`` paths are, today, two more
+vertical (mx1) depthwise strips, both over the HV map; their names mark the
+slots a diagonal realization would fill. The four maps are concatenated as
+[main, anti, H, V], mixed by a 1x1 conv, and squashed by a sigmoid into an
+attention map strictly inside (0, 1) with the same extents as the input.
+Applying the module multiplies the input by that map.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .msk import ConvParams
-from .tensor import (Tensor, WeightSet, avg_pool, concat_channels, mul,
-                     rot90, sigmoid)
+from .tensor import Tensor, WeightSet, avg_pool, concat_channels, mul, sigmoid
 
 
 @dataclass
@@ -45,6 +44,9 @@ class MdcaaWeights(WeightSet):
                pool_window: int = 7, dtype=np.float32) -> "MdcaaWeights":
         if strip_len < 3 or strip_len % 2 == 0:
             raise ContractError("strip length must be odd and >= 3")
+        if pool_window < 1 or pool_window % 2 == 0:
+            raise ContractError(
+                f"pool_window must be odd and >= 1, got {pool_window}")
         c = channels
         w = MdcaaWeights(c, strip_len, pool_window)
         m = strip_len
@@ -53,27 +55,14 @@ class MdcaaWeights(WeightSet):
         w.seq_horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
         w.horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
         w.vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
-        w.diag_main = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-        w.diag_anti = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-        # fusion mixes main + anti + concat(H, V): 4C channels down to C
+        w.diag_main = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
+        # reversed along m: these draws were first read bottom to top (through
+        # a quarter turn), and seeded outputs must not change
+        w.diag_main.kernel.data[:] = w.diag_main.kernel.data[:, :, ::-1]
+        w.diag_anti = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
+        # fusion mixes concat(main, anti, H, V): 4C channels down to C
         w.fusion = ConvParams.create(rng, c, 4 * c, 1, 1, dtype=dtype)
         return w
-
-
-def diagonal_branch(hv: Tensor, w: MdcaaWeights, which: str) -> Tensor:
-    """Rotate, run the branch's depthwise strip conv, rotate back.
-
-    ``main`` uses a clockwise quarter turn, ``anti`` a counterclockwise
-    one; the inverse rotation restores the original orientation so output
-    extents equal input extents.
-    """
-    if which == "main":
-        forward, back, conv = "cw", "ccw", w.diag_main
-    elif which == "anti":
-        forward, back, conv = "ccw", "cw", w.diag_anti
-    else:
-        raise ContractError(f"unknown diagonal branch {which!r}")
-    return rot90(conv(rot90(hv, forward)), back)
 
 
 def mdcaa_weights(f: Tensor, w: MdcaaWeights) -> Tensor:
@@ -88,12 +77,9 @@ def mdcaa_weights(f: Tensor, w: MdcaaWeights) -> Tensor:
                       padding=((pw - 1) // 2, (pw - 1) // 2))
     pooled = w.pointwise(pooled)
     hv = w.seq_horizontal(w.seq_vertical(pooled))
-    h_only = w.horizontal(pooled)
-    v_only = w.vertical(pooled)
-    chv = concat_channels([h_only, v_only])
-    main = diagonal_branch(hv, w, "main")
-    anti = diagonal_branch(hv, w, "anti")
-    fused = w.fusion(concat_channels([main, anti, chv]))
+    fused = w.fusion(concat_channels([w.diag_main(hv), w.diag_anti(hv),
+                                      w.horizontal(pooled),
+                                      w.vertical(pooled)]))
     return sigmoid(fused)
 
 

@@ -3,9 +3,11 @@
 Tensors wrap contiguous numpy arrays (float32 or float64). Every operation
 that produced a tensor keeps a backward closure and its parents, so calling
 ``backward`` on a scalar result accumulates gradients into every leaf that
-was created with ``requires_grad=True``. The op set is exactly what the
-feature blocks need: conv2d (with groups and stride), quarter rotations,
-average pooling, sigmoid, channel concat, and elementwise arithmetic.
+was created with ``requires_grad=True``. The op set is what the feature
+blocks need: conv2d (with groups and stride), average pooling, sigmoid,
+channel concat, and elementwise arithmetic. Quarter rotations (``rot90``)
+are no longer used by the feature blocks; they stay for the rotation
+contracts of acceptance criterion 7 and the gradcheck battery.
 
 A convolution is one ``np.matmul`` per direction: the padded input's
 patches are copied once into a (groups, Cg*kH*kW, N*oH*oW) layout, the

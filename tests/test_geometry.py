@@ -115,6 +115,24 @@ class TestBoxToPolygon:
         with pytest.raises(ValueError, match=f"box {field} must be finite"):
             OrientedBox(**kwargs)
 
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_field_past_magnitude_bound_rejected(self, field, sign):
+        kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0)
+        kwargs[field] = sign * math.nextafter(geometry.MAX_BOX_COORD, math.inf)
+        with pytest.raises(ValueError, match=f"box {field} must be at most"):
+            OrientedBox(**kwargs)
+
+    def test_huge_box_at_bound_is_clean(self):
+        # at the bound the squared coordinates stay finite: the scalar
+        # path and the kernel rate a box against itself 1, NMS keeps one
+        big = geometry.MAX_BOX_COORD
+        b = OrientedBox(big, -big, big, big, 0.3)
+        twin = OrientedBox(big, -big, big, big, 0.3, score=0.5)
+        assert rotated_iou(b, b) == pytest.approx(1.0, abs=1e-12)
+        assert iou_matrix([b], [b])[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert rotated_nms([b, twin], 0.5) == [b]
+
 
 class TestRotatedIou:
     def test_identical(self):
@@ -363,6 +381,13 @@ def test_annotation_non_finite_field(tmp_path, line, field):
     path = tmp_path / "bad.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=f"box {field} must be finite"):
+        load_annotations(path)
+
+
+def test_annotation_field_past_magnitude_bound(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2 3 2e100 0 0\n")
+    with pytest.raises(ValueError, match="box h must be at most"):
         load_annotations(path)
 
 
