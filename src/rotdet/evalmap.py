@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import OrientedBox, iou_matrix
-# benchmarks/tracer.py wraps this module's binding to count scalar IoU calls
+# unused here; benchmarks/tracer.py wraps this binding by name
 from .geometry import rotated_iou  # noqa: F401
 
 

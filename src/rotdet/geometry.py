@@ -1,17 +1,15 @@
 """Rotated-rectangle geometry: polygons, exact IoU, a raster oracle, NMS.
 
-The exact IoU route clips one box's polygon against the other
-(Sutherland-Hodgman) and measures areas with the shoelace formula.
+:func:`iou_pairs` is the one exact IoU route: a batched kernel that clips
+arrays of (subject, clipper) polygon pairs (Sutherland-Hodgman) and
+measures each intersection with the shoelace formula, in coordinates
+local to the pair. :func:`rotated_nms`, :func:`iou_matrix` (which AP
+matching and scene placement use) and the one-pair :func:`rotated_iou`
+run on it; they first drop pairs whose circumscribed circles do not
+overlap, whose IoU is exactly 0.
 
-:func:`iou_pairs` is the batched kernel behind :func:`rotated_nms` and
-:func:`iou_matrix` (which AP matching uses). It clips arrays of (subject,
-clipper) polygon pairs with the same per-pair arithmetic as
-:func:`clip_convex`, so its IoU values match :func:`rotated_iou` to the
-last bit or two of rounding in the shoelace sum. Its callers first drop
-pairs whose circumscribed circles do not overlap, whose IoU is exactly 0.
-
-The scalar :func:`rotated_iou` is the test oracle for the kernel, beside
-the independent raster oracle, which rates a pair by the share of a
+The kernel is checked against a scalar clip in the tests and against the
+independent raster oracle, which rates a pair by the share of a
 uniform grid's points that lie in both boxes. It counts those points row
 by row: along a grid row a box's points form one run of columns, whose
 ends a binary search finds with the arithmetic of :func:`points_in_box`.
@@ -71,11 +69,6 @@ class OrientedBox:
         object.__setattr__(self, "cy", float(self.cy))
 
 
-def box_to_polygon(b: OrientedBox) -> np.ndarray:
-    """Four CCW vertices (positive shoelace area) of the box, shape (4, 2)."""
-    return box_polygons([b])[0]
-
-
 def box_polygons(boxes: list[OrientedBox]) -> np.ndarray:
     """Four CCW vertices of each box, shape (N, 4, 2); a box's row does not
     depend on the other boxes in the list."""
@@ -88,54 +81,6 @@ def box_polygons(boxes: list[OrientedBox]) -> np.ndarray:
     rot_t[:, 0, 0], rot_t[:, 0, 1] = p[:, 4], p[:, 5]
     rot_t[:, 1, 0], rot_t[:, 1, 1] = -p[:, 5], p[:, 4]
     return local @ rot_t + p[:, np.newaxis, :2]
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area; positive for CCW vertex order."""
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex CCW subject by a convex CCW clipper.
-
-    Collinear and touching edges count as inside, which yields zero-area
-    intersections instead of degenerate geometry.
-    """
-    output = [tuple(p) for p in subject]
-    m = len(clipper)
-    for i in range(m):
-        if not output:
-            break
-        a = clipper[i]
-        b = clipper[(i + 1) % m]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        inputs = output
-        output = []
-        for j in range(len(inputs)):
-            p = inputs[j]
-            q = inputs[(j + 1) % len(inputs)]
-            dp = ex * (p[1] - a[1]) - ey * (p[0] - a[0])
-            dq = ex * (q[1] - a[1]) - ey * (q[0] - a[0])
-            p_in = dp >= 0.0
-            q_in = dq >= 0.0
-            if p_in:
-                output.append(p)
-            if p_in != q_in:
-                t = dp / (dp - dq)
-                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return np.array(output) if output else np.empty((0, 2))
-
-
-def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact intersection-over-union of two rotated rectangles, in [0, 1]."""
-    pa, pb = box_polygons([a, b])
-    inter_poly = clip_convex(pa, pb)
-    inter = abs(polygon_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
 
 
 def _box_frame(px, py, b: OrientedBox):
@@ -244,10 +189,12 @@ def _clip_pairs(subject: np.ndarray, clipper: np.ndarray):
     """Sutherland-Hodgman clip of each subject (P, 4, 2) by its clipper.
 
     Returns (vertices, counts): slot j of row p is a vertex while
-    j < counts[p]. The per-pair arithmetic is that of :func:`clip_convex`.
-    One half-plane adds at most one vertex to a convex polygon, so rows
-    stay within 8 slots; the width follows the largest count all the same,
-    since rounding can cross a near-collinear edge more than twice.
+    j < counts[p]. Each clipper edge keeps the part of the subject on its
+    left, points on the edge included, so touching boxes give zero-area
+    intersections instead of degenerate geometry. One half-plane adds at
+    most one vertex to a convex polygon, so rows stay within 8 slots; the
+    width follows the largest count all the same, since rounding can
+    cross a near-collinear edge more than twice.
     """
     verts = subject
     counts = np.full(len(subject), subject.shape[1])
@@ -284,20 +231,23 @@ def iou_pairs(polys: np.ndarray, areas: np.ndarray, subj: np.ndarray,
     """Exact IoU of box pairs (subj[k], clip[k]), indices into the stacked
     (N, 4, 2) CCW polygons ``polys`` with box areas ``areas`` (w * h).
 
-    Equals ``rotated_iou(boxes[subj[k]], boxes[clip[k]])`` up to rounding
-    in the shoelace sum: the subject polygon is clipped by the clipper's.
-    Pairs are processed IOU_CHUNK at a time.
+    The subject polygon is clipped by the clipper's, both moved first
+    so that the clipper's first vertex is the origin: in absolute
+    coordinates a small box far from the origin would lose its area to
+    cancellation in the shoelace sum. Pairs are processed IOU_CHUNK at a
+    time.
     """
     out = np.empty(len(subj))
     for s in range(0, len(subj), IOU_CHUNK):
         si, ci = subj[s:s + IOU_CHUNK], clip[s:s + IOU_CHUNK]
-        verts, counts = _clip_pairs(polys[si], polys[ci])
+        origin = polys[ci, :1]
+        verts, counts = _clip_pairs(polys[si] - origin, polys[ci] - origin)
         valid, nxt = _ring(counts, verts.shape[1])
         x, y = verts[..., 0], verts[..., 1]
         rows = np.arange(len(verts))[:, np.newaxis]
         xy = np.where(valid, x * y[rows, nxt], 0.0)
         yx = np.where(valid, y * x[rows, nxt], 0.0)
-        # The shoelace's two sums, as in polygon_area, taken slot by slot:
+        # The shoelace's two sums, taken slot by slot:
         # a pair's area then does not depend on its chunk's slot width.
         s1 = s2 = np.zeros(len(verts))
         for j in range(verts.shape[1]):
@@ -338,6 +288,12 @@ def iou_matrix(subjects: list[OrientedBox],
     out = np.zeros((len(rows), len(cols)))
     out[i, j] = iou_pairs(polys, areas, rows[i], cols[j])
     return out
+
+
+def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """Exact intersection-over-union of two rotated rectangles, in [0, 1]:
+    the kernel on the one pair, ``a`` clipped by ``b``."""
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[OrientedBox]:

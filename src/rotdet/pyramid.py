@@ -31,6 +31,10 @@ from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
 from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
 
+# bound on the extent deltas decode_boxes exponentiates, as mmrotate's
+# wh_ratio_clip: a decoded w or h lies within [16/1000, 1000/16] anchors
+MAX_LOG_RATIO = abs(math.log(16 / 1000))
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -212,8 +216,9 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
                  image_index: int = 0) -> list[OrientedBox]:
     """Anchor-relative decode of head outputs into oriented boxes.
 
-    Centers move by delta*anchor_size, extents scale by exp(delta), the
-    angle comes from the unit-circle decode of the normalized (x, y)
+    Centers move by delta*anchor_size, extents scale by exp(delta) with
+    delta clamped to +-MAX_LOG_RATIO, so no extent overflows or reaches 0;
+    the angle comes from the unit-circle decode of the normalized (x, y)
     channels. Degenerate (near-zero) angle vectors fall back to the prior
     angle 0, so a zero-weight network decodes every cell to its anchor.
     """
@@ -235,8 +240,9 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
         cy = (r + 0.5) * stride + d[:, 1] * anchor_size
         # math.exp, not np.exp: the two differ in the last bit on a few
         # percent of inputs, and kept boxes must not move.
-        bw = [anchor_size * math.exp(v) for v in d[:, 2].tolist()]
-        bh = [anchor_size * math.exp(v) for v in d[:, 3].tolist()]
+        dw, dh = np.clip(d[:, 2:4], -MAX_LOG_RATIO, MAX_LOG_RATIO).T.tolist()
+        bw = [anchor_size * math.exp(v) for v in dw]
+        bh = [anchor_size * math.exp(v) for v in dh]
         ax, ay = d[:, 4].tolist(), d[:, 5].tolist()
         live = np.array([math.hypot(x, y) >= 1e-6 for x, y in zip(ax, ay)])
         theta = np.zeros(len(ai))

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotdet.evalmap import _ap_from_pr, eval_map, eval_map_sweep
-from rotdet.geometry import OrientedBox, rotated_iou
-from test_geometry import decisive
+from rotdet.geometry import OrientedBox
+from test_geometry import _reference_iou, decisive
 
 
 def _box(cx, cy=0.0, cls=0, score=1.0):
@@ -111,7 +111,7 @@ def _reference_eval_map(preds, truth, iou_thresh):
             for j, t in enumerate(truth[idx]):
                 if t.class_id != cls or j in matched[idx]:
                     continue
-                iou = rotated_iou(pred, t)
+                iou = _reference_iou(pred, t)
                 if iou > best_iou:
                     best_iou, best_j = iou, j
             if best_j >= 0 and best_iou >= iou_thresh:

@@ -11,9 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotdet import geometry
-from rotdet.geometry import (OrientedBox, box_polygons, box_to_polygon,
-                             clip_convex, iou_matrix, iou_pairs,
-                             load_annotations, points_in_box, polygon_area,
+from rotdet.geometry import (OrientedBox, box_polygons, iou_matrix,
+                             iou_pairs, load_annotations, points_in_box,
                              raster_iou_oracle, rotated_iou, rotated_nms,
                              save_annotations)
 
@@ -40,12 +39,67 @@ def box_lists(draw, max_size=14):
     return draw(st.permutations(boxes))
 
 
+def box_to_polygon(b):
+    """Four CCW vertices of one box, shape (4, 2)."""
+    return box_polygons([b])[0]
+
+
+def polygon_area(poly):
+    """Shoelace area; positive for CCW vertex order."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def clip_convex(subject, clipper):
+    """Sutherland-Hodgman clip of a convex CCW subject by a convex CCW
+    clipper, one vertex at a time in Python lists.
+
+    Collinear and touching edges count as inside, which yields zero-area
+    intersections instead of degenerate geometry.
+    """
+    output = [tuple(p) for p in subject]
+    m = len(clipper)
+    for i in range(m):
+        if not output:
+            break
+        a = clipper[i]
+        b = clipper[(i + 1) % m]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        inputs = output
+        output = []
+        for j in range(len(inputs)):
+            p = inputs[j]
+            q = inputs[(j + 1) % len(inputs)]
+            dp = ex * (p[1] - a[1]) - ey * (p[0] - a[0])
+            dq = ex * (q[1] - a[1]) - ey * (q[0] - a[0])
+            p_in = dp >= 0.0
+            q_in = dq >= 0.0
+            if p_in:
+                output.append(p)
+            if p_in != q_in:
+                t = dp / (dp - dq)
+                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def _reference_iou(a, b):
+    """The scalar clipping IoU the batched kernel replaced, kept as its
+    oracle: a's polygon clipped by b's, in absolute coordinates."""
+    pa, pb = box_polygons([a, b])
+    inter_poly = clip_convex(pa, pb)
+    inter = abs(polygon_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
+    union = a.w * a.h + b.w * b.h - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
 def _reference_nms(boxes, iou_threshold):
     """The scalar greedy loop rotated_nms replaced, kept as its oracle."""
     ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
     kept = []
     for cand in ordered:
-        if all(rotated_iou(cand, k) <= iou_threshold for k in kept):
+        if all(_reference_iou(cand, k) <= iou_threshold for k in kept):
             kept.append(cand)
     return kept
 
@@ -58,7 +112,7 @@ def decisive(pairs, threshold):
         poly = clip_convex(box_to_polygon(a), box_to_polygon(b))
         if len(poly) >= 3 and abs(polygon_area(poly)) <= 1e-9:
             return False
-        iou = rotated_iou(a, b)
+        iou = _reference_iou(a, b)
         if (iou > 0.0 and threshold < 1.0
                 and abs(iou - threshold) <= KERNEL_TOL):
             return False
@@ -125,10 +179,11 @@ class TestBoxToPolygon:
 
     def test_huge_box_at_bound_is_clean(self):
         # at the bound the squared coordinates stay finite: the scalar
-        # path and the kernel rate a box against itself 1, NMS keeps one
+        # oracle and the kernel rate a box against itself 1, NMS keeps one
         big = geometry.MAX_BOX_COORD
         b = OrientedBox(big, -big, big, big, 0.3)
         twin = OrientedBox(big, -big, big, big, 0.3, score=0.5)
+        assert _reference_iou(b, b) == pytest.approx(1.0, abs=1e-12)
         assert rotated_iou(b, b) == pytest.approx(1.0, abs=1e-12)
         assert iou_matrix([b], [b])[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert rotated_nms([b, twin], 0.5) == [b]
@@ -414,7 +469,7 @@ class TestIouKernel:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar(self, boxes):
         i, j = _all_pairs(boxes)
-        want = [rotated_iou(boxes[a], boxes[b]) for a, b in zip(i, j)]
+        want = [_reference_iou(boxes[a], boxes[b]) for a, b in zip(i, j)]
         np.testing.assert_allclose(_kernel(boxes, i, j), want,
                                    rtol=0, atol=KERNEL_TOL)
 
@@ -441,9 +496,26 @@ class TestIouKernel:
     def test_iou_matrix_matches_scalar(self, subjects, clippers):
         got = iou_matrix(subjects, clippers)
         assert got.shape == (len(subjects), len(clippers))
-        want = [[rotated_iou(s, c) for c in clippers] for s in subjects]
+        want = [[_reference_iou(s, c) for c in clippers] for s in subjects]
         np.testing.assert_allclose(got, np.reshape(want, got.shape),
                                    rtol=0, atol=KERNEL_TOL)
+
+    @given(box_st, box_st, st.sampled_from([1e4, 1e6, 1e8]),
+           st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_far_from_origin(self, a, b, t, sx, sy):
+        """Moving a pair far from the origin keeps its IoU: the kernel
+        clips in coordinates local to the pair, so a small box's area does
+        not cancel away. NMS keeps one of two identical far boxes."""
+        def moved(box, score=1.0):
+            return OrientedBox(box.cx + sx * t, box.cy + sy * t, box.w,
+                               box.h, box.theta, score=score)
+
+        assert abs(rotated_iou(moved(a), moved(b))
+                   - _reference_iou(a, b)) <= 1e-6
+        far = moved(a)
+        assert rotated_iou(far, far) == pytest.approx(1.0, abs=1e-6)
+        assert rotated_nms([moved(a, 0.5), far], 0.5) == [far]
 
     def test_identical_and_disjoint(self):
         a = OrientedBox(2, 3, 4, 2, 0.5)

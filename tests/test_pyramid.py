@@ -13,7 +13,8 @@ from rotdet.errors import ShapeError
 from rotdet.geometry import OrientedBox
 from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
-                            assemble_forward, bottom_up, decode_boxes)
+                            MAX_LOG_RATIO, assemble_forward, bottom_up,
+                            decode_boxes)
 from rotdet.scenes import gen_scene
 from rotdet.tensor import (Tensor, add, gradients, named_parameters, sigmoid,
                            smooth_l1, sum_all)
@@ -207,6 +208,20 @@ class TestDecodeBoxes:
         logits = np.full((1, 2, 1, 1), -10.0)
         boxes = decode_boxes(self._head(logits, np.zeros((1, 6, 1, 1))), cfg)
         assert boxes == []
+
+    @pytest.mark.parametrize("dw", [300.0, -300.0, 800.0, -800.0])
+    def test_extent_deltas_clamped(self, dw):
+        """Huge extent deltas decode to a box 1000/16 or 16/1000 times
+        its anchor instead of failing in exp or in OrientedBox."""
+        cfg = NetworkConfig()
+        deltas = np.zeros((1, 6, 1, 1))
+        deltas[0, 2:4, 0, 0] = dw, -dw
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 1)), deltas), cfg)
+        anchor = 8 * cfg.anchor_scale
+        clip = math.copysign(MAX_LOG_RATIO, dw)
+        assert len(boxes) == 1
+        assert sorted((boxes[0].w, boxes[0].h)) == sorted(
+            (anchor * math.exp(clip), anchor * math.exp(-clip)))
 
     def test_degenerate_angle_vector_falls_back(self):
         cfg = NetworkConfig()

@@ -7,7 +7,7 @@ import pytest
 
 from rotdet.config import load_config
 from rotdet.errors import GenerationError
-from rotdet.geometry import OrientedBox, box_to_polygon
+from rotdet.geometry import OrientedBox, box_polygons
 from rotdet.scenes import SceneSpec, _render_boxes, gen_scene
 
 # Placement runs the batched IoU kernel; a warning here is a defect.
@@ -82,7 +82,7 @@ def test_axis_aligned_box_renders_inside_polygon():
     canvas = np.zeros((64, 64))
     box = OrientedBox(32, 32, 20, 10, 0.0)
     _render_boxes(canvas, [box], spec)
-    poly = box_to_polygon(box)
+    poly = box_polygons([box])[0]
     ys, xs = np.nonzero(canvas)
     assert len(xs) == pytest.approx(20 * 10, rel=0.1)
     assert xs.min() + 0.5 >= poly[:, 0].min()
@@ -94,7 +94,7 @@ def test_axis_aligned_box_renders_inside_polygon():
 def test_truth_boxes_lie_in_canvas():
     _, truth = gen_scene(7, SceneSpec(objects=4), canvas=256)
     for b in truth:
-        poly = box_to_polygon(b)
+        poly = box_polygons([b])[0]
         assert poly.min() >= 0.0
         assert poly.max() <= 256.0
 
