@@ -20,8 +20,9 @@ from .tensor import (Tensor, mean_all, mul, normalize_vec, scale, smooth_l1,
                      sub, sum_all)
 
 METHODS = ("direct_smoothl1", "eaem_chord")
-SMOOTH_L1_BETA = 1.0
 JUMP_THRESHOLD = 0.5
+TARGET_COUNT = 32
+TARGET_DELTA = 0.05
 
 
 def loss_landscape(method: str, target_theta: float, omega: float = 1.0,
@@ -32,7 +33,7 @@ def loss_landscape(method: str, target_theta: float, omega: float = 1.0,
     p = eaem.period(omega)
     thetas = np.arange(samples) * (p / samples)
     if method == "direct_smoothl1":
-        return smooth_l1(Tensor(thetas - target_theta), SMOOTH_L1_BETA).data
+        return smooth_l1(Tensor(thetas - target_theta)).data
     if method == "eaem_chord":
         pred = eaem.encode(thetas, omega)
         target = eaem.encode(target_theta % p, omega)
@@ -42,19 +43,18 @@ def loss_landscape(method: str, target_theta: float, omega: float = 1.0,
     raise ValueError(f"unknown method {method!r}")
 
 
-def count_jumps(trace: np.ndarray, threshold: float = JUMP_THRESHOLD) -> int:
-    """Adjacent-sample jumps above threshold, counting the wrap pair."""
+def count_jumps(trace: np.ndarray) -> int:
+    """Adjacent-sample jumps above JUMP_THRESHOLD, counting the wrap pair."""
     diffs = np.abs(np.diff(np.concatenate([trace, trace[:1]])))
-    return int(np.count_nonzero(diffs > threshold))
+    return int(np.count_nonzero(diffs > JUMP_THRESHOLD))
 
 
-def boundary_targets(omega: float = 1.0, count: int = 32, delta: float = 0.05,
-                     seed: int = 0) -> np.ndarray:
-    """Target angles concentrated in [0, delta] and [period - delta, period)."""
+def boundary_targets(omega: float = 1.0, seed: int = 0) -> np.ndarray:
+    """TARGET_COUNT angles within TARGET_DELTA of the wrap, half each side."""
     rng = np.random.default_rng(seed)
     p = eaem.period(omega)
-    low = rng.uniform(0.0, delta, size=count // 2)
-    high = rng.uniform(p - delta, p, size=count - count // 2)
+    low = rng.uniform(0.0, TARGET_DELTA, size=TARGET_COUNT // 2)
+    high = rng.uniform(p - TARGET_DELTA, p, size=TARGET_COUNT // 2)
     return np.concatenate([low, high])
 
 
@@ -102,8 +102,7 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
             param = Tensor(np.array([theta0]), requires_grad=True)
             target_t = Tensor(targets)
             for _ in range(steps):
-                loss = mean_all(smooth_l1(sub(param, target_t),
-                                          SMOOTH_L1_BETA))
+                loss = mean_all(smooth_l1(sub(param, target_t)))
                 trace.append(loss.item())
                 param.grad = None
                 loss.backward()
@@ -130,9 +129,8 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
 
 
 def compare_methods(steps: int = 500, lr: float = 0.1, seed: int = 7,
-                    omega: float = 1.0, count: int = 32,
-                    delta: float = 0.05) -> ExperimentReport:
-    targets = boundary_targets(omega, count, delta, seed)
+                    omega: float = 1.0) -> ExperimentReport:
+    targets = boundary_targets(omega, seed)
     report = ExperimentReport(seed=seed, omega=omega, steps=steps, lr=lr,
                               targets=targets)
     for method in METHODS:

@@ -60,6 +60,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
+    """The seeded network, with no weight that requires a gradient: a forward
+    pass through it records no autodiff graph."""
+    weights = NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
+                                    cfg.network, dtype=dtype)
+    for p in weights.parameters():
+        p.requires_grad = False
+    return weights
+
+
 def _reduce_angles(thetas, omega: float):
     """Angles modulo the codec's period. Rounding can land a tiny negative
     angle on the period itself, which is the angle 0."""
@@ -101,9 +111,7 @@ def cmd_forward(cfg: Config, args) -> int:
         size = cfg.canvas
         img = np.zeros((1, 3, size, size))
     image = Tensor(img, dtype=dtype)
-    rng = np.random.default_rng(_seed(cfg, args))
-    weights = NetworkWeights.create(rng, cfg.network, dtype=dtype)
-    feats, head = assemble_forward(image, weights)
+    feats, head = assemble_forward(image, _inference_weights(cfg, args, dtype))
     named = {**feats.named(), **head.named()}
     lines = []
     for name, tensor in named.items():
@@ -192,8 +200,7 @@ def cmd_eval(cfg: Config, args) -> int:
     dtype = _dtype(args.dtype)
     weights = None
     if args.mode == "model":
-        weights = NetworkWeights.create(np.random.default_rng(rng_seed),
-                                        cfg.network, dtype=dtype)
+        weights = _inference_weights(cfg, args, dtype)
     for i in range(cfg.images):
         image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
         truths.append(truth)

@@ -101,7 +101,9 @@ def load_config(path: str | None = None) -> Config:
     """Load a config file (or pure defaults when ``path`` is None)."""
     values = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # no header names "", so [DEFAULT] is an ordinary, unknown section
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
         try:
             read = parser.read(path)
         except (configparser.Error, UnicodeDecodeError) as exc:

@@ -28,7 +28,6 @@ class MdcaaWeights(WeightSet):
     """Per-level attention weights; all strip convs are depthwise."""
 
     channels: int
-    strip_len: int = 11
     pool_window: int = 7
     pointwise: ConvParams = field(repr=False, default=None)
     seq_vertical: ConvParams = field(repr=False, default=None)
@@ -48,7 +47,7 @@ class MdcaaWeights(WeightSet):
             raise ContractError(
                 f"pool_window must be odd and >= 1, got {pool_window}")
         c = channels
-        w = MdcaaWeights(c, strip_len, pool_window)
+        w = MdcaaWeights(c, pool_window)
         m = strip_len
         w.pointwise = ConvParams.create(rng, c, c, 1, 1, dtype=dtype)
         w.seq_vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)

@@ -57,7 +57,6 @@ class MskModuleWeights(WeightSet):
     """Weights of one five-branch module."""
 
     in_channels: int
-    mid_channels: int
     branch_out: int
     downsample: bool
     identity_reduce: ConvParams = field(repr=False, default=None)
@@ -71,19 +70,19 @@ class MskModuleWeights(WeightSet):
 
     @staticmethod
     def create(rng: np.random.Generator, in_channels: int, branch_out: int,
-               mid_channels: int | None = None, downsample: bool = False,
+               downsample: bool = False,
                dtype=np.float32) -> "MskModuleWeights":
-        mid = mid_channels if mid_channels is not None else in_channels
+        c = in_channels  # each branch keeps the input width until its last conv
         stride = (2, 2) if downsample else (1, 1)
-        w = MskModuleWeights(in_channels, mid, branch_out, downsample)
-        w.identity_reduce = ConvParams.create(rng, mid, in_channels, 1, 1,
-                                              stride=stride, dtype=dtype)
-        w.identity_conv = ConvParams.create(rng, branch_out, mid, 3, 3, dtype=dtype)
+        w = MskModuleWeights(c, branch_out, downsample)
+        w.identity_reduce = ConvParams.create(rng, c, c, 1, 1, stride=stride,
+                                              dtype=dtype)
+        w.identity_conv = ConvParams.create(rng, branch_out, c, 3, 3, dtype=dtype)
         for m in STRIP_SIZES:
-            reduce = ConvParams.create(rng, mid, in_channels, 1, 1,
-                                       stride=stride, dtype=dtype)
-            row = ConvParams.create(rng, mid, mid, 1, m, dtype=dtype)
-            col = ConvParams.create(rng, branch_out, mid, m, 1, dtype=dtype)
+            reduce = ConvParams.create(rng, c, c, 1, 1, stride=stride,
+                                       dtype=dtype)
+            row = ConvParams.create(rng, c, c, 1, m, dtype=dtype)
+            col = ConvParams.create(rng, branch_out, c, m, 1, dtype=dtype)
             w.branches.append((reduce, row, col))
         return w
 
@@ -127,35 +126,28 @@ def msk_block_forward(x: Tensor, weights: list[MskModuleWeights]) -> list[Tensor
 class ParamCountReport:
     """Separable vs full-kernel parameter arithmetic (bias-free)."""
 
-    in_channels: int
-    mid_channels: int
-    out_channels: int
     per_m: dict[int, dict[str, object]]
     total_full: int
     total_separable: int
 
 
-def count_params(in_channels: int, mid_channels: int | None = None,
-                 out_channels: int | None = None,
-                 strip_sizes=STRIP_SIZES) -> ParamCountReport:
+def count_params(channels: int, strip_sizes=STRIP_SIZES) -> ParamCountReport:
     """Exact kernel-parameter counts for full mxm vs strip-pair branches.
 
-    Full kernel: in*out*m^2. Strip pair: in*mid*m + mid*out*m. With all
-    channel counts equal this reduces to C^2 m^2 vs 2 C^2 m, a ratio of
-    exactly 2/m.
+    With C channels in, between and out, a full kernel has C^2 m^2
+    parameters and a strip pair (1xm then mx1) 2 C^2 m, a ratio of exactly
+    2/m.
     """
-    if in_channels < 1:
+    if channels < 1:
         raise ContractError("channel counts must be positive")
-    mid = mid_channels if mid_channels is not None else in_channels
-    out = out_channels if out_channels is not None else in_channels
     per_m = {}
     total_full = 0
     total_sep = 0
     for m in strip_sizes:
-        full = in_channels * out * m * m
-        sep = in_channels * mid * m + mid * out * m
+        full = channels * channels * m * m
+        sep = 2 * channels * channels * m
         per_m[m] = {"full": full, "separable": sep,
                     "ratio": Fraction(sep, full)}
         total_full += full
         total_sep += sep
-    return ParamCountReport(in_channels, mid, out, per_m, total_full, total_sep)
+    return ParamCountReport(per_m, total_full, total_sep)

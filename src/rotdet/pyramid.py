@@ -26,7 +26,7 @@ import numpy as np
 
 from . import angle as eaem
 from .errors import ShapeError
-from .geometry import OrientedBox
+from .geometry import MAX_BOX_COORD, OrientedBox
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
 from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
@@ -105,7 +105,6 @@ class HeadOutputs:
 
 @dataclass
 class NetworkWeights(WeightSet):
-    config: NetworkConfig
     backbone: list[ConvParams] = field(default_factory=list)
     tower_stem: ConvParams = None
     msk: list[MskModuleWeights] = field(default_factory=list)
@@ -120,7 +119,7 @@ class NetworkWeights(WeightSet):
     def create(rng: np.random.Generator, config: NetworkConfig,
                dtype=np.float32) -> "NetworkWeights":
         cfg = config
-        w = NetworkWeights(cfg)
+        w = NetworkWeights()
         bc = cfg.backbone_channels
         # stem (stride 2) + four stride-2 stages; the last three are C3/C4/C5
         chain = [(bc, 3)] + [(bc, bc)] * 4
@@ -154,8 +153,8 @@ class NetworkWeights(WeightSet):
 
 
 def bottom_up(m_levels: list[Tensor], down_convs: list[ConvParams],
-              fuse_convs: list[ConvParams]) -> tuple[list[Tensor], Tensor]:
-    """Downsample-add recursion over the tower levels; returns (levels, N5).
+              fuse_convs: list[ConvParams]) -> list[Tensor]:
+    """Downsample-add recursion over the tower levels; the last is N5.
 
     N_prev starts at M1; each step computes
     Conv3x3(M_{l+1} + Down(N_prev)) where Down is a stride-2 convolution.
@@ -173,7 +172,7 @@ def bottom_up(m_levels: list[Tensor], down_convs: list[ConvParams],
                 f"{down.shape} vs {target.shape}")
         prev = fuse_convs[l](add(target, down))
         levels.append(prev)
-    return levels, levels[-1]
+    return levels
 
 
 def assemble_forward(image: Tensor,
@@ -195,7 +194,7 @@ def assemble_forward(image: Tensor,
     stem = w.tower_stem(image)
     m_levels = msk_block_forward(stem, w.msk)
     cp_levels = [mdcaa_apply(m_levels[k], w.mdcaa[k - 1]) for k in (1, 2, 3)]
-    _, n5 = bottom_up(m_levels, w.bottom_up_down, w.bottom_up_fuse)
+    n5 = bottom_up(m_levels, w.bottom_up_down, w.bottom_up_fuse)[-1]
 
     adj = w.fusion_adjust
     fused = [
@@ -217,8 +216,10 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
     """Anchor-relative decode of head outputs into oriented boxes.
 
     Centers move by delta*anchor_size, extents scale by exp(delta) with
-    delta clamped to +-MAX_LOG_RATIO, so no extent overflows or reaches 0;
-    the angle comes from the unit-circle decode of the normalized (x, y)
+    delta clamped to +-MAX_LOG_RATIO. A cell gives no box, like a cell
+    under the score threshold, where its center or an extent is not finite
+    or exceeds MAX_BOX_COORD in magnitude, or an extent is not positive.
+    The angle comes from the unit-circle decode of the normalized (x, y)
     channels. Degenerate (near-zero) angle vectors fall back to the prior
     angle 0, so a zero-weight network decodes every cell to its anchor.
     """
@@ -236,20 +237,24 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
         d = deltas.data[image_index].reshape(a, 6, hh, ww)
         d = d[ai, :, r, c].astype(np.float64)
         anchor_size = stride * config.anchor_scale
-        cx = (c + 0.5) * stride + d[:, 0] * anchor_size
-        cy = (r + 0.5) * stride + d[:, 1] * anchor_size
         # math.exp, not np.exp: the two differ in the last bit on a few
         # percent of inputs, and kept boxes must not move.
         dw, dh = np.clip(d[:, 2:4], -MAX_LOG_RATIO, MAX_LOG_RATIO).T.tolist()
-        bw = [anchor_size * math.exp(v) for v in dw]
-        bh = [anchor_size * math.exp(v) for v in dh]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: dropped
+            box = np.array([(c + 0.5) * stride + d[:, 0] * anchor_size,
+                            (r + 0.5) * stride + d[:, 1] * anchor_size,
+                            [anchor_size * math.exp(v) for v in dw],
+                            [anchor_size * math.exp(v) for v in dh]])
+        fits = (np.all(np.abs(box) <= MAX_BOX_COORD, axis=0)
+                & (np.minimum(box[2], box[3]) > 0))
+        ai, r, c, d, box = ai[fits], r[fits], c[fits], d[fits], box[:, fits]
         ax, ay = d[:, 4].tolist(), d[:, 5].tolist()
         live = np.array([math.hypot(x, y) >= 1e-6 for x, y in zip(ax, ay)])
         theta = np.zeros(len(ai))
         if live.any():
             theta[live] = eaem.decode(
                 eaem.normalize(d[live][:, 4:], config.omega))
-        out += [OrientedBox(*box, class_id=cid, score=sc) for *box, cid, sc in
-                zip(cx.tolist(), cy.tolist(), bw, bh, theta.tolist(),
+        out += [OrientedBox(*b, class_id=cid, score=sc) for *b, cid, sc in
+                zip(*box.tolist(), theta.tolist(),
                     cls_id[ai, r, c].tolist(), score[ai, r, c].tolist())]
     return out

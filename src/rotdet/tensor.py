@@ -1,13 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Tensors wrap contiguous numpy arrays (float32 or float64). Every operation
-that produced a tensor keeps a backward closure and its parents, so calling
-``backward`` on a scalar result accumulates gradients into every leaf that
-was created with ``requires_grad=True``. The op set is what the feature
-blocks need: conv2d (with groups and stride), average pooling, sigmoid,
-channel concat, and elementwise arithmetic. Quarter rotations (``rot90``)
-are no longer used by the feature blocks; they stay for the rotation
-contracts of acceptance criterion 7 and the gradcheck battery.
+Tensors wrap contiguous numpy arrays (float32 or float64). Every operation on
+a tensor that requires a gradient keeps a backward closure and its parents,
+so calling ``backward`` on a scalar result accumulates gradients into every
+leaf that was created with ``requires_grad=True``. The op set is what the
+feature blocks need: conv2d (with groups and stride), average pooling,
+sigmoid, channel concat, and elementwise arithmetic. Quarter rotations
+(``rot90``) are no longer used by the feature blocks; they stay for the
+rotation contracts of acceptance criterion 7 and the gradcheck battery.
 
 A convolution is one ``np.matmul`` per direction: the padded input's
 patches are copied once into a (groups, Cg*kH*kW, N*oH*oW) layout, the
@@ -69,7 +69,7 @@ class Tensor:
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad or p._parents for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -214,14 +214,14 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), bwd)
 
 
-def smooth_l1(x: Tensor, beta: float = 1.0) -> Tensor:
-    """Huber-style loss applied elementwise to a residual tensor."""
+def smooth_l1(x: Tensor) -> Tensor:
+    """Huber-style loss (beta 1) applied elementwise to a residual tensor."""
     v = x.data
     absv = np.abs(v)
-    out = np.where(absv < beta, 0.5 * v * v / beta, absv - 0.5 * beta)
+    out = np.where(absv < 1.0, 0.5 * v * v, absv - 0.5)
 
     def bwd(g):
-        x._accumulate(g * np.where(absv < beta, v / beta, np.sign(v)))
+        x._accumulate(g * np.where(absv < 1.0, v, np.sign(v)))
 
     return Tensor._from_op(out, (x,), bwd)
 
@@ -240,10 +240,10 @@ def mean_all(x: Tensor) -> Tensor:
     return scale(sum_all(x), 1.0 / n)
 
 
-def normalize_vec(v: Tensor, eps: float = 1e-12) -> Tensor:
+def normalize_vec(v: Tensor) -> Tensor:
     """Project a flat vector onto the unit sphere, with gradient."""
     norm = float(np.linalg.norm(v.data))
-    if norm <= eps:
+    if norm <= 1e-12:
         raise ContractError("cannot normalize a (near-)zero vector")
     u = v.data / norm
 

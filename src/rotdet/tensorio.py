@@ -60,23 +60,17 @@ def load_tensor(path) -> Tensor:
         raise FormatError(f"{path}: {exc}") from None
 
 
-# -- PGM images (P2 ascii / P5 binary), values scaled to [0, 1] ---------------
+# -- PGM images (written as P5, read as P2 or P5), values scaled to [0, 1] -----
 
 
-def save_pgm(path, image: np.ndarray, binary: bool = True) -> None:
+def save_pgm(path, image: np.ndarray) -> None:
     if image.ndim != 2:
         raise ValueError("PGM writer expects a 2-D grayscale array")
     pixels = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
-            fh.write(pixels.tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write(f"P2\n{w} {h}\n255\n")
-            for row in pixels:
-                fh.write(" ".join(str(v) for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(pixels.tobytes())
 
 
 def load_pgm(path) -> np.ndarray:

@@ -53,16 +53,16 @@ def test_count_jumps_wraps_around():
 
 def test_targets_hug_the_boundary():
     p = angle.period(1.0)
-    targets = boundary_targets(1.0, count=32, delta=0.05, seed=0)
+    targets = boundary_targets(1.0, seed=0)
     assert len(targets) == 32
     assert all(t <= 0.05 or t >= p - 0.05 for t in targets)
     np.testing.assert_array_equal(targets,
-                                  boundary_targets(1.0, 32, 0.05, 0))
+                                  boundary_targets(1.0, 0))
 
 
 class TestRegression:
     def test_zero_steps_identical_error(self):
-        targets = boundary_targets(1.0, 16, 0.05, 3)
+        targets = boundary_targets(1.0, 3)
         a = run_regression("direct_smoothl1", targets, steps=0, seed=3)
         b = run_regression("eaem_chord", targets, steps=0, seed=3)
         assert a.final_error == b.final_error

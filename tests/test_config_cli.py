@@ -3,13 +3,15 @@
 import argparse
 import configparser
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rotdet.cli import build_parser, main
+from rotdet.cli import _inference_weights, build_parser, main
 from rotdet.config import _SCHEMA, load_config
 from rotdet.errors import ConfigError
+from rotdet.pyramid import NetworkWeights, assemble_forward
 from rotdet.tensor import Tensor
 from rotdet.tensorio import load_tensor, save_tensor
 
@@ -49,6 +51,7 @@ BOUNDARIES = [
     ("network", "classes", "0", 2), ("network", "classes", "1", 0),
     ("network", "anchor_scale", "-1", 2), ("network", "anchor_scale", "0", 2),
     ("network", "anchor_scale", "0.5", 0),
+    ("network", "anchor_scale", "1e99", 0),
     ("network", "anchor_scale", "inf", 2),
     ("data", "seed", "-1", 2), ("data", "seed", "0", 0),
     ("data", "images", "0", 2), ("data", "images", "1", 0),
@@ -237,6 +240,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="training"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("body", [
+        "[DEFAULT]\nimages = 0\nbogus = 1\n",
+        "[DEFAULT]\nimages = 2\n[data]\nseed = 3\n",
+    ], ids=["alone", "beside-data"])
+    def test_default_section_named(self, tmp_path, capsys, body):
+        # configparser would take [DEFAULT] as the defaults of every other
+        # section, out of reach of the section check
+        path = tmp_path / "c.ini"
+        path.write_text(body)
+        assert main(["--config", str(path), "eval", "--mode", "empty"]) == 2
+        assert "[DEFAULT]" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.ini"))
@@ -300,6 +315,46 @@ class TestFlags:
         assert "Traceback" not in err
         if code == 2:
             assert named.format(**flag_paths) in err
+
+
+class TestInferenceWeights:
+    """`forward` and `eval --mode model` run on weights that require no
+    gradient, so their forward passes record no autodiff graph."""
+
+    def _forward(self, weights):
+        image = Tensor(np.random.default_rng(3).uniform(size=(1, 3, 256, 256)),
+                       dtype=np.float32)
+        feats, head = assemble_forward(image, weights)
+        return {**feats.named(), **head.named()}
+
+    def _weights(self):
+        return _inference_weights(load_config(None),
+                                  argparse.Namespace(seed=None), np.float32)
+
+    def test_forward_builds_no_graph(self):
+        weights = self._weights()
+        assert not any(p.requires_grad for p in weights.parameters())
+        tracemalloc.start()
+        try:
+            named = self._forward(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t._parents == () for t in named.values())
+        # about 17 MiB; the same forward with a graph peaks near 226 MiB
+        assert peak < 32 * 2**20
+
+    def test_same_bytes_as_gradient_tracking_weights(self):
+        cfg = load_config(None)
+        tracked = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                                        cfg.network, dtype=np.float32)
+        want = self._forward(tracked)
+        got = self._forward(self._weights())
+        assert want["logits_s8"]._parents
+        assert list(got) == list(want)
+        for name, t in want.items():
+            assert got[name].data.dtype == t.data.dtype, name
+            assert got[name].data.tobytes() == t.data.tobytes(), name
 
 
 class TestCli:

@@ -79,13 +79,24 @@ class TestRmkt:
             load_tensor(path)
 
 
+def _write_p2(path, image):
+    """An ascii P2 file, as other programs write them; save_pgm writes P5."""
+    pixels = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
+    h, w = pixels.shape
+    rows = "\n".join(" ".join(str(v) for v in row) for row in pixels)
+    path.write_text(f"P2\n{w} {h}\n255\n{rows}\n")
+
+
 class TestPgm:
     @pytest.mark.parametrize("binary", [True, False])
     def test_round_trip(self, tmp_path, binary):
         rng = np.random.default_rng(1)
         image = rng.uniform(0, 1, size=(6, 9))
         path = tmp_path / "img.pgm"
-        save_pgm(path, image, binary=binary)
+        if binary:
+            save_pgm(path, image)
+        else:
+            _write_p2(path, image)
         back = load_pgm(path)
         assert back.shape == (6, 9)
         # quantized to 255 levels on the way out
@@ -94,8 +105,8 @@ class TestPgm:
 
     def test_p2_and_p5_agree(self, tmp_path):
         image = np.linspace(0, 1, 12).reshape(3, 4)
-        save_pgm(tmp_path / "a.pgm", image, binary=True)
-        save_pgm(tmp_path / "b.pgm", image, binary=False)
+        save_pgm(tmp_path / "a.pgm", image)
+        _write_p2(tmp_path / "b.pgm", image)
         np.testing.assert_array_equal(load_pgm(tmp_path / "a.pgm"),
                                       load_pgm(tmp_path / "b.pgm"))
 

@@ -46,9 +46,8 @@ class TestBottomUp:
     def test_extent_recursion(self):
         rng = np.random.default_rng(0)
         down, fuse = self._convs(rng)
-        levels, n5 = bottom_up(_tower(rng), down, fuse)
+        levels = bottom_up(_tower(rng), down, fuse)
         assert [t.shape[2] for t in levels] == [8, 4, 2]
-        assert n5 is levels[-1]
 
     def test_dirac_oracle(self):
         # center-tap identity convs turn the recursion into
@@ -58,7 +57,7 @@ class TestBottomUp:
         for conv in down + fuse:
             _dirac_identity(conv)
         m = _tower(rng)
-        levels, _ = bottom_up(m, down, fuse)
+        levels = bottom_up(m, down, fuse)
         prev = m[0].data
         for l in range(3):
             want = m[l + 1].data + prev[:, :, ::2, ::2]
@@ -222,6 +221,27 @@ class TestDecodeBoxes:
         assert len(boxes) == 1
         assert sorted((boxes[0].w, boxes[0].h)) == sorted(
             (anchor * math.exp(clip), anchor * math.exp(-clip)))
+
+    @pytest.mark.parametrize("delta", [1e99, -1e99, 1e307, -1e307])
+    def test_out_of_range_centers_dropped(self, delta):
+        """A center delta that puts the center past MAX_BOX_COORD, or
+        overflows, drops its cell as a low score would; the rest decode."""
+        cfg = NetworkConfig()
+        deltas = np.zeros((1, 6, 1, 3))
+        deltas[0, 0, 0, 0] = delta
+        deltas[0, 1, 0, 1] = delta
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 3)), deltas), cfg)
+        assert [(b.cx, b.cy) for b in boxes] == [(2.5 * 8, 0.5 * 8)]
+
+    @pytest.mark.parametrize("scale,dw", [(1e99, 1.0), (5e-324, -10.0)])
+    def test_out_of_range_extents_dropped(self, scale, dw):
+        """An anchor of 8e99 grows past MAX_BOX_COORD at exp(1); one of
+        4e-323 shrinks to 0 at the clamp. Either drops the cell."""
+        cfg = NetworkConfig(anchor_scale=scale)
+        deltas = np.zeros((1, 6, 1, 2))
+        deltas[0, 2, 0, 1] = dw
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 2)), deltas), cfg)
+        assert [(b.cx, b.w) for b in boxes] == [(0.5 * 8, 8 * scale)]
 
     def test_degenerate_angle_vector_falls_back(self):
         cfg = NetworkConfig()
