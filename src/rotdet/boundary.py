@@ -60,7 +60,6 @@ def boundary_targets(omega: float = 1.0, seed: int = 0) -> np.ndarray:
 
 @dataclass
 class MethodResult:
-    method: str
     status: str  # "ok" or "diverged"
     final_error: float
     loss_trace: list[float] = field(repr=False, default_factory=list)
@@ -68,13 +67,8 @@ class MethodResult:
 
 @dataclass
 class ExperimentReport:
-    """Side-by-side regression outcome plus config echo."""
+    """Side-by-side regression outcome, keyed by method."""
 
-    seed: int
-    omega: float
-    steps: int
-    lr: float
-    targets: np.ndarray = field(repr=False, default=None)
     results: dict[str, MethodResult] = field(default_factory=dict)
 
 
@@ -121,18 +115,17 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
                 param.data = param.data - lr * param.grad
             pred_theta = eaem.decode(eaem.normalize(param.data, omega))
     except ValueError:
-        return MethodResult(method, "diverged", float("nan"), trace)
+        return MethodResult("diverged", float("nan"), trace)
     if steps == 0:
         pred_theta = theta0
     err = float(np.mean(eaem.circular_error(pred_theta, targets, omega)))
-    return MethodResult(method, "ok", err, trace)
+    return MethodResult("ok", err, trace)
 
 
 def compare_methods(steps: int = 500, lr: float = 0.1, seed: int = 7,
                     omega: float = 1.0) -> ExperimentReport:
     targets = boundary_targets(omega, seed)
-    report = ExperimentReport(seed=seed, omega=omega, steps=steps, lr=lr,
-                              targets=targets)
+    report = ExperimentReport()
     for method in METHODS:
         report.results[method] = run_regression(method, targets, steps, lr,
                                                 seed, omega)

@@ -112,7 +112,7 @@ def cmd_forward(cfg: Config, args) -> int:
         img = np.zeros((1, 3, size, size))
     image = Tensor(img, dtype=dtype)
     feats, head = assemble_forward(image, _inference_weights(cfg, args, dtype))
-    named = {**feats.named(), **head.named()}
+    named = {**feats, **head.named()}
     lines = []
     for name, tensor in named.items():
         save_tensor(out_dir / f"{name}.rmkt", tensor)
@@ -167,10 +167,11 @@ def cmd_angle_codec(cfg: Config, args) -> int:
 
 def cmd_boundary_exp(cfg: Config, args) -> int:
     omega = cfg.network.omega
+    seed = _seed(cfg, args)
     report = boundary.compare_methods(steps=args.steps, lr=args.lr,
-                                      seed=_seed(cfg, args), omega=omega)
-    print(f"seed={report.seed} omega={report.omega} steps={report.steps} "
-          f"lr={report.lr} targets={len(report.targets)}")
+                                      seed=seed, omega=omega)
+    print(f"seed={seed} omega={omega} steps={args.steps} "
+          f"lr={args.lr} targets={boundary.TARGET_COUNT}")
     for target in (0.01, np.pi / omega):
         for method in boundary.METHODS:
             trace = boundary.loss_landscape(method, target, omega)

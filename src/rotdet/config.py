@@ -21,6 +21,9 @@ _DEFAULTS = {
     "eval": {"iou_threshold": 0.5, "nms_threshold": 0.3,
              "score_threshold": 0.05, "coco_sweep": False},
 }
+# forward memory grows with the pixel count: about 0.3 GiB at 1024², so
+# about 5 GB at 4096² and 20 GB at 8192²
+MAX_CANVAS = 4096
 # each key takes the type of its default
 _SCHEMA: dict[str, dict[str, type]] = {
     section: {key: type(value) for key, value in defaults.items()}
@@ -78,9 +81,10 @@ def _validate(values: dict[str, dict]) -> None:
         raise ConfigError(
             f"[network] anchor_scale must be positive, got {net['anchor_scale']}")
     data = values["data"]
-    if data["canvas"] < 64 or data["canvas"] % 64:
+    if not 64 <= data["canvas"] <= MAX_CANVAS or data["canvas"] % 64:
         raise ConfigError(
-            f"[data] canvas must be a positive multiple of 64, got {data['canvas']}")
+            f"[data] canvas must be a multiple of 64 in [64, {MAX_CANVAS}], "
+            f"got {data['canvas']}")
     if data["seed"] < 0:
         raise ConfigError(f"[data] seed must be >= 0, got {data['seed']}")
     for key in ("images", "objects"):

@@ -18,16 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .msk import ConvParams
 from .tensor import Tensor, WeightSet, avg_pool, concat_channels, mul, sigmoid
 
 
 @dataclass
 class MdcaaWeights(WeightSet):
-    """Per-level attention weights; all strip convs are depthwise."""
+    """Per-level attention weights; all strip convs are depthwise. The
+    channel count lives in the kernels."""
 
-    channels: int
     pool_window: int = 7
     pointwise: ConvParams = field(repr=False, default=None)
     seq_vertical: ConvParams = field(repr=False, default=None)
@@ -47,7 +47,7 @@ class MdcaaWeights(WeightSet):
             raise ContractError(
                 f"pool_window must be odd and >= 1, got {pool_window}")
         c = channels
-        w = MdcaaWeights(c, pool_window)
+        w = MdcaaWeights(pool_window)
         m = strip_len
         w.pointwise = ConvParams.create(rng, c, c, 1, 1, dtype=dtype)
         w.seq_vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
@@ -66,11 +66,6 @@ class MdcaaWeights(WeightSet):
 
 def mdcaa_weights(f: Tensor, w: MdcaaWeights) -> Tensor:
     """Attention map with the same extents as ``f``, values in (0, 1)."""
-    if f.ndim != 4:
-        raise ShapeError("attention input must be 4-D")
-    if f.shape[1] != w.channels:
-        raise ShapeError(
-            f"input has {f.shape[1]} channels, weights expect {w.channels}")
     pw = w.pool_window
     pooled = avg_pool(f, (pw, pw), stride=(1, 1),
                       padding=((pw - 1) // 2, (pw - 1) // 2))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .tensor import Tensor, WeightSet, concat_channels, conv2d, uniform_init
 
 STRIP_SIZES = (5, 7, 9, 11)
@@ -54,19 +54,14 @@ class ConvParams(WeightSet):
 
 @dataclass
 class MskModuleWeights(WeightSet):
-    """Weights of one five-branch module."""
+    """Weights of one five-branch module. Widths and strides live in the
+    kernels: the input width is any reduce kernel's, branch_out any last
+    conv's, and the module downsamples when its reduce convs have stride 2."""
 
-    in_channels: int
-    branch_out: int
-    downsample: bool
     identity_reduce: ConvParams = field(repr=False, default=None)
     identity_conv: ConvParams = field(repr=False, default=None)
     branches: list[tuple[ConvParams, ConvParams, ConvParams]] = field(
         repr=False, default_factory=list)
-
-    @property
-    def out_channels(self) -> int:
-        return 5 * self.branch_out
 
     @staticmethod
     def create(rng: np.random.Generator, in_channels: int, branch_out: int,
@@ -74,7 +69,7 @@ class MskModuleWeights(WeightSet):
                dtype=np.float32) -> "MskModuleWeights":
         c = in_channels  # each branch keeps the input width until its last conv
         stride = (2, 2) if downsample else (1, 1)
-        w = MskModuleWeights(c, branch_out, downsample)
+        w = MskModuleWeights()
         w.identity_reduce = ConvParams.create(rng, c, c, 1, 1, stride=stride,
                                               dtype=dtype)
         w.identity_conv = ConvParams.create(rng, branch_out, c, 3, 3, dtype=dtype)
@@ -89,10 +84,6 @@ class MskModuleWeights(WeightSet):
 
 def msk_module_forward(x: Tensor, w: MskModuleWeights) -> Tensor:
     """Five-branch forward; output has 5 * branch_out channels."""
-    if x.ndim != 4 or x.shape[1] != w.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[1] if x.ndim == 4 else '?'} channels, "
-            f"weights expect {w.in_channels}")
     parts = []
     for reduce, row, col in w.branches:
         parts.append(col(row(reduce(x))))
@@ -108,7 +99,8 @@ def msk_block_forward(x: Tensor, weights: list[MskModuleWeights]) -> list[Tensor
     """
     if len(weights) != 4:
         raise ContractError(f"expected 4 module weight sets, got {len(weights)}")
-    if weights[0].downsample or not all(w.downsample for w in weights[1:]):
+    strides = [w.identity_reduce.stride for w in weights]
+    if strides != [(1, 1)] + [(2, 2)] * 3:
         raise ContractError(
             "module 1 must keep resolution; modules 2-4 must downsample")
     levels = []

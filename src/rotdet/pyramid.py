@@ -34,6 +34,8 @@ from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
 # bound on the extent deltas decode_boxes exponentiates, as mmrotate's
 # wh_ratio_clip: a decoded w or h lies within [16/1000, 1000/16] anchors
 MAX_LOG_RATIO = abs(math.log(16 / 1000))
+# strides of the three fused levels, the head outputs and their anchors
+STRIDES = (8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -61,31 +63,7 @@ class NetworkConfig:
 
     @property
     def strides(self) -> tuple[int, int, int]:
-        return (8, 16, 32)
-
-
-@dataclass
-class PyramidFeatures:
-    """Every named intermediate of one forward pass."""
-
-    C: list[Tensor]
-    M: list[Tensor]
-    CP: list[Tensor]
-    N5: Tensor
-    fused: list[Tensor]
-
-    def named(self) -> dict[str, Tensor]:
-        out = {}
-        for i, t in enumerate(self.C):
-            out[f"C{i + 3}"] = t
-        for i, t in enumerate(self.M):
-            out[f"M{i + 1}"] = t
-        for i, t in enumerate(self.CP):
-            out[f"CP{i + 2}"] = t
-        out["N5"] = self.N5
-        for stride, t in zip((8, 16, 32), self.fused):
-            out[f"fused_s{stride}"] = t
-        return out
+        return STRIDES
 
 
 @dataclass
@@ -97,7 +75,7 @@ class HeadOutputs:
 
     def named(self) -> dict[str, Tensor]:
         out = {}
-        for stride, lg, bx in zip((8, 16, 32), self.logits, self.boxes):
+        for stride, lg, bx in zip(STRIDES, self.logits, self.boxes):
             out[f"logits_s{stride}"] = lg
             out[f"boxes_s{stride}"] = bx
         return out
@@ -127,13 +105,11 @@ class NetworkWeights(WeightSet):
                                         dtype=dtype) for oc, ic in chain]
         w.tower_stem = ConvParams.create(rng, cfg.stem_channels, 3, 3, 3,
                                          stride=(2, 2), dtype=dtype)
-        in_c = cfg.stem_channels
-        for level in range(4):
-            mod = MskModuleWeights.create(rng, in_c, cfg.branch_out,
-                                          downsample=level > 0, dtype=dtype)
-            w.msk.append(mod)
-            in_c = mod.out_channels
         tc = cfg.tower_channels
+        for level in range(4):
+            in_c = tc if level else cfg.stem_channels
+            w.msk.append(MskModuleWeights.create(
+                rng, in_c, cfg.branch_out, downsample=level > 0, dtype=dtype))
         for _ in range(3):
             w.mdcaa.append(MdcaaWeights.create(rng, tc, cfg.strip_len,
                                                cfg.pool_window, dtype=dtype))
@@ -164,20 +140,18 @@ def bottom_up(m_levels: list[Tensor], down_convs: list[ConvParams],
     levels = []
     prev = m_levels[0]
     for l in range(3):
-        down = down_convs[l](prev)
-        target = m_levels[l + 1]
-        if down.shape != target.shape:
-            raise ShapeError(
-                f"bottom-up extent mismatch at level {l + 2}: "
-                f"{down.shape} vs {target.shape}")
-        prev = fuse_convs[l](add(target, down))
+        prev = fuse_convs[l](add(m_levels[l + 1], down_convs[l](prev)))
         levels.append(prev)
     return levels
 
 
 def assemble_forward(image: Tensor,
-                     w: NetworkWeights) -> tuple[PyramidFeatures, HeadOutputs]:
-    """Full forward pass from image to head outputs."""
+                     w: NetworkWeights) -> tuple[dict[str, Tensor], HeadOutputs]:
+    """Full forward pass from image to head outputs.
+
+    The dict holds every named intermediate in dump order: C3-C5, M1-M4,
+    CP2-CP4, N5, then the fused levels by stride.
+    """
     if image.ndim != 4 or image.shape[1] != 3:
         raise ShapeError("expected an (N, 3, H, W) image")
     h, width = image.shape[2:]
@@ -205,8 +179,11 @@ def assemble_forward(image: Tensor,
     ]
     logits = [conv(f) for conv, f in zip(w.head_cls, fused)]
     boxes = [conv(f) for conv, f in zip(w.head_box, fused)]
-    feats = PyramidFeatures(C=c_levels, M=m_levels, CP=cp_levels, N5=n5,
-                            fused=fused)
+    feats = {**{f"C{i + 3}": t for i, t in enumerate(c_levels)},
+             **{f"M{i + 1}": t for i, t in enumerate(m_levels)},
+             **{f"CP{i + 2}": t for i, t in enumerate(cp_levels)},
+             "N5": n5,
+             **{f"fused_s{s}": t for s, t in zip(STRIDES, fused)}}
     return feats, HeadOutputs(logits=logits, boxes=boxes)
 
 

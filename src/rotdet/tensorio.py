@@ -4,7 +4,7 @@ RMKT layout: magic bytes 0x52 0x4D 0x4B 0x54 ("RMKT"), version byte 0x01,
 dtype byte (0 = float32, 1 = float64), ndim byte, ndim little-endian u32
 extents, then the row-major little-endian payload. Round-trips are
 bit-exact. Both readers raise :class:`FormatError` on a file that is not
-in their format or is cut short.
+in their format or is cut short, and the PGM reader on a pixel above maxval.
 """
 
 from __future__ import annotations
@@ -107,4 +107,7 @@ def load_pgm(path) -> np.ndarray:
             raise FormatError(f"{path}: PGM pixel is not a byte value") from None
     if data.size != w * h:
         raise FormatError(f"{path}: PGM pixel data cut short")
+    if data.max() > maxval:
+        raise FormatError(
+            f"{path}: PGM pixel {data.max()} exceeds maxval {maxval}")
     return data.reshape(h, w).astype(np.float64) / maxval

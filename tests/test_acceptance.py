@@ -182,7 +182,7 @@ def test_criterion_9_pipeline_shapes(report):
         def run():
             w = NetworkWeights.create(np.random.default_rng(99), cfg)
             feats, head = assemble_forward(image, w)
-            return {**feats.named(), **head.named()}
+            return {**feats, **head.named()}
 
         named = run()
         shapes = {k: v.shape for k, v in named.items()}

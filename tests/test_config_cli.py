@@ -60,6 +60,7 @@ BOUNDARIES = [
     ("data", "canvas", "-64", 2), ("data", "canvas", "0", 2),
     ("data", "canvas", "63", 2), ("data", "canvas", "64", 0),
     ("data", "canvas", "100", 2), ("data", "canvas", "128", 0),
+    ("data", "canvas", "4160", 2), ("data", "canvas", "1099511627776", 2),
     ("data", "min_size", "-1", 2), ("data", "min_size", "0", 2),
     ("data", "min_size", "0.5", 0), ("data", "min_size", "20", 0),
     ("data", "min_size", "20.5", 2),
@@ -325,7 +326,7 @@ class TestInferenceWeights:
         image = Tensor(np.random.default_rng(3).uniform(size=(1, 3, 256, 256)),
                        dtype=np.float32)
         feats, head = assemble_forward(image, weights)
-        return {**feats.named(), **head.named()}
+        return {**feats, **head.named()}
 
     def _weights(self):
         return _inference_weights(load_config(None),
@@ -422,8 +423,14 @@ class TestCli:
         for out in (out_a, out_b):
             assert main(["--config", small_cfg, "--seed", "5", "forward",
                          "--out", str(out)]) == 0
-        shapes = (out_a / "shapes.txt").read_text()
-        assert "fused_s8" in shapes and "logits_s32" in shapes
+        assert (out_a / "shapes.txt").read_text().splitlines() == [
+            "C3 1x8x8x8", "C4 1x8x4x4", "C5 1x8x2x2",
+            "M1 1x20x32x32", "M2 1x20x16x16", "M3 1x20x8x8", "M4 1x20x4x4",
+            "CP2 1x20x16x16", "CP3 1x20x8x8", "CP4 1x20x4x4", "N5 1x20x4x4",
+            "fused_s8 1x28x8x8", "fused_s16 1x28x4x4", "fused_s32 1x48x2x2",
+            "logits_s8 1x2x8x8", "boxes_s8 1x6x8x8",
+            "logits_s16 1x2x4x4", "boxes_s16 1x6x4x4",
+            "logits_s32 1x2x2x2", "boxes_s32 1x6x2x2"]
         for name in ("M1.rmkt", "logits_s8.rmkt", "boxes_s32.rmkt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -480,6 +487,8 @@ class TestCli:
         assert main(["boundary-exp", "--steps", "300", "--csv",
                      str(csv)]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            "seed=42 omega=1.0 steps=300 lr=0.1 targets=32")
         assert "method=eaem_chord" in out
         trace = (csv / "eaem_chord_trace.csv").read_text().splitlines()
         assert trace[0] == "step,loss"

@@ -128,9 +128,11 @@ class TestPgm:
         b"P5\n0 2\n255\n", b"P5\n2 2\n0\n" + bytes(4),
         b"P5\n2 2\n65535\n" + bytes(8), b"P5\n2 2\n255\n" + bytes(3),
         b"P2\n2 2\n255\n1 2 3\n", b"P2\n2 2\n255\n1 2 3 300\n",
-        b"P2\n2 2\n255\n1 2 3 x\n"],
+        b"P2\n2 2\n255\n1 2 3 x\n", b"P2\n2 1\n100\n200 50\n",
+        b"P5\n2 1\n100\n" + bytes([50, 101])],
         ids=["empty", "no-maxval", "bad-width", "zero-width", "zero-maxval",
-             "16-bit", "p5-short", "p2-short", "p2-overflow", "p2-text"])
+             "16-bit", "p5-short", "p2-short", "p2-overflow", "p2-text",
+             "p2-above-maxval", "p5-above-maxval"])
     def test_rejects_malformed(self, tmp_path, content):
         path = tmp_path / "m.pgm"
         path.write_bytes(content)

@@ -34,7 +34,7 @@ def _dirac(conv):
 
 def _passthrough(w):
     """Configure weights so the pre-sigmoid map equals the input."""
-    c = w.channels
+    c = w.pointwise.kernel.shape[0]
     _zero(w)
     w.pointwise.kernel.data[:, :, 0, 0] = np.eye(c)
     for conv in (w.seq_vertical, w.seq_horizontal, w.diag_main, w.diag_anti):
@@ -104,7 +104,7 @@ def _sandwich_create(rng, channels, strip_len=11, pool_window=7,
     as ``MdcaaWeights.create``, but both diagonal strips are 1xm and main's
     taps are stored in draw order."""
     c, m = channels, strip_len
-    w = MdcaaWeights(c, pool_window)
+    w = MdcaaWeights(pool_window)
     w.pointwise = ConvParams.create(rng, c, c, 1, 1, dtype=dtype)
     w.seq_vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
     w.seq_horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)

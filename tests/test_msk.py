@@ -79,7 +79,7 @@ class TestMskModule:
         base = msk_module_forward(x, w).data
         w.branches = w.branches[::-1]
         swapped = msk_module_forward(x, w).data
-        bo = w.branch_out
+        bo = w.identity_conv.kernel.shape[0]
         for i in range(4):
             np.testing.assert_array_equal(
                 swapped[:, i * bo:(i + 1) * bo],

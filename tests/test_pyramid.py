@@ -86,7 +86,7 @@ class TestAssemble:
         w = NetworkWeights.create(rng, cfg)
         image = Tensor(rng.standard_normal((1, 3, 128, 128)).astype(np.float32))
         feats, head = assemble_forward(image, w)
-        shapes = {k: v.shape for k, v in feats.named().items()}
+        shapes = {k: v.shape for k, v in feats.items()}
         assert shapes["C3"] == (1, 16, 16, 16)
         assert shapes["C4"] == (1, 16, 8, 8)
         assert shapes["C5"] == (1, 16, 4, 4)
@@ -154,7 +154,7 @@ def _forward_and_gradients():
     image, _ = gen_scene(11, cfg.scene, cfg.canvas)
     feats, head = assemble_forward(
         Tensor(image.data[np.newaxis], dtype=np.float32), w)
-    named = {**feats.named(), **head.named()}
+    named = {**feats, **head.named()}
     loss = sum_all(smooth_l1(head.boxes[0]))
     for t in head.boxes[1:] + head.logits:
         loss = add(loss, sum_all(smooth_l1(t)))
