@@ -6,7 +6,13 @@ measures each intersection with the shoelace formula, in coordinates
 local to the pair. :func:`rotated_nms`, :func:`iou_matrix` (which AP
 matching and scene placement use) and the one-pair :func:`rotated_iou`
 run on it; they first drop pairs whose circumscribed circles do not
-overlap, whose IoU is exactly 0.
+overlap, whose IoU is exactly 0. NMS, which needs only whether an IoU
+exceeds its threshold, also drops the pairs whose exact IoU bound
+m / (A + B - m) does not, where m is the least of the two polygons'
+areas and their bounding boxes' overlap. Those polygon areas are the
+stacked polygons' shoelace areas, which the kernel measures, not w * h:
+far from the origin the rounded polygon of a small box can be larger
+than w * h (see :func:`_may_exceed`).
 
 The kernel is checked against a scalar clip in the tests and against the
 independent raster oracle, which rates a pair by the share of a
@@ -226,6 +232,23 @@ def _clip_pairs(subject: np.ndarray, clipper: np.ndarray):
     return verts, counts
 
 
+def _shoelace(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Signed shoelace area of each row's first counts[p] vertex slots.
+
+    The formula's two sums are taken slot by slot, so a row's area does
+    not depend on the slot width of the array it sits in.
+    """
+    valid, nxt = _ring(counts, verts.shape[1])
+    x, y = verts[..., 0], verts[..., 1]
+    rows = np.arange(len(verts))[:, np.newaxis]
+    xy = np.where(valid, x * y[rows, nxt], 0.0)
+    yx = np.where(valid, y * x[rows, nxt], 0.0)
+    s1 = s2 = np.zeros(len(verts))
+    for j in range(verts.shape[1]):
+        s1, s2 = s1 + xy[:, j], s2 + yx[:, j]
+    return 0.5 * (s1 - s2)
+
+
 def iou_pairs(polys: np.ndarray, areas: np.ndarray, subj: np.ndarray,
               clip: np.ndarray) -> np.ndarray:
     """Exact IoU of box pairs (subj[k], clip[k]), indices into the stacked
@@ -242,17 +265,7 @@ def iou_pairs(polys: np.ndarray, areas: np.ndarray, subj: np.ndarray,
         si, ci = subj[s:s + IOU_CHUNK], clip[s:s + IOU_CHUNK]
         origin = polys[ci, :1]
         verts, counts = _clip_pairs(polys[si] - origin, polys[ci] - origin)
-        valid, nxt = _ring(counts, verts.shape[1])
-        x, y = verts[..., 0], verts[..., 1]
-        rows = np.arange(len(verts))[:, np.newaxis]
-        xy = np.where(valid, x * y[rows, nxt], 0.0)
-        yx = np.where(valid, y * x[rows, nxt], 0.0)
-        # The shoelace's two sums, taken slot by slot:
-        # a pair's area then does not depend on its chunk's slot width.
-        s1 = s2 = np.zeros(len(verts))
-        for j in range(verts.shape[1]):
-            s1, s2 = s1 + xy[:, j], s2 + yx[:, j]
-        area = 0.5 * (s1 - s2)
+        area = _shoelace(verts, counts)
         inter = np.where(counts >= 3, np.abs(area), 0.0)
         union = areas[si] + areas[ci] - inter
         pos = union > 0.0
@@ -276,6 +289,38 @@ def _near_pairs(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray,
     d = centers[rows][:, np.newaxis] - centers[cols][np.newaxis]
     reach = radii[rows][:, np.newaxis] + radii[cols][np.newaxis]
     return np.nonzero(d[..., 0] ** 2 + d[..., 1] ** 2 <= reach ** 2)
+
+
+def _overlap_caps(polys: np.ndarray):
+    """Per box: the corners lo and hi of its polygon's axis-aligned
+    bounding box, and the polygon's shoelace area taken from its first
+    vertex, as the kernel takes areas in coordinates local to a pair."""
+    own = _shoelace(polys - polys[:, :1], np.full(len(polys), polys.shape[1]))
+    return polys.min(axis=1), polys.max(axis=1), np.abs(own)
+
+
+def _may_exceed(caps, areas: np.ndarray, a: np.ndarray, b: np.ndarray,
+                threshold) -> np.ndarray:
+    """Which pairs (a[k], b[k]) an exact upper bound on their kernel IoU
+    cannot rule out above the threshold.
+
+    The intersection lies in both polygons and in the overlap of their
+    bounding boxes, so its area is at most m = min(P_a, P_b, overlap
+    area), and the IoU at most m / (A + B - m), A and B being the areas
+    (w * h) the kernel's union uses. A pair passes when the bound exceeds
+    the threshold less 1e-9, which covers the rounding in the kernel's
+    own intersection area. P_a and P_b are the stacked polygons' shoelace
+    areas, not w * h: far from the origin a small box's polygon is
+    rounded coarsely, and its area, which the kernel measures, can exceed
+    w * h by far more than 1e-9 of the IoU (by 8e-2 at 1e12).
+    """
+    lo, hi, own = caps
+    side = np.maximum(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]), 0.0)
+    m = np.minimum(np.minimum(own[a], own[b]), side[:, 0] * side[:, 1])
+    # the kernel's IoU is at most 1, so a higher threshold acts as 1; the
+    # product then cannot overflow
+    t = np.minimum(threshold, 1.0)
+    return m > (t - 1e-9) * (areas[a] + areas[b] - m)
 
 
 def iou_matrix(subjects: list[OrientedBox],
@@ -302,19 +347,28 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
     Ordering key: score desc, then class_id asc, cx asc, cy asc. A box is
     dropped when its IoU with an already kept box exceeds the threshold.
     Candidates are resolved NMS_BLOCK at a time: first against the boxes
-    kept so far, then in order against each other.
+    kept so far, then in order against each other. Only pairs whose
+    circles overlap and whose IoU bound (:func:`_may_exceed`) exceeds the
+    threshold reach the kernel; no other pair can suppress.
     """
     ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
     if not iou_threshold >= 0.0:
         return ordered[:1]  # every IoU, 0 included, exceeds it
     polys, areas, centers, radii = _stack(ordered)
+    caps = _overlap_caps(polys)
+
+    def candidates(rows, cols):
+        i, j = _near_pairs(centers, radii, rows, cols)
+        keep = _may_exceed(caps, areas, rows[i], cols[j], iou_threshold)
+        return i[keep], j[keep]
+
     kept = np.empty(0, dtype=np.intp)
     for start in range(0, len(ordered), NMS_BLOCK):
         block = np.arange(start, min(start + NMS_BLOCK, len(ordered)))
-        i, j = _near_pairs(centers, radii, block, kept)
+        i, j = candidates(block, kept)
         over = iou_pairs(polys, areas, block[i], kept[j]) > iou_threshold
         alive = block[np.bincount(i[over], minlength=len(block)) == 0]
-        i, j = _near_pairs(centers, radii, alive, alive)
+        i, j = candidates(alive, alive)
         later = i > j
         i, j = i[later], j[later]
         over = iou_pairs(polys, areas, alive[i], alive[j]) > iou_threshold

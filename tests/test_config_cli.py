@@ -459,16 +459,21 @@ class TestCli:
         assert main(["--config", small_cfg, "eval", "--mode", "oracle"]) == 0
         assert "mAP@0.5 = 1.0000" in capsys.readouterr().out
 
+    # Pinned stdout: a change in the kept boxes (NMS) or in the AP
+    # arithmetic shows here. The SMALL network finds nothing; the default
+    # config's nonzero APs depend on which boxes NMS keeps.
     def test_eval_model_runs_and_repeats(self, small_cfg, capsys):
-        outputs = []
         for _ in range(2):
             assert main(["--config", small_cfg, "eval", "--mode",
                          "model"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        (line,) = [ln for ln in outputs[0].splitlines()
-                   if ln.startswith("mAP@0.5 = ")]
-        assert 0.0 <= float(line.split("= ")[1]) <= 1.0
+            assert capsys.readouterr().out == (
+                "class 0: AP = 0.0000\nclass 1: AP = 0.0000\n"
+                "mAP@0.5 = 0.0000\n")
+
+    def test_eval_model_default_config(self, capsys):
+        assert main(["eval", "--mode", "model"]) == 0
+        assert capsys.readouterr().out == (
+            "class 0: AP = 0.0000\nclass 1: AP = 0.0408\nmAP@0.5 = 0.0204\n")
 
     def test_eval_empty_zero(self, small_cfg, capsys):
         assert main(["--config", small_cfg, "eval", "--mode", "empty"]) == 0

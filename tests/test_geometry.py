@@ -21,13 +21,14 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 KERNEL_TOL = 1e-12  # kernel vs scalar IoU differ only in shoelace rounding
 
+SCORES = st.sampled_from([0.25, 0.5, 0.75, 1.0])  # few values: many ties
 box_st = st.builds(
     OrientedBox,
     cx=st.floats(-8, 8), cy=st.floats(-8, 8),
     w=st.floats(0.5, 6), h=st.floats(0.5, 6),
     theta=st.floats(0, 2 * math.pi),
     class_id=st.integers(0, 1),
-    score=st.sampled_from([0.25, 0.5, 0.75, 1.0]))  # few values: many ties
+    score=SCORES)
 
 
 @st.composite
@@ -102,6 +103,35 @@ def _reference_nms(boxes, iou_threshold):
         if all(_reference_iou(cand, k) <= iou_threshold for k in kept):
             kept.append(cand)
     return kept
+
+
+def _unpruned_nms(boxes, iou_threshold):
+    """rotated_nms before the IoU bound, kept as its oracle: every pair
+    whose circumscribed circles overlap goes through the kernel."""
+    ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
+    if not iou_threshold >= 0.0:
+        return ordered[:1]
+    polys, areas, centers, radii = geometry._stack(ordered)
+    kept = np.empty(0, dtype=np.intp)
+    for start in range(0, len(ordered), geometry.NMS_BLOCK):
+        block = np.arange(start, min(start + geometry.NMS_BLOCK, len(ordered)))
+        i, j = geometry._near_pairs(centers, radii, block, kept)
+        over = geometry.iou_pairs(polys, areas, block[i], kept[j]) \
+            > iou_threshold
+        alive = block[np.bincount(i[over], minlength=len(block)) == 0]
+        i, j = geometry._near_pairs(centers, radii, alive, alive)
+        later = i > j
+        i, j = i[later], j[later]
+        over = geometry.iou_pairs(polys, areas, alive[i], alive[j]) \
+            > iou_threshold
+        hits = np.zeros((len(alive), len(alive)), dtype=bool)
+        hits[i[over], j[over]] = True
+        dropped = np.zeros(len(alive), dtype=bool)
+        for c in range(len(alive)):
+            if not dropped[c]:
+                dropped |= hits[:, c]
+        kept = np.concatenate([kept, alive[~dropped]])
+    return [ordered[k] for k in kept]
 
 
 def decisive(pairs, threshold):
@@ -533,6 +563,17 @@ class TestIouKernel:
 THRESHOLDS = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
 
 
+def _scattered_boxes():
+    """200 boxes over a 60 x 60 field: NMS runs four blocks of 64."""
+    rng = np.random.default_rng(11)
+    return [OrientedBox(rng.uniform(0, 60), rng.uniform(0, 60),
+                        rng.uniform(4, 16), rng.uniform(4, 16),
+                        rng.uniform(0, 2 * math.pi),
+                        class_id=int(rng.integers(2)),
+                        score=float(rng.uniform()))
+            for _ in range(200)]
+
+
 class TestBatchedNms:
     @pytest.mark.parametrize("block", [1, 3, 64])
     @given(box_lists(), THRESHOLDS)
@@ -544,13 +585,7 @@ class TestBatchedNms:
                 _reference_nms(boxes, threshold)
 
     def test_matches_reference_many_blocks(self):
-        rng = np.random.default_rng(11)
-        boxes = [OrientedBox(rng.uniform(0, 60), rng.uniform(0, 60),
-                             rng.uniform(4, 16), rng.uniform(4, 16),
-                             rng.uniform(0, 2 * math.pi),
-                             class_id=int(rng.integers(2)),
-                             score=float(rng.uniform()))
-                 for _ in range(200)]
+        boxes = _scattered_boxes()
         assert rotated_nms(boxes, 0.3) == _reference_nms(boxes, 0.3)
 
     @given(box_lists(), THRESHOLDS)
@@ -580,6 +615,14 @@ class TestBatchedNms:
                            1.0)
         assert len(kept) == 3
 
+    @pytest.mark.parametrize("threshold", [2.0, 1e308, math.inf])
+    def test_threshold_above_one_keeps_everything(self, threshold):
+        # 1e-200 boxes have areas that round to 0
+        boxes = [OrientedBox(0, 0, 2, 2, 0), OrientedBox(0.5, 0, 2, 2, 0),
+                 OrientedBox(9, 9, 1e-200, 1e-200, 0),
+                 OrientedBox(9, 9, 1e-200, 1e-200, 0, score=0.5)]
+        assert rotated_nms(boxes, threshold) == boxes
+
     def test_threshold_zero_drops_any_overlap(self):
         a = OrientedBox(0, 0, 2, 2, 0, score=0.9)
         overlapping = OrientedBox(1.9, 0, 2, 2, 0.2, score=0.8)
@@ -596,3 +639,144 @@ class TestBatchedNms:
         boxes = [OrientedBox(0, 0, 1, 1, 0, score=0.4),
                  OrientedBox(50, 0, 1, 1, 0, score=0.8)]
         assert rotated_nms(boxes, -0.1) == [boxes[1]]
+
+
+# Distances from the origin and box scales at which the stacked polygons
+# of small boxes are rounded coarsely: at 1e12 a coordinate's ulp is 1.2e-4.
+FAR = st.sampled_from([1e4, 1e8, 1e12])
+SCALES = st.sampled_from([1e-3, 1e-2, 1.0, 10.0])
+SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def far_box_lists(draw):
+    """box_lists() plus narrowed copies of some of its boxes, whose IoU
+    bound is tight, scaled down or up and moved far from the origin."""
+    t, s, sx, sy = draw(FAR), draw(SCALES), draw(SIGNS), draw(SIGNS)
+    boxes = draw(box_lists())
+    if boxes:
+        boxes += [OrientedBox(b.cx, b.cy, b.w * draw(st.floats(0.2, 1.0)),
+                              b.h, b.theta, b.class_id, draw(SCORES))
+                  for b in draw(st.lists(st.sampled_from(boxes), max_size=4))]
+    return [OrientedBox(sx * t + s * b.cx, sy * t + s * b.cy, s * b.w,
+                        s * b.h, b.theta, b.class_id, b.score)
+            for b in boxes]
+
+
+@st.composite
+def far_near_duplicates(draw):
+    """A box and a copy of it moved, resized and turned by up to 5%, both
+    far from the origin, with sizes down to 1e-3."""
+    t, s, sx, sy = draw(FAR), draw(SCALES), draw(SIGNS), draw(SIGNS)
+    b = draw(box_st)
+    a = OrientedBox(sx * t + s * b.cx, sy * t + s * b.cy, s * b.w, s * b.h,
+                    b.theta)
+    d = [draw(st.floats(-0.05, 0.05)) for _ in range(5)]
+    return a, OrientedBox(a.cx + s * d[0], a.cy + s * d[1], a.w * (1 + d[2]),
+                          a.h * (1 + d[3]), a.theta + d[4])
+
+
+def _bound_holds(boxes, subj, clip):
+    """Per pair with a nonzero kernel IoU: whether the NMS bound lets it
+    through at the largest threshold below that IoU, which holds while
+    the bound is at least the kernel IoU less 1e-9."""
+    polys, areas, _, _ = geometry._stack(boxes)
+    iou = iou_pairs(polys, areas, subj, clip)
+    pos = iou > 0.0
+    below = np.nextafter(iou[pos], -1.0)
+    return geometry._may_exceed(geometry._overlap_caps(polys), areas,
+                                subj[pos], clip[pos], below)
+
+
+class TestNmsBound:
+    @given(st.one_of(raster_pairs(), far_near_duplicates()))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_covers_kernel(self, pair):
+        """Touching, quarter-turned, identical and nested pairs, and near
+        duplicates far from the origin, in both clip orders."""
+        assert _bound_holds(list(pair), np.array([0, 1]),
+                            np.array([1, 0])).all()
+
+    @pytest.mark.parametrize("t", [1e4, 1e8, 1e12])
+    def test_bound_covers_kernel_seeded_sweep(self, t):
+        rng = np.random.default_rng(int(math.log10(t)))
+        boxes = []
+        for _ in range(1000):
+            s = 10 ** rng.uniform(-3, 1)
+            a = OrientedBox(t + s * rng.uniform(-1, 1),
+                            -t + s * rng.uniform(-1, 1),
+                            s * rng.uniform(0.5, 2), s * rng.uniform(0.5, 2),
+                            rng.uniform(0, 2 * math.pi))
+            d = rng.uniform(-0.05, 0.05, 5)
+            boxes += [a, OrientedBox(a.cx + s * d[0], a.cy + s * d[1],
+                                     a.w * (1 + d[2]), a.h * (1 + d[3]),
+                                     a.theta + d[4])]
+        first = np.arange(0, len(boxes), 2)
+        subj = np.concatenate([first, first + 1])
+        clip = np.concatenate([first + 1, first])
+        assert _bound_holds(boxes, subj, clip).all()
+
+    def test_wh_areas_would_break_nms(self):
+        """With w * h in place of the polygon areas the bound falls below
+        the kernel IoU far from the origin, and NMS would keep a box the
+        kernel says to suppress."""
+        a = OrientedBox(1e12, 0, 1e-3, 1e-3, 0.5)
+        b = OrientedBox(1e12, 0, 1.2e-3, 1e-3, 0.5, score=0.5)
+        polys, areas, _, _ = geometry._stack([a, b])
+        lo, hi = polys.min(axis=1), polys.max(axis=1)
+        side = np.minimum(hi[0], hi[1]) - np.maximum(lo[0], lo[1])
+        m = min(areas[0], areas[1], side[0] * side[1])
+        wh_bound = m / (areas[0] + areas[1] - m)
+        iou = iou_pairs(polys, areas, np.array([1]), np.array([0]))[0]
+        assert wh_bound + 1e-9 < 0.9 < iou
+        assert _bound_holds([a, b], np.array([1]), np.array([0])).all()
+        assert rotated_nms([a, b], 0.9) == [a]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @given(st.one_of(box_lists(), far_box_lists()),
+           st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unpruned(self, block, boxes, threshold):
+        """Both paths share the kernel, so the bound may only skip pairs
+        that would not suppress: the kept lists are identical."""
+        with mock.patch.object(geometry, "NMS_BLOCK", block):
+            assert rotated_nms(boxes, threshold) == \
+                _unpruned_nms(boxes, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5])
+    def test_matches_unpruned_far_seeded(self, threshold):
+        """Boxes of 1e-3 at 1e12 with narrowed copies, where a bound from
+        w * h would change the kept lists of some of these scenes."""
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            boxes = [OrientedBox(rng.uniform(-8, 8), rng.uniform(-8, 8),
+                                 rng.uniform(0.5, 6), rng.uniform(0.5, 6),
+                                 rng.uniform(0, 2 * math.pi),
+                                 score=float(rng.uniform()))
+                     for _ in range(rng.integers(1, 8))]
+            boxes += [OrientedBox(b.cx, b.cy, b.w * rng.uniform(0.2, 1),
+                                  b.h, b.theta, score=float(rng.uniform()))
+                      for b in boxes]
+            boxes = [OrientedBox(1e12 + 1e-3 * b.cx, 1e12 + 1e-3 * b.cy,
+                                 1e-3 * b.w, 1e-3 * b.h, b.theta,
+                                 score=b.score) for b in boxes]
+            assert rotated_nms(boxes, threshold) == \
+                _unpruned_nms(boxes, threshold)
+
+    def test_bound_skips_pairs(self):
+        """The kernel sees fewer pairs than the circle test passes: a bound
+        that let every pair through would still pass the tests above."""
+        boxes = _scattered_boxes()
+        sent = []
+
+        def counting(polys, areas, subj, clip):
+            sent.append(len(subj))
+            return iou_pairs(polys, areas, subj, clip)
+
+        with mock.patch.object(geometry, "iou_pairs", counting):
+            kept = rotated_nms(boxes, 0.3)
+            pruned = sum(sent)
+            sent.clear()
+            assert _unpruned_nms(boxes, 0.3) == kept
+            unpruned = sum(sent)
+        assert pruned < unpruned
