@@ -10,13 +10,19 @@ sigmoid, channel concat, and elementwise arithmetic. Quarter rotations
 rotation contracts of acceptance criterion 7 and the gradcheck battery.
 
 A convolution is one ``np.matmul`` per direction: the padded input's
-patches are copied once into a (groups, Cg*kH*kW, N*oH*oW) layout, the
-kernel multiplies it in the forward pass, and the backward pass multiplies
-by its transpose and adds the patch gradients back into place. The
-optional bias is added in the same node. Padding is a zero buffer with one
-slice copy, skipped when the padding is zero. Average pooling is kH*kW
-strided adds of the padded input, in row-major window order, and its
-backward pass is kH*kW strided adds of the scaled gradient.
+patches are copied into a (groups, Cg*kH*kW, N*oH*oW) layout, the kernel
+multiplies it in the forward pass, and the backward pass multiplies by its
+transpose and adds the patch gradients back into place. The optional bias
+is added in the same node. Padding is a zero buffer with one slice copy,
+skipped when the padding is zero. Average pooling is kH*kW strided adds of
+the padded input, in row-major window order, and its backward pass is
+kH*kW strided adds of the scaled gradient.
+
+A recorded convolution does not keep its patch buffer, which holds kH*kW
+copies of the input: the backward pass copies the patches again from the
+input's ``.data``. So no code may write into a recorded tensor's ``.data``,
+or rebind it, between the forward pass that read it and the ``backward``
+over that graph; gradients would silently describe the new values.
 
 All forward math is plain numpy in a fixed order, so two identical runs
 produce bit-identical outputs and gradients.
@@ -389,8 +395,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
         go = np.ascontiguousarray(go).reshape(groups, oc // groups, n * oh * ow)
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
+        # the patches again, from x.data as the forward read it
+        patches = _im2col(_padded(x.data, ph, pw), groups, kh, kw, sh, sw,
+                          oh, ow)
         kernel._accumulate(
-            np.matmul(go, cols.transpose(0, 2, 1)).reshape(kernel.shape))
+            np.matmul(go, patches.transpose(0, 2, 1)).reshape(kernel.shape))
         gcols = np.matmul(wr.transpose(0, 2, 1), go)
         gxp = _col2im(gcols, xp_shape, groups, kh, kw, sh, sw, oh, ow)
         x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])

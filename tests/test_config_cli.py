@@ -342,7 +342,7 @@ class TestInferenceWeights:
         finally:
             tracemalloc.stop()
         assert all(t._parents == () for t in named.values())
-        # about 17 MiB; the same forward with a graph peaks near 226 MiB
+        # about 17 MiB; the same forward with a graph peaks near 42 MiB
         assert peak < 32 * 2**20
 
     def test_same_bytes_as_gradient_tracking_weights(self):

@@ -1,6 +1,8 @@
 """Network assembly: bottom-up recursion, shapes, determinism, decode."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
                             MAX_LOG_RATIO, assemble_forward, bottom_up,
                             decode_boxes)
 from rotdet.scenes import gen_scene
-from rotdet.tensor import (Tensor, add, gradients, named_parameters, sigmoid,
-                           smooth_l1, sum_all)
-from test_tensor import (_reference_avg_pool, _reference_conv2d,
-                         assert_walk_covers_graph)
+from rotdet.tensor import (Tensor, add, backward, gradients, named_parameters,
+                           sigmoid, smooth_l1, sum_all)
+from test_tensor import (_buffered_conv2d, _reference_avg_pool,
+                         _reference_conv2d, assert_walk_covers_graph)
 
 
 def _dirac_identity(conv):
@@ -145,19 +147,33 @@ def test_parameter_walk_covers_network_graph():
     assert_walk_covers_graph(w, head.logits + head.boxes, 204)
 
 
-def _forward_and_gradients():
-    """Named tensors of one seeded 256² batch-1 forward of the default
-    network, then the parameter gradients of a Smooth-L1 loss on its head."""
-    cfg = load_config()
-    w = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
-                              cfg.network, dtype=np.float32)
-    image, _ = gen_scene(11, cfg.scene, cfg.canvas)
-    feats, head = assemble_forward(
-        Tensor(image.data[np.newaxis], dtype=np.float32), w)
-    named = {**feats, **head.named()}
+def _head_loss(head):
     loss = sum_all(smooth_l1(head.boxes[0]))
     for t in head.boxes[1:] + head.logits:
         loss = add(loss, sum_all(smooth_l1(t)))
+    return loss
+
+
+def _default_weights():
+    cfg = load_config()
+    return NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                                 cfg.network, dtype=np.float32)
+
+
+def _scenes(batch):
+    """A float32 batch of seeded default-canvas scenes."""
+    cfg = load_config()
+    return Tensor(np.stack([gen_scene(11 + i, cfg.scene, cfg.canvas)[0].data
+                            for i in range(batch)]), dtype=np.float32)
+
+
+def _forward_and_gradients():
+    """Named tensors of one seeded 256² batch-1 forward of the default
+    network, then the parameter gradients of a Smooth-L1 loss on its head."""
+    w = _default_weights()
+    feats, head = assemble_forward(_scenes(1), w)
+    named = {**feats, **head.named()}
+    loss = _head_loss(head)
     params = named_parameters(w)
     grads = gradients(loss, list(params.values()))
     return ({k: t.data for k, t in named.items()},
@@ -177,6 +193,73 @@ def test_forward_and_gradients_bit_equal_to_reference_ops(monkeypatch):
         for name in want:
             assert got[name].dtype == want[name].dtype, name
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_gradients_bit_equal_to_buffered_conv(monkeypatch):
+    # A backward that copies each conv's patches again gives every parameter
+    # gradient of the network byte for byte.
+    def digest():
+        _, grads = _forward_and_gradients()
+        h = hashlib.sha256()
+        for name, g in grads.items():
+            h.update(name.encode())
+            h.update(g.tobytes())
+        return h.hexdigest()
+
+    got = digest()
+    # ConvParams.apply looks conv2d up in msk, its only caller
+    monkeypatch.setattr(msk, "conv2d", _buffered_conv2d)
+    assert digest() == got
+
+
+def test_backward_reads_the_data_the_forward_read():
+    # conv2d's backward copies its patches from x.data again, so backward
+    # must leave every recorded tensor's data as the forward made it: the
+    # same array object with the same bytes.
+    cfg = NetworkConfig(stem_channels=4, branch_out=2, backbone_channels=4,
+                        strip_len=3, pool_window=3)
+    w = NetworkWeights.create(np.random.default_rng(0), cfg,
+                              dtype=np.float64)
+    image = Tensor(np.random.default_rng(1).standard_normal((1, 3, 64, 64)),
+                   requires_grad=True)
+    loss = _head_loss(assemble_forward(image, w)[1])
+    nodes, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = (t, t.data, t.data.tobytes())
+            stack.extend(t._parents)
+    assert len(nodes) > 100
+    backward(loss)
+    for t, data, raw in nodes.values():
+        assert t.data is data
+        assert t.data.tobytes() == raw
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphMemory:
+    """A recorded forward keeps no conv patch buffers alive."""
+
+    def test_tracked_forward_peak(self):
+        w, image = _default_weights(), _scenes(1)
+        # about 42 MiB; 226 MiB when each conv kept its patch buffer
+        assert _traced_peak(lambda: assemble_forward(image, w)) < 64 * 2**20
+
+    def test_train_step_peak(self):
+        w, images = _default_weights(), _scenes(2)
+        # about 171 MiB; 539 MiB when each conv kept its patch buffer
+        peak = _traced_peak(
+            lambda: backward(_head_loss(assemble_forward(images, w)[1])))
+        assert peak < 256 * 2**20
+        assert all(p.grad is not None for p in w.parameters())
 
 
 class TestDecodeBoxes:

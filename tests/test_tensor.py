@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotdet.errors import ContractError, ShapeError
-from rotdet.tensor import (Tensor, WeightSet, _as_pair, add, avg_pool,
-                           backward, concat_channels, conv2d, gradcheck,
-                           gradients, mul, named_parameters, rot90, sigmoid,
-                           sum_all)
+from rotdet.tensor import (Tensor, WeightSet, _as_pair, _col2im, _im2col,
+                           _padded, add, avg_pool, backward, concat_channels,
+                           conv2d, gradcheck, gradients, mul, named_parameters,
+                           rot90, sigmoid, sum_all)
 
 # Convolution and pooling copy into preallocated buffers; a warning here
 # (overflow, invalid cast) is a defect.
@@ -74,6 +74,41 @@ def _reference_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
 
     return Tensor._from_op(out_t.data + bias.data.reshape(1, -1, 1, 1),
                            (out_t, bias), bias_bwd)
+
+
+def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
+                     bias=None):
+    """conv2d as it was when its backward closure kept the forward's patch
+    buffer instead of copying the patches again (shape checks left out)."""
+    n, c, h, w = x.shape
+    oc, cg, kh, kw = kernel.shape
+    sh, sw = _as_pair(stride)
+    ph, pw = _as_pair(padding)
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    xp = _padded(x.data, ph, pw)
+    xp_shape = xp.shape
+    cols = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+    wr = kernel.data.reshape(groups, oc // groups, cg * kh * kw)
+    out = np.matmul(wr, cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+    out = np.ascontiguousarray(out)
+    parents = (x, kernel)
+    if bias is not None:
+        out += bias.data.reshape(1, -1, 1, 1)
+        parents += (bias,)
+
+    def bwd(g):
+        go = g.reshape(n, oc, oh * ow).transpose(1, 0, 2)
+        go = np.ascontiguousarray(go).reshape(groups, oc // groups, n * oh * ow)
+        if bias is not None:
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        kernel._accumulate(
+            np.matmul(go, cols.transpose(0, 2, 1)).reshape(kernel.shape))
+        gcols = np.matmul(wr.transpose(0, 2, 1), go)
+        gxp = _col2im(gcols, xp_shape, groups, kh, kw, sh, sw, oh, ow)
+        x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
+
+    return Tensor._from_op(out, parents, bwd)
 
 
 def _reference_avg_pool(x, window, stride=None, padding=(0, 0)):
@@ -297,32 +332,34 @@ def conv_cases(draw):
             with_bias, seed)
 
 
+def _conv_out_and_grads(op, case):
+    """``_out_and_grads`` of the conv ``op`` on one ``conv_cases`` draw."""
+    (n, c, h, w, oc, groups, kh, kw, stride, padding, dtype, with_bias,
+     seed) = case
+    rng = np.random.default_rng(seed)
+    leaves = [rng.standard_normal((n, c, h, w)),
+              rng.standard_normal((oc, c // groups, kh, kw))]
+    if with_bias:
+        leaves.append(rng.standard_normal(oc))
+
+    def run(x, k, b=None):
+        return op(x, k, stride=stride, padding=padding, groups=groups, bias=b)
+
+    return _out_and_grads(
+        run, [Tensor(d.astype(dtype), requires_grad=True) for d in leaves],
+        seed + 1)
+
+
 class TestAgainstReference:
     """conv2d and avg_pool against the einsum / im2col code they replaced."""
 
     @given(conv_cases())
     @settings(max_examples=150, deadline=None)
     def test_conv2d_output_and_gradients(self, case):
-        (n, c, h, w, oc, groups, kh, kw, stride, padding, dtype, with_bias,
-         seed) = case
-        rng = np.random.default_rng(seed)
-        xd = rng.standard_normal((n, c, h, w)).astype(dtype)
-        kd = rng.standard_normal((oc, c // groups, kh, kw)).astype(dtype)
-        bd = rng.standard_normal(oc).astype(dtype) if with_bias else None
-        results = []
-        for op in (conv2d, _reference_conv2d):
-            leaves = [Tensor(xd, requires_grad=True),
-                      Tensor(kd, requires_grad=True)]
-            if with_bias:
-                leaves.append(Tensor(bd, requires_grad=True))
-
-            def run(x, k, b=None, op=op):
-                return op(x, k, stride=stride, padding=padding,
-                          groups=groups, bias=b)
-
-            results.append(_out_and_grads(run, leaves, seed + 1))
+        results = [_conv_out_and_grads(op, case)
+                   for op in (conv2d, _reference_conv2d)]
         for got, want in zip(*results):
-            _assert_rel_close(got, want, REFERENCE_TOL[dtype])
+            _assert_rel_close(got, want, REFERENCE_TOL[want.dtype.type])
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
            st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7]),
@@ -342,6 +379,17 @@ class TestAgainstReference:
             for op in (avg_pool, _reference_avg_pool)]
         for got, want in zip(*results):
             _assert_rel_close(got, want, REFERENCE_TOL[dtype])
+
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_conv2d_bit_equal_to_buffered(self, case):
+        # copying the patches again in the backward pass changes no bit of
+        # the output or of any gradient
+        results = [_conv_out_and_grads(op, case)
+                   for op in (conv2d, _buffered_conv2d)]
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_bias_is_one_node(self):
         rng = np.random.default_rng(19)
