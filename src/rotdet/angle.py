@@ -8,7 +8,9 @@ raw-angle parameterization suffers at the period boundary. The decoder is
 a six-case piecewise argument function mapping the circle back to
 [0, 2*pi), scaled by 1/omega.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions are pure and take scalars or numpy arrays by one route; a
+scalar comes back as a numpy float64 (a float). Non-finite angles and
+vectors are rejected; a NaN reaching :func:`arg_unit` gives NaN.
 """
 
 from __future__ import annotations
@@ -51,14 +53,11 @@ def encode(theta, omega: float = 1.0) -> AngleCode:
     """Map angles in [0, 2*pi/omega) to unit-circle codes."""
     omega = _check_omega(omega)
     theta = np.asarray(theta, dtype=np.float64)
-    if np.any(theta < 0.0) or np.any(theta >= 2.0 * np.pi / omega):
+    if not np.all((theta >= 0.0) & (theta < 2.0 * np.pi / omega)):
         raise ContractError(
             "theta outside [0, 2*pi/omega); reduce modulo the period first")
     phase = omega * theta
-    x, y = np.cos(phase), np.sin(phase)
-    if theta.ndim == 0:
-        return AngleCode(float(x), float(y), omega)
-    return AngleCode(x, y, omega)
+    return AngleCode(np.cos(phase), np.sin(phase), omega)
 
 
 def normalize(xy, omega: float = 1.0) -> AngleCode:
@@ -67,6 +66,8 @@ def normalize(xy, omega: float = 1.0) -> AngleCode:
     arr = np.asarray(xy, dtype=np.float64)
     if arr.shape[-1] != 2:
         raise ContractError(f"expected trailing extent 2, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DegenerateInputError("non-finite vector has no direction")
     with np.errstate(over="ignore"):
         sq = arr[..., 0] ** 2 + arr[..., 1] ** 2
     big = ~np.isfinite(sq)
@@ -76,11 +77,7 @@ def normalize(xy, omega: float = 1.0) -> AngleCode:
     norm = np.sqrt(sq)
     if np.any(norm <= 1e-12):
         raise DegenerateInputError("zero-length vector has no direction")
-    x = arr[..., 0] / norm
-    y = arr[..., 1] / norm
-    if arr.ndim == 1:
-        return AngleCode(float(x), float(y), omega)
-    return AngleCode(x, y, omega)
+    return AngleCode(arr[..., 0] / norm, arr[..., 1] / norm, omega)
 
 
 def arg_unit(x, y):
@@ -89,27 +86,20 @@ def arg_unit(x, y):
     Cases: x>0, y>=0 -> arctan(y/x); x>0, y<0 -> arctan(y/x)+2*pi;
     x<0 -> arctan(y/x)+pi; x=0, y>0 -> pi/2; x=0, y<0 -> 3*pi/2;
     the origin is undefined. Exact zero of x is detected with a 1e-12
-    tolerance since float inputs never land on the axis exactly.
+    tolerance since float inputs never land on the axis exactly. A NaN
+    in x or y gives NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.atleast_1d(x), np.atleast_1d(y)
     on_axis = np.abs(x) <= AXIS_TOL
     if np.any(on_axis & (np.abs(y) <= AXIS_TOL)):
         raise DegenerateInputError("argument of the origin is undefined")
-
-    out = np.empty(np.broadcast(x, y).shape, dtype=np.float64)
-    xs = np.where(on_axis, 1.0, x)  # keep the ratio finite off the used lanes
-    ratio = np.arctan(y / xs)
-    pos = ~on_axis & (x > 0)
-    neg = ~on_axis & (x < 0)
-    out[pos & (y >= 0)] = ratio[pos & (y >= 0)]
-    out[pos & (y < 0)] = ratio[pos & (y < 0)] + 2.0 * np.pi
-    out[neg] = ratio[neg] + np.pi
-    out[on_axis & (y > 0)] = 0.5 * np.pi
-    out[on_axis & (y < 0)] = 1.5 * np.pi
-    return float(out[0]) if scalar else out
+    # the ratio stays finite on the axis, whose lanes it does not decide
+    ratio = np.arctan(y / np.where(on_axis, 1.0, x))
+    return np.select(
+        [on_axis & (y > 0), on_axis & (y < 0), x < 0, y < 0],
+        [0.5 * np.pi, 1.5 * np.pi, ratio + np.pi, ratio + 2.0 * np.pi],
+        ratio)[()]
 
 
 def decode(code: AngleCode):
@@ -128,14 +118,12 @@ def code_distance(a: AngleCode, b: AngleCode):
     if a.omega != b.omega:
         raise ContractError(
             f"codes use different frequencies: {a.omega} vs {b.omega}")
-    d = np.hypot(np.asarray(a.x) - np.asarray(b.x),
-                 np.asarray(a.y) - np.asarray(b.y))
-    return float(d) if d.ndim == 0 else d
+    return np.hypot(np.asarray(a.x) - np.asarray(b.x),
+                    np.asarray(a.y) - np.asarray(b.y))
 
 
 def circular_error(theta_a, theta_b, omega: float = 1.0):
     """Shortest angular distance on the circle of period 2*pi/omega."""
     p = period(omega)
     d = np.abs(np.asarray(theta_a) - np.asarray(theta_b)) % p
-    d = np.minimum(d, p - d)
-    return float(d) if d.ndim == 0 else d
+    return np.minimum(d, p - d)

@@ -36,10 +36,7 @@ def loss_landscape(method: str, target_theta: float, omega: float = 1.0,
         return smooth_l1(Tensor(thetas - target_theta)).data
     if method == "eaem_chord":
         pred = eaem.encode(thetas, omega)
-        target = eaem.encode(target_theta % p, omega)
-        return eaem.code_distance(
-            pred, eaem.AngleCode(np.full(samples, target.x),
-                                 np.full(samples, target.y), omega))
+        return eaem.code_distance(pred, eaem.encode(target_theta % p, omega))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -136,6 +136,9 @@ def cmd_gradcheck(cfg: Config, args) -> int:
 
 def cmd_angle_codec(cfg: Config, args) -> int:
     omega = cfg.network.omega
+    if args.out is not None and args.input is None:
+        print("error: angle-codec --out needs --input", file=sys.stderr)
+        return EXIT_USAGE
     if args.encode is not None:
         code = eaem.encode(_reduce_angles(args.encode, omega), omega)
         print(f"theta={args.encode:.9f} omega={omega} -> "
@@ -146,23 +149,19 @@ def cmd_angle_codec(cfg: Config, args) -> int:
         theta = eaem.decode(eaem.normalize((x, y), omega))
         print(f"x={x} y={y} omega={omega} -> theta={theta:.12f}")
         return EXIT_OK
-    if args.input is not None:
-        thetas = load_tensor(args.input).data.astype(np.float64).ravel()
-        if thetas.size == 0:
-            print(f"error: {args.input} holds no angles", file=sys.stderr)
-            return EXIT_USAGE
-        thetas = _reduce_angles(thetas, omega)
-        code = eaem.encode(thetas, omega)
-        back = eaem.decode(code)
-        err = np.abs(back - thetas)
-        if args.out:
-            save_tensor(Path(args.out), Tensor(code.as_array()))
-        print(f"n={thetas.size} max_roundtrip_err={err.max():.3e} "
-              f"mean_roundtrip_err={err.mean():.3e}")
-        return EXIT_OK
-    print("angle-codec: nothing to do (use --encode, --decode, or --input)",
-          file=sys.stderr)
-    return EXIT_USAGE
+    thetas = load_tensor(args.input).data.astype(np.float64).ravel()
+    if thetas.size == 0:
+        print(f"error: {args.input} holds no angles", file=sys.stderr)
+        return EXIT_USAGE
+    thetas = _reduce_angles(thetas, omega)
+    code = eaem.encode(thetas, omega)
+    back = eaem.decode(code)
+    err = np.abs(back - thetas)
+    if args.out:
+        save_tensor(Path(args.out), Tensor(code.as_array()))
+    print(f"n={thetas.size} max_roundtrip_err={err.max():.3e} "
+          f"mean_roundtrip_err={err.mean():.3e}")
+    return EXIT_OK
 
 
 def cmd_boundary_exp(cfg: Config, args) -> int:
@@ -256,10 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gradcheck", help="finite-difference verification suite")
 
     p = sub.add_parser("angle-codec", help="encode/decode orientations")
-    p.add_argument("--encode", type=_finite_float, help="angle in radians")
-    p.add_argument("--decode", type=_finite_float, nargs=2, metavar=("X", "Y"))
-    p.add_argument("--input", help="RMKT tensor of angles")
-    p.add_argument("--out", help="output RMKT file for encoded codes")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--encode", type=_finite_float, help="angle in radians")
+    mode.add_argument("--decode", type=_finite_float, nargs=2,
+                      metavar=("X", "Y"))
+    mode.add_argument("--input", help="RMKT tensor of angles")
+    p.add_argument("--out", help="RMKT file for the codes; needs --input")
 
     p = sub.add_parser("boundary-exp", help="periodic-boundary loss experiment")
     p.add_argument("--steps", type=_non_negative_int, default=500)

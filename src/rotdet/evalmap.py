@@ -19,10 +19,8 @@ from .geometry import rotated_iou  # noqa: F401
 
 
 def _ap_from_pr(tp_flags: np.ndarray, n_truth: int) -> float:
-    if n_truth == 0:
-        return float("nan")
-    if tp_flags.size == 0:
-        return 0.0
+    """All-point AP of ranked match flags against ``n_truth >= 1`` truths;
+    no predictions give 0.0."""
     tp = np.cumsum(tp_flags)
     fp = np.cumsum(1 - tp_flags)
     recall = tp / n_truth

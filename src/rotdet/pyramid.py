@@ -209,8 +209,6 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
         cls_id = np.argmax(scores, axis=1)
         score = np.take_along_axis(scores, cls_id[:, np.newaxis], axis=1)[:, 0]
         ai, r, c = np.nonzero(score >= score_threshold)
-        if not len(ai):
-            continue
         d = deltas.data[image_index].reshape(a, 6, hh, ww)
         d = d[ai, :, r, c].astype(np.float64)
         anchor_size = stride * config.anchor_scale
@@ -226,11 +224,10 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
                 & (np.minimum(box[2], box[3]) > 0))
         ai, r, c, d, box = ai[fits], r[fits], c[fits], d[fits], box[:, fits]
         ax, ay = d[:, 4].tolist(), d[:, 5].tolist()
-        live = np.array([math.hypot(x, y) >= 1e-6 for x, y in zip(ax, ay)])
+        live = np.array([math.hypot(x, y) >= 1e-6 for x, y in zip(ax, ay)],
+                        dtype=bool)
         theta = np.zeros(len(ai))
-        if live.any():
-            theta[live] = eaem.decode(
-                eaem.normalize(d[live][:, 4:], config.omega))
+        theta[live] = eaem.decode(eaem.normalize(d[live][:, 4:], config.omega))
         out += [OrientedBox(*b, class_id=cid, score=sc) for *b, cid, sc in
                 zip(*box.tolist(), theta.tolist(),
                     cls_id[ai, r, c].tolist(), score[ai, r, c].tolist())]

@@ -14,6 +14,8 @@ from .geometry import rotated_iou  # noqa: F401
 from .tensor import Tensor
 
 MAX_PLACEMENT_TRIES = 200
+MAX_OVERLAP = 0.05  # largest kernel IoU of a new box with those placed
+NOISE_LEVEL = 0.1  # background pixels are uniform in [0, NOISE_LEVEL)
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,6 @@ class SceneSpec:
     classes: int = 2
     min_size: float = 20.0
     max_size: float = 60.0
-    max_overlap: float = 0.05
-    noise_level: float = 0.1
 
     def class_intensity(self, class_id: int) -> float:
         if self.classes == 1:
@@ -35,15 +35,14 @@ class SceneSpec:
 
 def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
                   spec: SceneSpec) -> None:
-    """Set pixels whose centers lie in a box to its class intensity."""
+    """Set pixels whose centers lie in a box to its class intensity. Each
+    box must overlap the canvas, as the boxes :func:`gen_scene` places do."""
     h, w = canvas.shape
     for box, poly in zip(boxes, box_polygons(boxes)):
         x0 = max(int(math.floor(poly[:, 0].min())), 0)
         x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
         y0 = max(int(math.floor(poly[:, 1].min())), 0)
         y1 = min(int(math.ceil(poly[:, 1].max())) + 1, h)
-        if x0 >= x1 or y0 >= y1:
-            continue
         ys, xs = np.mgrid[y0:y1, x0:x1]
         inside = points_in_box(xs + 0.5, ys + 0.5, box)
         canvas[y0:y1, x0:x1][inside] = spec.class_intensity(box.class_id)
@@ -59,7 +58,7 @@ def gen_scene(seed: int, spec: SceneSpec,
     within the retry budget.
     """
     rng = np.random.default_rng(seed)
-    img = rng.uniform(0.0, spec.noise_level, size=(canvas, canvas))
+    img = rng.uniform(0.0, NOISE_LEVEL, size=(canvas, canvas))
     boxes: list[OrientedBox] = []
     for _ in range(spec.objects):
         for _ in range(MAX_PLACEMENT_TRIES):
@@ -74,7 +73,7 @@ def gen_scene(seed: int, spec: SceneSpec,
             cls = int(rng.integers(0, spec.classes))
             cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
             if (not boxes or
-                    iou_matrix([cand], boxes).max() <= spec.max_overlap):
+                    iou_matrix([cand], boxes).max() <= MAX_OVERLAP):
                 boxes.append(cand)
                 break
         else:

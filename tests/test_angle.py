@@ -48,6 +48,12 @@ class TestEncode:
         with pytest.raises(ContractError):
             angle.encode(math.pi + 0.1, 2.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ContractError):
+            angle.encode(math.nan, 1.0)
+        with pytest.raises(ContractError):
+            angle.encode(np.array([0.5, math.nan]), 1.0)
+
 
 class TestNormalize:
     def test_three_four_five(self):
@@ -61,6 +67,14 @@ class TestNormalize:
     def test_near_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             angle.normalize((1e-13, 0.0))
+
+    @pytest.mark.parametrize("xy", [(math.inf, 1.0), (math.nan, 0.0),
+                                    (1.0, -math.inf), (math.inf, math.inf)])
+    def test_non_finite_rejected(self, xy):
+        with pytest.raises(DegenerateInputError):
+            angle.normalize(xy)
+        with pytest.raises(DegenerateInputError):
+            angle.normalize(np.array([(3.0, 4.0), xy]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_components_do_not_overflow(self):
@@ -93,6 +107,14 @@ class TestArgUnit:
     def test_origin_rejected(self):
         with pytest.raises(DegenerateInputError):
             angle.arg_unit(0.0, 0.0)
+
+    # (0, nan) is on the axis but neither above nor below it
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (math.nan, -1.0),
+                                     (0.0, math.nan)])
+    def test_nan_lane_gives_nan(self, x, y):
+        assert math.isnan(angle.arg_unit(x, y))
+        got = angle.arg_unit(np.array([1.0, x]), np.array([0.0, y]))
+        assert got[0] == 0.0 and math.isnan(got[1])
 
     def test_against_atan2_oracle(self):
         rng = np.random.default_rng(0)
@@ -167,3 +189,57 @@ class TestCodeDistance:
         with pytest.raises(ContractError):
             angle.code_distance(angle.encode(0.1, 1.0),
                                 angle.encode(0.1, 2.0))
+
+
+
+# vector components: near and on the x == 0 axis, and large enough that
+# the squares overflow
+components = st.floats(-2.0, 2.0) | st.floats(-1e308, 1e308) | st.sampled_from(
+    [0.0, -0.0, 1e-13, -1e-13, 1e-12, 1e300, -1e-300])
+
+
+@st.composite
+def codec_lanes(draw):
+    """A frequency, n angles in its period, and n raw vectors off the
+    origin."""
+    omega = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    n = draw(st.integers(1, 8))
+    thetas = draw(st.lists(st.floats(0.0, angle.period(omega),
+                                     exclude_max=True), min_size=n,
+                           max_size=n))
+    vecs = draw(st.lists(st.tuples(components, components).filter(
+        lambda v: max(map(abs, v)) > 1e-6), min_size=n, max_size=n))
+    return omega, np.array(thetas), np.array(vecs)
+
+
+def _same_bits(scalar, lane):
+    assert isinstance(scalar, float)
+    assert float.hex(scalar) == float.hex(float(lane))
+
+
+@given(codec_lanes())
+@settings(max_examples=150, deadline=None)
+def test_scalar_route_matches_array_lane(case):
+    """Each codec function gives a scalar input the bits of its lane in an
+    array call, as a float."""
+    omega, thetas, vecs = case
+    others = thetas[::-1]
+    codes = angle.encode(thetas, omega)
+    units = angle.normalize(vecs, omega)
+    args = angle.arg_unit(units.x, units.y)
+    back = angle.decode(units)
+    dists = angle.code_distance(codes, angle.encode(others, omega))
+    errs = angle.circular_error(thetas, 3.0 * others, omega)
+    for i, (theta, other, (x, y)) in enumerate(zip(thetas, others, vecs)):
+        code = angle.encode(float(theta), omega)
+        _same_bits(code.x, codes.x[i])
+        _same_bits(code.y, codes.y[i])
+        unit = angle.normalize((float(x), float(y)), omega)
+        _same_bits(unit.x, units.x[i])
+        _same_bits(unit.y, units.y[i])
+        _same_bits(angle.arg_unit(unit.x, unit.y), args[i])
+        _same_bits(angle.decode(unit), back[i])
+        _same_bits(angle.code_distance(
+            code, angle.encode(float(other), omega)), dists[i])
+        _same_bits(angle.circular_error(float(theta), 3.0 * float(other),
+                                        omega), errs[i])

@@ -87,6 +87,14 @@ class TestRegression:
             assert a.results[m].final_error == b.results[m].final_error
             assert a.results[m].loss_trace == b.results[m].loss_trace
 
+    def test_overflowing_chord_run_diverges(self):
+        """A step that overflows the code parameters ends the run as
+        diverged, not as ok with a NaN error."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_regression("eaem_chord", boundary_targets(1.0, 42),
+                                    steps=1, lr=1e308, seed=42)
+        assert result.status == "diverged"
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_regression("huber", np.array([0.1]))

@@ -119,7 +119,11 @@ FLAGS = [
      "zero-length vector"),
     ("angle-codec", "--decode", "angle-codec --decode nan 1", 2, "--decode"),
     ("angle-codec", "--decode", "angle-codec --decode 1 inf", 2, "--decode"),
+    ("angle-codec", "--decode", "angle-codec --encode 1 --decode 0 1", 2,
+     "--decode"),
     ("angle-codec", "--input", "angle-codec --input {angles}", 0, None),
+    ("angle-codec", "--input", "angle-codec --decode 0 1 --input {angles}", 2,
+     "--input"),
     ("angle-codec", "--input", "angle-codec --input {empty}", 2, "{empty}"),
     ("angle-codec", "--input", "angle-codec --input {dir}", 2, "{dir}"),
     ("angle-codec", "--input", "angle-codec --input {missing}", 2,
@@ -128,6 +132,8 @@ FLAGS = [
      None),
     ("angle-codec", "--out", "angle-codec --input {angles} --out {dir}", 2,
      "{dir}"),
+    ("angle-codec", "--out", "angle-codec --decode 0 1 --out {new}", 2,
+     "--out"),
     ("boundary-exp", "--steps", "boundary-exp --steps 1", 0, None),
     ("boundary-exp", "--steps", "boundary-exp --steps 0", 1, None),
     ("boundary-exp", "--steps", "boundary-exp --steps -1", 2, "--steps"),
@@ -415,7 +421,8 @@ class TestCli:
         assert "thetas.rmkt" in err and "Traceback" not in err
 
     def test_angle_codec_no_action(self, capsys):
-        assert main(["angle-codec"]) == 2
+        assert _exit_code(["angle-codec"]) == 2
+        assert "--encode --decode --input" in capsys.readouterr().err
 
     def test_forward_dumps_and_determinism(self, small_cfg, tmp_path, capsys):
         out_a = tmp_path / "a"

@@ -136,8 +136,11 @@ class TestAssemble:
         b = boxes[0]
         assert (b.cx, b.cy) == (4.0, 4.0)
         assert b.w == b.h == 8 * cfg.anchor_scale
-        assert b.theta == 0.0
         assert b.score == 0.5
+        # all-zero angle channels: every box at the prior angle
+        assert {b.theta for b in boxes} == {0.0}
+        # no level has a cell over the threshold
+        assert decode_boxes(head, cfg, score_threshold=1.0) == []
 
 
 def test_parameter_walk_covers_network_graph():

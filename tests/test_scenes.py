@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rotdet import scenes
 from rotdet.config import load_config
 from rotdet.errors import GenerationError
 from rotdet.geometry import OrientedBox, box_polygons
@@ -22,7 +23,7 @@ MATCH_SPEC = SceneSpec(objects=16, classes=_CFG.network.classes,
 # gen_scene output the benchmarks and `eval` are fed: (spec, canvas, seed,
 # SHA-256 of the image bytes, SHA-256 of the boxes as float.hex lines).
 # Seeds 28 and 5 each place a box whose largest IoU with the boxes before
-# it is within [0.8, 1] x max_overlap, so a change to the overlap test shows.
+# it is within [0.8, 1] x MAX_OVERLAP, so a change to the overlap test shows.
 PINNED = [
     (SceneSpec(), 256, 0,
      "ea29991e48f18fc657754142809837bacce03b695fbd56b3232d33ebd2ef128d",
@@ -78,7 +79,7 @@ def test_different_seeds_differ():
 
 
 def test_axis_aligned_box_renders_inside_polygon():
-    spec = SceneSpec(objects=1, classes=1, noise_level=0.0)
+    spec = SceneSpec(objects=1, classes=1)
     canvas = np.zeros((64, 64))
     box = OrientedBox(32, 32, 20, 10, 0.0)
     _render_boxes(canvas, [box], spec)
@@ -105,7 +106,8 @@ def test_class_intensities_distinct():
     assert len(set(vals)) == 3
 
 
-def test_overcrowded_spec_fails():
-    spec = SceneSpec(objects=50, min_size=60, max_size=60, max_overlap=0.0)
+def test_overcrowded_spec_fails(monkeypatch):
+    monkeypatch.setattr(scenes, "MAX_OVERLAP", 0.0)
+    spec = SceneSpec(objects=50, min_size=60, max_size=60)
     with pytest.raises(GenerationError):
         gen_scene(0, spec, canvas=128)
