@@ -64,7 +64,7 @@ def normalize(xy, omega: float = 1.0) -> AngleCode:
     """Project a raw 2-vector (or (..., 2) array) onto the unit circle."""
     omega = _check_omega(omega)
     arr = np.asarray(xy, dtype=np.float64)
-    if arr.shape[-1] != 2:
+    if arr.shape[-1:] != (2,):
         raise ContractError(f"expected trailing extent 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DegenerateInputError("non-finite vector has no direction")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -235,8 +236,19 @@ def cmd_gen_data(cfg: Config, args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every negative decimal literal as a
+    value: argparse's own pattern takes ``-1e308`` for an option string,
+    though no option here starts with a dash and a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotdet",
         description="Oriented-detection building blocks: audits, forwards, "
                     "checks, codec tools, synthetic evaluation.")

@@ -9,14 +9,18 @@ sigmoid, channel concat, and elementwise arithmetic. Quarter rotations
 (``rot90``) are no longer used by the feature blocks; they stay for the
 rotation contracts of acceptance criterion 7 and the gradcheck battery.
 
-A convolution is one ``np.matmul`` per direction: the padded input's
-patches are copied into a (groups, Cg*kH*kW, N*oH*oW) layout, the kernel
-multiplies it in the forward pass, and the backward pass multiplies by its
-transpose and adds the patch gradients back into place. The optional bias
-is added in the same node. Padding is a zero buffer with one slice copy,
-skipped when the padding is zero. Average pooling is kH*kW strided adds of
-the padded input, in row-major window order, and its backward pass is
-kH*kW strided adds of the scaled gradient.
+A convolution is one ``np.matmul`` per direction: every window of the
+padded input is one 7-D strided view, copied once into a (groups,
+Cg*kH*kW, N*oH*oW) patch buffer; the kernel multiplies it in the forward
+pass, and the backward pass multiplies by its transpose and adds the patch
+gradients back into place, one kernel tap at a time since windows overlap.
+The optional bias is added in the same node. Padding is a zero buffer with
+one slice copy, skipped when the padding is zero. Average pooling is kH*kW
+strided adds of the padded input, in row-major window order, and its
+backward pass is kH*kW strided adds of the scaled gradient. The sigmoid
+takes one ``exp(-|v|)`` over the whole array and picks each lane's stable
+numerator with ``np.where``, so no lane can overflow and no boolean mask
+gathers or scatters.
 
 A recorded convolution does not keep its patch buffer, which holds kH*kW
 copies of the input: the backward pass copies the patches again from the
@@ -63,7 +67,7 @@ class Tensor:
         elif arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -204,11 +208,11 @@ def scale(x: Tensor, c: float) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function, outputs strictly in (0, 1)."""
     v = x.data
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    # exp(-|v|) is exp(-v) where v >= 0 and exp(v) elsewhere, never above 1;
+    # so each lane is 1 / (1 + exp(-v)) or exp(v) / (1 + exp(v))
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0, e)
+    out /= 1.0 + e
     # keep the open-interval contract even where rounding would hit 0 or 1
     tiny = np.nextafter(v.dtype.type(0), v.dtype.type(1))
     below_one = np.nextafter(v.dtype.type(1), v.dtype.type(0))
@@ -327,13 +331,18 @@ def _windows(kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
 def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
             oh: int, ow: int) -> np.ndarray:
     """Patches of ``xp`` laid out as (G, Cg*kh*kw, N*oh*ow) for matmul."""
+    xp = np.ascontiguousarray(xp)  # the view below assumes C order
     n, c = xp.shape[:2]
     cg = c // groups
-    cols = np.empty((groups, cg, kh, kw, n, oh, ow), dtype=xp.dtype)
-    # (N, C, ...) viewed as (G, Cg, N, ...): the copy does the transpose
-    src = xp.reshape(n, groups, cg, *xp.shape[2:]).transpose(1, 2, 0, 3, 4)
-    for i, j, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
-        cols[:, :, i, j] = src[..., rs, cs]
+    s_n, s_c, s_h, s_w = xp.strides
+    shape = (groups, cg, kh, kw, n, oh, ow)
+    # every window at once: [g, ci, i, j, b, p, q] reads
+    # xp[b, g*cg + ci, i + p*sh, j + q*sw]; the copy does the transpose
+    windows = np.ndarray(shape, xp.dtype, buffer=xp, offset=0,
+                         strides=(cg * s_c, s_c, s_h, s_w, s_n, sh * s_h,
+                                  sw * s_w))
+    cols = np.empty(shape, dtype=xp.dtype)
+    np.copyto(cols, windows)
     return cols.reshape(groups, cg * kh * kw, n * oh * ow)
 
 

@@ -68,6 +68,12 @@ class TestNormalize:
         with pytest.raises(DegenerateInputError):
             angle.normalize((1e-13, 0.0))
 
+    @pytest.mark.parametrize("xy", [1.0, (1.0,), (1.0, 2.0, 3.0),
+                                    np.ones((2, 3))])
+    def test_wrong_trailing_extent_rejected(self, xy):
+        with pytest.raises(ContractError, match="trailing extent 2"):
+            angle.normalize(xy)
+
     @pytest.mark.parametrize("xy", [(math.inf, 1.0), (math.nan, 0.0),
                                     (1.0, -math.inf), (math.inf, math.inf)])
     def test_non_finite_rejected(self, xy):

@@ -109,12 +109,14 @@ FLAGS = [
     ("angle-codec", "--encode", "angle-codec --encode 0", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode 100", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode=-1e-20", 0, None),
+    ("angle-codec", "--encode", "angle-codec --encode -1e-20", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode nan", 2, "--encode"),
     ("angle-codec", "--encode", "angle-codec --encode inf", 2, "--encode"),
     ("angle-codec", "--encode", "angle-codec --encode=-inf", 2, "--encode"),
     ("angle-codec", "--encode", "angle-codec --encode x", 2, "--encode"),
     ("angle-codec", "--decode", "angle-codec --decode 1 0", 0, None),
     ("angle-codec", "--decode", "angle-codec --decode 1e308 1e308", 0, None),
+    ("angle-codec", "--decode", "angle-codec --decode -1e308 1e-300", 0, None),
     ("angle-codec", "--decode", "angle-codec --decode 0 0", 2,
      "zero-length vector"),
     ("angle-codec", "--decode", "angle-codec --decode nan 1", 2, "--decode"),

@@ -1,11 +1,13 @@
 """Tensor engine: op contracts, invariants, gradients."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rotdet.errors import ContractError, ShapeError
 from rotdet.tensor import (Tensor, WeightSet, _as_pair, _col2im, _im2col,
@@ -76,10 +78,38 @@ def _reference_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
                            (out_t, bias), bias_bwd)
 
 
+def _looped_im2col(xp, groups, kh, kw, sh, sw, oh, ow):
+    """``_im2col`` as one slice copy per kernel tap, in the same grouped
+    (G, Cg*kh*kw, N*oh*ow) layout."""
+    n, c = xp.shape[:2]
+    cg = c // groups
+    cols = np.empty((groups, cg, kh, kw, n, oh, ow), dtype=xp.dtype)
+    # (N, C, ...) viewed as (G, Cg, N, ...): the copy does the transpose
+    src = xp.reshape(n, groups, cg, *xp.shape[2:]).transpose(1, 2, 0, 3, 4)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = src[..., i:i + sh * oh:sh, j:j + sw * ow:sw]
+    return cols.reshape(groups, cg * kh * kw, n * oh * ow)
+
+
+def _masked_sigmoid(v):
+    """The logistic function as boolean-mask gathers and scatters of the two
+    stable forms, clipped to the open interval."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    tiny = np.nextafter(v.dtype.type(0), v.dtype.type(1))
+    below_one = np.nextafter(v.dtype.type(1), v.dtype.type(0))
+    return np.clip(out, tiny, below_one)
+
+
 def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
                      bias=None):
     """conv2d as it was when its backward closure kept the forward's patch
-    buffer instead of copying the patches again (shape checks left out)."""
+    buffer instead of copying the patches again, and the buffer was filled
+    one kernel tap at a time (shape checks left out)."""
     n, c, h, w = x.shape
     oc, cg, kh, kw = kernel.shape
     sh, sw = _as_pair(stride)
@@ -88,7 +118,7 @@ def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
     ow = (w + 2 * pw - kw) // sw + 1
     xp = _padded(x.data, ph, pw)
     xp_shape = xp.shape
-    cols = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+    cols = _looped_im2col(xp, groups, kh, kw, sh, sw, oh, ow)
     wr = kernel.data.reshape(groups, oc // groups, cg * kh * kw)
     out = np.matmul(wr, cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
     out = np.ascontiguousarray(out)
@@ -383,8 +413,8 @@ class TestAgainstReference:
     @given(conv_cases())
     @settings(max_examples=150, deadline=None)
     def test_conv2d_bit_equal_to_buffered(self, case):
-        # copying the patches again in the backward pass changes no bit of
-        # the output or of any gradient
+        # copying the patches again in the backward pass, in one strided copy,
+        # changes no bit of the output or of any gradient
         results = [_conv_out_and_grads(op, case)
                    for op in (conv2d, _buffered_conv2d)]
         for got, want in zip(*results):
@@ -406,7 +436,107 @@ class TestAgainstReference:
             conv2d(x, k, bias=Tensor(np.zeros(2)))
 
 
+def _assert_im2col_bit_equal(xp, groups, kh, kw, sh, sw):
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
+    got = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+    want = _looped_im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# an input array's memory order is not C order after a channel slice, a
+# transpose or a strided slice, as a rebound ``.data`` may be
+NON_CONTIGUOUS = {
+    "channel_slice": lambda a: a[:, 1:-1],
+    "spatial_transpose": lambda a: a.transpose(0, 1, 3, 2),
+    "batch_channel_transpose": lambda a: a.transpose(1, 0, 2, 3),
+    "column_step": lambda a: a[..., ::2],
+    "reversed_rows": lambda a: a[:, :, ::-1],
+    "fortran_order": np.asfortranarray,
+}
+
+
+class TestIm2col:
+    """The one-copy strided view against the per-tap loop it replaced."""
+
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_looped(self, case):
+        (n, c, h, w, _, groups, kh, kw, (sh, sw), (ph, pw), dtype, _,
+         seed) = case
+        x = np.random.default_rng(seed).standard_normal((n, c, h, w))
+        _assert_im2col_bit_equal(_padded(x.astype(dtype), ph, pw), groups,
+                                 kh, kw, sh, sw)
+
+    @pytest.mark.parametrize("layout", NON_CONTIGUOUS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups,kh,kw,sh,sw", [
+        (1, 3, 3, 1, 1), (2, 1, 3, 2, 1), (4, 3, 1, 1, 2), (1, 1, 1, 1, 1)])
+    def test_non_contiguous_input(self, layout, dtype, groups, kh, kw, sh,
+                                  sw):
+        base = np.random.default_rng(21).standard_normal((6, 6, 7, 8))
+        xp = NON_CONTIGUOUS[layout](base.astype(dtype))
+        assert not xp.flags.c_contiguous
+        _assert_im2col_bit_equal(xp[:, :4], groups, kh, kw, sh, sw)
+
+    def test_conv2d_on_rebound_data(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(np.zeros((2, 4, 5, 6)), requires_grad=True)
+        x.data = rng.standard_normal((2, 6, 6, 5)).transpose(0, 1, 3, 2)[:, 1:5]
+        k = Tensor(rng.standard_normal((3, 4, 3, 3)), requires_grad=True)
+        got = conv2d(x, k)
+        want = conv2d(Tensor(np.ascontiguousarray(x.data)), k)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_allocates_only_its_buffer(self):
+        # a 40-channel 1x11 strip at 64x64, padded to 64x74 beforehand: the
+        # patch buffer is the only allocation, so a temporary copy of the
+        # strided view (a reshape, say) would more than double the peak
+        xp = _padded(np.ones((1, 40, 64, 64), dtype=np.float32), 0, 5)
+        buffer_bytes = 40 * 11 * 64 * 64 * 4
+        tracemalloc.start()
+        try:
+            cols = _im2col(xp, 40, 1, 11, 1, 1, 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols.nbytes == buffer_bytes
+        assert peak <= buffer_bytes + 64 * 1024
+
+
+def _sigmoid_edges(dtype):
+    info = np.finfo(dtype)
+    tiny = float(np.nextafter(dtype(0), dtype(1)))
+    return [0.0, -0.0, tiny, -tiny, 1e4, -1e4, float(info.max),
+            -float(info.max)]
+
+
+@st.composite
+def sigmoid_inputs(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.sampled_from([(), (1,), (7,), (2, 3, 4, 5)]))
+    elements = (st.floats(allow_nan=False, allow_infinity=False,
+                          width=np.finfo(dtype).bits)
+                | st.sampled_from(_sigmoid_edges(dtype)))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
 class TestSigmoid:
+    @given(sigmoid_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_masked(self, v):
+        got = sigmoid(Tensor(v)).data
+        want = _masked_sigmoid(Tensor(v).data)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges_bit_equal_to_masked(self, dtype):
+        v = np.array(_sigmoid_edges(dtype), dtype=dtype)
+        got = sigmoid(Tensor(v)).data
+        assert got.tobytes() == _masked_sigmoid(v).tobytes()
+
     def test_zero_maps_to_half(self):
         assert sigmoid(Tensor(np.array(0.0))).item() == 0.5
 
