@@ -93,6 +93,12 @@ def _validate(values: dict[str, dict]) -> None:
     if data["min_size"] <= 0:
         raise ConfigError(
             f"[data] min_size must be positive, got {data['min_size']}")
+    # gen_scene skips each box whose diagonal reaches the canvas, and no
+    # box is smaller than min_size x min_size
+    if math.hypot(data["min_size"], data["min_size"]) >= data["canvas"]:
+        raise ConfigError(
+            f"[data] min_size {data['min_size']} cannot fit the canvas "
+            f"{data['canvas']}: a min_size square's diagonal reaches it")
     if data["min_size"] > data["max_size"]:
         raise ConfigError("[data] min_size exceeds max_size")
     ev = values["eval"]

@@ -12,7 +12,10 @@ m / (A + B - m) does not, where m is the least of the two polygons'
 areas and their bounding boxes' overlap. Those polygon areas are the
 stacked polygons' shoelace areas, which the kernel measures, not w * h:
 far from the origin the rounded polygon of a small box can be larger
-than w * h (see :func:`_may_exceed`).
+than w * h (see :func:`_may_exceed`). NMS runs in waves: the first
+NMS_BLOCK boxes that no kept box suppresses are resolved against each
+other, and their survivors then filter every later box in one kernel
+call, so a wave that clears many boxes still costs two calls.
 
 The kernel is checked against a scalar clip in the tests and against the
 independent raster oracle, which rates a pair by the share of a
@@ -180,7 +183,7 @@ def raster_iou_oracle(a: OrientedBox, b: OrientedBox, grid: int = 1024) -> float
 # per-pair vertex count instead of per-pair Python lists.
 
 IOU_CHUNK = 1024  # pairs per kernel pass; bounds the temporaries' memory
-NMS_BLOCK = 64  # score-ordered candidates resolved per NMS step
+NMS_BLOCK = 64  # score-ordered candidates resolved per NMS wave
 
 
 def _ring(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +321,8 @@ def _may_exceed(caps, areas: np.ndarray, a: np.ndarray, b: np.ndarray,
     side = np.maximum(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]), 0.0)
     m = np.minimum(np.minimum(own[a], own[b]), side[:, 0] * side[:, 1])
     # the kernel's IoU is at most 1, so a higher threshold acts as 1; the
-    # product then cannot overflow
+    # product then cannot overflow. At threshold 0 a pair with m = 0 still
+    # passes: the kernel can rate boxes that only touch above 0.
     t = np.minimum(threshold, 1.0)
     return m > (t - 1e-9) * (areas[a] + areas[b] - m)
 
@@ -346,8 +350,12 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
 
     Ordering key: score desc, then class_id asc, cx asc, cy asc. A box is
     dropped when its IoU with an already kept box exceeds the threshold.
-    Candidates are resolved NMS_BLOCK at a time: first against the boxes
-    kept so far, then in order against each other. Only pairs whose
+    Candidates are resolved in waves: the first NMS_BLOCK boxes that no
+    kept box suppresses are resolved in order against each other, their
+    survivors are kept, and one kernel call drops every later box that a
+    survivor suppresses. Each kept box comes before every remaining box,
+    so the kept list is the greedy one, and each pair reaches the kernel
+    as (later box, kept box), as in a one-by-one loop. Only pairs whose
     circles overlap and whose IoU bound (:func:`_may_exceed`) exceeds the
     threshold reach the kernel; no other pair can suppress.
     """
@@ -362,23 +370,27 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
         keep = _may_exceed(caps, areas, rows[i], cols[j], iou_threshold)
         return i[keep], j[keep]
 
-    kept = np.empty(0, dtype=np.intp)
-    for start in range(0, len(ordered), NMS_BLOCK):
-        block = np.arange(start, min(start + NMS_BLOCK, len(ordered)))
-        i, j = candidates(block, kept)
-        over = iou_pairs(polys, areas, block[i], kept[j]) > iou_threshold
-        alive = block[np.bincount(i[over], minlength=len(block)) == 0]
-        i, j = candidates(alive, alive)
+    kept = []
+    rest = np.arange(len(ordered))  # in order; no kept box suppresses one
+    while len(rest):
+        block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
+        i, j = candidates(block, block)
         later = i > j
         i, j = i[later], j[later]
-        over = iou_pairs(polys, areas, alive[i], alive[j]) > iou_threshold
-        hits = np.zeros((len(alive), len(alive)), dtype=bool)
+        over = iou_pairs(polys, areas, block[i], block[j]) > iou_threshold
+        hits = np.zeros((len(block), len(block)), dtype=bool)
         hits[i[over], j[over]] = True  # hits[l, c]: kept c would drop l
-        dropped = np.zeros(len(alive), dtype=bool)
-        for c in range(len(alive)):
+        dropped = np.zeros(len(block), dtype=bool)
+        for c in range(len(block)):
             if not dropped[c]:
                 dropped |= hits[:, c]
-        kept = np.concatenate([kept, alive[~dropped]])
+        survivors = block[~dropped]
+        kept.extend(survivors)
+        if not len(rest):
+            break
+        i, j = candidates(rest, survivors)
+        over = iou_pairs(polys, areas, rest[i], survivors[j]) > iou_threshold
+        rest = rest[np.bincount(i[over], minlength=len(rest)) == 0]
     return [ordered[k] for k in kept]
 
 

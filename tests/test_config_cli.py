@@ -63,7 +63,7 @@ BOUNDARIES = [
     ("data", "canvas", "4160", 2), ("data", "canvas", "1099511627776", 2),
     ("data", "min_size", "-1", 2), ("data", "min_size", "0", 2),
     ("data", "min_size", "0.5", 0), ("data", "min_size", "20", 0),
-    ("data", "min_size", "20.5", 2),
+    ("data", "min_size", "20.5", 2), ("data", "min_size", "46", 2),
     ("data", "max_size", "9.5", 2), ("data", "max_size", "10", 0),
     ("data", "max_size", "inf", 2),
     ("eval", "iou_threshold", "-0.1", 2), ("eval", "iou_threshold", "0", 0),
@@ -301,6 +301,22 @@ class TestConfig:
         assert "Traceback" not in err
         if code:
             assert key in err
+
+    def test_min_size_must_fit_the_canvas(self, tmp_path, capsys):
+        """gen_scene places no box whose diagonal reaches the canvas: the
+        largest min_size whose square's diagonal stays under 256 loads, the
+        next float is rejected by key, where gen_scene would exit 2 without
+        naming it."""
+        largest = 181.01933598375615
+        above = math.nextafter(largest, 256.0)
+        assert math.hypot(largest, largest) < 256 <= math.hypot(above, above)
+        path = tmp_path / "c.ini"
+        path.write_text(f"[data]\nmin_size = {largest!r}\nmax_size = 200\n")
+        assert load_config(str(path)).scene.min_size == largest
+        path.write_text(f"[data]\nmin_size = {above!r}\nmax_size = 200\n")
+        assert main(["--config", str(path), "eval", "--mode", "model"]) == 2
+        err = capsys.readouterr().err
+        assert "[data] min_size" in err and "canvas 256" in err
 
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "c.ini"

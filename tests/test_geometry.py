@@ -1,5 +1,6 @@
 """Rotated-box geometry: polygons, IoU routes, NMS, annotations."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -11,10 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotdet import geometry
+from rotdet.config import load_config
 from rotdet.geometry import (OrientedBox, box_polygons, iou_matrix,
                              iou_pairs, load_annotations, points_in_box,
                              raster_iou_oracle, rotated_iou, rotated_nms,
                              save_annotations)
+from rotdet.pyramid import NetworkWeights, assemble_forward, decode_boxes
+from rotdet.scenes import gen_scene
+from rotdet.tensor import Tensor
 
 # The batched kernel guards its divisions; a warning here is a defect.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -105,21 +110,34 @@ def _reference_nms(boxes, iou_threshold):
     return kept
 
 
-def _unpruned_nms(boxes, iou_threshold):
-    """rotated_nms before the IoU bound, kept as its oracle: every pair
-    whose circumscribed circles overlap goes through the kernel."""
+def _blocked_nms(boxes, iou_threshold, bound=True):
+    """rotated_nms before its waves, kept as their oracle: each block of
+    NMS_BLOCK candidates is tested against every box kept so far, then
+    resolved in order against itself, two kernel calls per block. With
+    bound=False every pair whose circumscribed circles overlap goes
+    through the kernel, as before the IoU bound."""
     ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
     if not iou_threshold >= 0.0:
         return ordered[:1]
     polys, areas, centers, radii = geometry._stack(ordered)
+    caps = geometry._overlap_caps(polys)
+
+    def candidates(rows, cols):
+        i, j = geometry._near_pairs(centers, radii, rows, cols)
+        if not bound:
+            return i, j
+        keep = geometry._may_exceed(caps, areas, rows[i], cols[j],
+                                    iou_threshold)
+        return i[keep], j[keep]
+
     kept = np.empty(0, dtype=np.intp)
     for start in range(0, len(ordered), geometry.NMS_BLOCK):
         block = np.arange(start, min(start + geometry.NMS_BLOCK, len(ordered)))
-        i, j = geometry._near_pairs(centers, radii, block, kept)
+        i, j = candidates(block, kept)
         over = geometry.iou_pairs(polys, areas, block[i], kept[j]) \
             > iou_threshold
         alive = block[np.bincount(i[over], minlength=len(block)) == 0]
-        i, j = geometry._near_pairs(centers, radii, alive, alive)
+        i, j = candidates(alive, alive)
         later = i > j
         i, j = i[later], j[later]
         over = geometry.iou_pairs(polys, areas, alive[i], alive[j]) \
@@ -132,6 +150,11 @@ def _unpruned_nms(boxes, iou_threshold):
                 dropped |= hits[:, c]
         kept = np.concatenate([kept, alive[~dropped]])
     return [ordered[k] for k in kept]
+
+
+def _unpruned_nms(boxes, iou_threshold):
+    """rotated_nms before the IoU bound, kept as its oracle."""
+    return _blocked_nms(boxes, iou_threshold, bound=False)
 
 
 def decisive(pairs, threshold):
@@ -780,3 +803,91 @@ class TestNmsBound:
             assert _unpruned_nms(boxes, 0.3) == kept
             unpruned = sum(sent)
         assert pruned < unpruned
+
+
+# SHA-256 of the boxes rotated_nms keeps at 0.3 from the decoded boxes of
+# 256² scenes (the benchmark's seed-1 `detect` inputs) under the default
+# config's f32 weights, as float.hex records of cx cy w h theta score and
+# the class id: (scene seed, boxes kept, digest).
+PINNED_DETECT = [
+    (100000, 248,
+     "cbcaa7577d78cd8c58e034b15c11132a3dee6ae97566d6a77f2835fd392a2268"),
+    (100001, 243,
+     "04f7ce2097700c0674f0529f3d10fecc402467cb3fa6e783f207e6b45bdbb92a"),
+    (100002, 240,
+     "8d5453c57fcff11e8bfad6ca2fac5147513cf99445aa58ce5cc14189073bc030"),
+]
+
+
+class TestNmsWaves:
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @given(st.one_of(box_lists(), far_box_lists()),
+           st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_blocked(self, block, boxes, threshold):
+        """Waves and blocks send each pair to the kernel in the same
+        order, so the kept lists are identical, not merely close."""
+        with mock.patch.object(geometry, "NMS_BLOCK", block):
+            assert rotated_nms(boxes, threshold) == \
+                _blocked_nms(boxes, threshold)
+
+    def test_fewer_kernel_calls(self):
+        """A wave's survivors filter every later box in one call, where
+        the blocks made two calls per block of 64."""
+        boxes = _scattered_boxes()
+        calls = []
+
+        def counting(polys, areas, subj, clip):
+            calls.append(len(subj))
+            return iou_pairs(polys, areas, subj, clip)
+
+        with mock.patch.object(geometry, "iou_pairs", counting):
+            kept = rotated_nms(boxes, 0.3)
+            waves = len(calls)
+            calls.clear()
+            assert _blocked_nms(boxes, 0.3) == kept
+            blocks = len(calls)
+        assert waves < blocks
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_touching_pair_with_no_box_overlap(self, block):
+        """Bounding boxes that do not overlap do not make the kernel IoU
+        0: this touching pair rates 5e-20 (0 in the other clip order), so
+        at threshold 0 the bound must pass it and NMS drops the
+        lower-scored box, whether the pair meets inside a wave (block 64)
+        or in a wave's filter (block 1)."""
+        a = OrientedBox(-28.12128217765281, -4.174785503512246,
+                        12.434099597092574, 9.282443245683297, math.pi / 2,
+                        score=0.5)
+        b = OrientedBox(-33.513628247351335, -11.999210336674352,
+                        16.727495476791763, 1.2471457941228206,
+                        4.697129181944884)
+        polys, areas, _, _ = geometry._stack([a, b])
+        caps = geometry._overlap_caps(polys)
+        lo, hi, _ = caps
+        assert min(hi[0][0], hi[1][0]) <= max(lo[0][0], lo[1][0])
+        subj, clip = np.array([0]), np.array([1])
+        assert iou_pairs(polys, areas, subj, clip)[0] > 0.0
+        assert iou_pairs(polys, areas, clip, subj)[0] == 0.0
+        assert geometry._may_exceed(caps, areas, subj, clip, 0.0).all()
+        with mock.patch.object(geometry, "NMS_BLOCK", block):
+            assert rotated_nms([a, b], 0.0) == [b]
+
+    def test_detect_kept_boxes_pinned(self):
+        cfg = load_config()
+        weights = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                                        cfg.network, dtype=np.float32)
+        for p in weights.parameters():
+            p.requires_grad = False
+        for seed, count, digest in PINNED_DETECT:
+            image, _ = gen_scene(seed, cfg.scene, cfg.canvas)
+            _, head = assemble_forward(
+                Tensor(image.data[np.newaxis], dtype=np.float32), weights)
+            kept = rotated_nms(
+                decode_boxes(head, cfg.network, cfg.score_threshold), 0.3)
+            records = "\n".join(
+                " ".join(float(v).hex()
+                         for v in (b.cx, b.cy, b.w, b.h, b.theta, b.score))
+                + f" {b.class_id}" for b in kept)
+            assert len(kept) == count
+            assert hashlib.sha256(records.encode()).hexdigest() == digest
