@@ -138,8 +138,7 @@ def cmd_gradcheck(cfg: Config, args) -> int:
 def cmd_angle_codec(cfg: Config, args) -> int:
     omega = cfg.network.omega
     if args.out is not None and args.input is None:
-        print("error: angle-codec --out needs --input", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("angle-codec --out needs --input")
     if args.encode is not None:
         code = eaem.encode(_reduce_angles(args.encode, omega), omega)
         print(f"theta={args.encode:.9f} omega={omega} -> "
@@ -152,8 +151,7 @@ def cmd_angle_codec(cfg: Config, args) -> int:
         return EXIT_OK
     thetas = load_tensor(args.input).data.astype(np.float64).ravel()
     if thetas.size == 0:
-        print(f"error: {args.input} holds no angles", file=sys.stderr)
-        return EXIT_USAGE
+        raise FormatError(f"{args.input} holds no angles")
     thetas = _reduce_angles(thetas, omega)
     code = eaem.encode(thetas, omega)
     back = eaem.decode(code)
@@ -258,15 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("param-count", help="separable vs full parameter audit")
+    p = sub.add_parser("param-count", help="separable vs full parameter audit")
+    p.set_defaults(run=cmd_param_count)
 
     p = sub.add_parser("forward", help="run the network, dump intermediates")
+    p.set_defaults(run=cmd_forward)
     p.add_argument("--image", help="input image (.pgm or .rmkt); default zeros")
     p.add_argument("--out", required=True, help="dump directory")
 
-    sub.add_parser("gradcheck", help="finite-difference verification suite")
+    p = sub.add_parser("gradcheck", help="finite-difference verification suite")
+    p.set_defaults(run=cmd_gradcheck)
 
     p = sub.add_parser("angle-codec", help="encode/decode orientations")
+    p.set_defaults(run=cmd_angle_codec)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--encode", type=_finite_float, help="angle in radians")
     mode.add_argument("--decode", type=_finite_float, nargs=2,
@@ -275,39 +277,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="RMKT file for the codes; needs --input")
 
     p = sub.add_parser("boundary-exp", help="periodic-boundary loss experiment")
+    p.set_defaults(run=cmd_boundary_exp)
     p.add_argument("--steps", type=_non_negative_int, default=500)
     p.add_argument("--lr", type=_positive_float, default=0.1)
     p.add_argument("--csv", help="directory for per-step loss traces")
 
     p = sub.add_parser("eval", help="synthetic-scene detection evaluation")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--mode", choices=("model", "oracle", "empty"),
                    default="model")
 
     p = sub.add_parser("gen-data", help="write synthetic scenes to disk")
+    p.set_defaults(run=cmd_gen_data)
     p.add_argument("--out", required=True)
     return parser
 
 
-_COMMANDS = {
-    "param-count": cmd_param_count,
-    "forward": cmd_forward,
-    "gradcheck": cmd_gradcheck,
-    "angle-codec": cmd_angle_codec,
-    "boundary-exp": cmd_boundary_exp,
-    "eval": cmd_eval,
-    "gen-data": cmd_gen_data,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. argparse exits 2 on a bad command line itself; every
+    other bad input, a config value or a file, is reported here."""
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](cfg, args)
+        args = build_parser().parse_args(argv)
+        return args.run(load_config(args.config), args)
     except (ConfigError, FormatError, ShapeError, GenerationError,
             DegenerateInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,10 @@ from .scenes import SceneSpec
 
 _DEFAULTS = {
     "network": {f.name: f.default for f in fields(NetworkConfig)},
-    "data": {"seed": 42, "images": 4, "objects": 3, "canvas": 256,
-             "min_size": 20.0, "max_size": 60.0},
+    # a scene's class count is [network] classes
+    "data": {"seed": 42, "images": 4, "canvas": 256,
+             **{f.name: f.default for f in fields(SceneSpec)
+                if f.name != "classes"}},
     "eval": {"iou_threshold": 0.5, "nms_threshold": 0.3,
              "score_threshold": 0.05, "coco_sweep": False},
 }
@@ -63,36 +65,37 @@ def _parse_value(section: str, key: str, raw: str):
 
 
 def _validate(values: dict[str, dict]) -> None:
-    net = values["network"]
-    if not (0.0 < net["omega"] <= 2.0):
-        raise ConfigError(f"[network] omega must be in (0, 2], got {net['omega']}")
-    if net["strip_len"] < 3 or net["strip_len"] % 2 == 0:
-        raise ConfigError(
-            f"[network] strip_len must be odd and >= 3, got {net['strip_len']}")
-    # an even window would shrink the attention map against its input
-    if net["pool_window"] < 1 or net["pool_window"] % 2 == 0:
-        raise ConfigError(
-            f"[network] pool_window must be odd and >= 1, got {net['pool_window']}")
-    for key in ("stem_channels", "branch_out", "backbone_channels",
-                "anchors", "classes"):
-        if net[key] < 1:
-            raise ConfigError(f"[network] {key} must be positive")
-    if net["anchor_scale"] <= 0:
-        raise ConfigError(
-            f"[network] anchor_scale must be positive, got {net['anchor_scale']}")
+    def positive(v):
+        return v > 0
+
+    # per section, key: (test, what the value must be)
+    ranges = {
+        "network": {
+            "omega": (lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
+            "strip_len": (lambda v: v >= 3 and v % 2 == 1, "odd and >= 3"),
+            # an even window would shrink the attention map against its input
+            "pool_window": (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"),
+            **{key: (positive, "positive") for key in (
+                "stem_channels", "branch_out", "backbone_channels", "anchors",
+                "classes", "anchor_scale")},
+        },
+        "data": {
+            "canvas": (lambda v: 64 <= v <= MAX_CANVAS and v % 64 == 0,
+                       f"a multiple of 64 in [64, {MAX_CANVAS}]"),
+            "seed": (lambda v: v >= 0, ">= 0"),
+            **{key: (positive, "positive")
+               for key in ("images", "objects", "min_size")},
+        },
+        "eval": {key: (lambda v: 0.0 <= v <= 1.0, "in [0, 1]") for key in (
+            "iou_threshold", "nms_threshold", "score_threshold")},
+    }
+    for section, rules in ranges.items():
+        for key, (test, what) in rules.items():
+            value = values[section][key]
+            if not test(value):
+                raise ConfigError(
+                    f"[{section}] {key} must be {what}, got {value}")
     data = values["data"]
-    if not 64 <= data["canvas"] <= MAX_CANVAS or data["canvas"] % 64:
-        raise ConfigError(
-            f"[data] canvas must be a multiple of 64 in [64, {MAX_CANVAS}], "
-            f"got {data['canvas']}")
-    if data["seed"] < 0:
-        raise ConfigError(f"[data] seed must be >= 0, got {data['seed']}")
-    for key in ("images", "objects"):
-        if data[key] < 1:
-            raise ConfigError(f"[data] {key} must be positive, got {data[key]}")
-    if data["min_size"] <= 0:
-        raise ConfigError(
-            f"[data] min_size must be positive, got {data['min_size']}")
     # gen_scene skips each box whose diagonal reaches the canvas, and no
     # box is smaller than min_size x min_size
     if math.hypot(data["min_size"], data["min_size"]) >= data["canvas"]:
@@ -100,11 +103,9 @@ def _validate(values: dict[str, dict]) -> None:
             f"[data] min_size {data['min_size']} cannot fit the canvas "
             f"{data['canvas']}: a min_size square's diagonal reaches it")
     if data["min_size"] > data["max_size"]:
-        raise ConfigError("[data] min_size exceeds max_size")
-    ev = values["eval"]
-    for key in ("iou_threshold", "nms_threshold", "score_threshold"):
-        if not (0.0 <= ev[key] <= 1.0):
-            raise ConfigError(f"[eval] {key} must be in [0, 1]")
+        raise ConfigError(
+            f"[data] min_size {data['min_size']} exceeds max_size "
+            f"{data['max_size']}")
 
 
 def load_config(path: str | None = None) -> Config:

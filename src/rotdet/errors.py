@@ -18,7 +18,8 @@ class GenerationError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Configuration file is malformed or contains unknown keys."""
+    """A config file or command line is malformed, names an unknown key, or
+    asks for a value or combination of options that is out of range."""
 
 
 class FormatError(ValueError):

@@ -305,7 +305,7 @@ def _overlap_caps(polys: np.ndarray):
 def _may_exceed(caps, areas: np.ndarray, a: np.ndarray, b: np.ndarray,
                 threshold) -> np.ndarray:
     """Which pairs (a[k], b[k]) an exact upper bound on their kernel IoU
-    cannot rule out above the threshold.
+    cannot rule out above the threshold, which is at most 1.
 
     The intersection lies in both polygons and in the overlap of their
     bounding boxes, so its area is at most m = min(P_a, P_b, overlap
@@ -320,11 +320,9 @@ def _may_exceed(caps, areas: np.ndarray, a: np.ndarray, b: np.ndarray,
     lo, hi, own = caps
     side = np.maximum(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]), 0.0)
     m = np.minimum(np.minimum(own[a], own[b]), side[:, 0] * side[:, 1])
-    # the kernel's IoU is at most 1, so a higher threshold acts as 1; the
-    # product then cannot overflow. At threshold 0 a pair with m = 0 still
-    # passes: the kernel can rate boxes that only touch above 0.
-    t = np.minimum(threshold, 1.0)
-    return m > (t - 1e-9) * (areas[a] + areas[b] - m)
+    # At threshold 0 a pair with m = 0 still passes: the kernel can rate
+    # boxes that only touch above 0.
+    return m > (threshold - 1e-9) * (areas[a] + areas[b] - m)
 
 
 def iou_matrix(subjects: list[OrientedBox],
@@ -357,11 +355,15 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
     so the kept list is the greedy one, and each pair reaches the kernel
     as (later box, kept box), as in a one-by-one loop. Only pairs whose
     circles overlap and whose IoU bound (:func:`_may_exceed`) exceeds the
-    threshold reach the kernel; no other pair can suppress.
+    threshold reach the kernel; no other pair can suppress. No kernel IoU
+    exceeds 1, so at a threshold of 1 or more the ordered list returns at
+    once.
     """
     ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
     if not iou_threshold >= 0.0:
         return ordered[:1]  # every IoU, 0 included, exceeds it
+    if iou_threshold >= 1.0:
+        return ordered
     polys, areas, centers, radii = _stack(ordered)
     caps = _overlap_caps(polys)
 
@@ -386,8 +388,6 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
                 dropped |= hits[:, c]
         survivors = block[~dropped]
         kept.extend(survivors)
-        if not len(rest):
-            break
         i, j = candidates(rest, survivors)
         over = iou_pairs(polys, areas, rest[i], survivors[j]) > iou_threshold
         rest = rest[np.bincount(i[over], minlength=len(rest)) == 0]

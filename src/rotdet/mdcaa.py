@@ -67,8 +67,7 @@ class MdcaaWeights(WeightSet):
 def mdcaa_weights(f: Tensor, w: MdcaaWeights) -> Tensor:
     """Attention map with the same extents as ``f``, values in (0, 1)."""
     pw = w.pool_window
-    pooled = avg_pool(f, (pw, pw), stride=(1, 1),
-                      padding=((pw - 1) // 2, (pw - 1) // 2))
+    pooled = avg_pool(f, (pw, pw), padding=((pw - 1) // 2, (pw - 1) // 2))
     pooled = w.pointwise(pooled)
     hv = w.seq_horizontal(w.seq_vertical(pooled))
     fused = w.fusion(concat_channels([w.diag_main(hv), w.diag_anti(hv),

@@ -207,7 +207,7 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
         _, hh, ww = scores.shape
         scores = scores.reshape(a, k, hh, ww)
         cls_id = np.argmax(scores, axis=1)
-        score = np.take_along_axis(scores, cls_id[:, np.newaxis], axis=1)[:, 0]
+        score = scores.max(axis=1)
         ai, r, c = np.nonzero(score >= score_threshold)
         d = deltas.data[image_index].reshape(a, 6, hh, ww)
         d = d[ai, :, r, c].astype(np.float64)

@@ -416,10 +416,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
     return Tensor._from_op(out, parents, bwd)
 
 
-def avg_pool(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
-    """Mean pooling with zero padding; the divisor always counts padded cells.
+def avg_pool(x: Tensor, window, padding=(0, 0)) -> Tensor:
+    """Mean pooling at stride 1 with zero padding; the divisor always counts
+    padded cells.
 
-    The output is the sum of kh*kw strided views of the padded input, added
+    The output is the sum of kh*kw shifted views of the padded input, added
     in row-major window order, times 1/(kh*kw).
     """
     if x.ndim != 4:
@@ -427,18 +428,17 @@ def avg_pool(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
     kh, kw = _as_pair(window)
     if kh < 1 or kw < 1:
         raise ContractError("pool window must be >= 1 per axis")
-    sh, sw = _as_pair(stride if stride is not None else window)
     ph, pw = _as_pair(padding)
     n, c, h, w = x.shape
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
+    oh = h + 2 * ph - kh + 1
+    ow = w + 2 * pw - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"avg_pool output would be empty: ({oh}, {ow})")
 
     xp = _padded(x.data, ph, pw)
     xp_shape = xp.shape
     out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    for _, _, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
+    for _, _, rs, cs in _windows(kh, kw, 1, 1, oh, ow):
         out += xp[..., rs, cs]
     inv = 1.0 / (kh * kw)
     out *= inv
@@ -446,7 +446,7 @@ def avg_pool(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
     def bwd(g):
         gi = g * inv
         gxp = np.zeros(xp_shape, dtype=gi.dtype)
-        for _, _, rs, cs in _windows(kh, kw, sh, sw, oh, ow):
+        for _, _, rs, cs in _windows(kh, kw, 1, 1, oh, ow):
             gxp[..., rs, cs] += gi
         x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
 

@@ -300,7 +300,7 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if code:
-            assert key in err
+            assert err.startswith("error: ") and key in err
 
     def test_min_size_must_fit_the_canvas(self, tmp_path, capsys):
         """gen_scene places no box whose diagonal reaches the canvas: the
@@ -339,7 +339,15 @@ class TestFlags:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if code == 2:
+            # argparse's own usage error, or main's one error line
+            assert err.startswith(("usage: ", "error: "))
             assert named.format(**flag_paths) in err
+
+    def test_every_command_has_a_handler(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        for name, parser in sub.choices.items():
+            assert callable(parser.get_default("run")), name
 
 
 class TestInferenceWeights:

@@ -638,13 +638,23 @@ class TestBatchedNms:
                            1.0)
         assert len(kept) == 3
 
-    @pytest.mark.parametrize("threshold", [2.0, 1e308, math.inf])
+    @pytest.mark.parametrize("threshold", [1.0, 2.0, 1e308, math.inf])
     def test_threshold_above_one_keeps_everything(self, threshold):
+        """No kernel IoU exceeds 1, so the ordered list returns without a
+        kernel call."""
         # 1e-200 boxes have areas that round to 0
         boxes = [OrientedBox(0, 0, 2, 2, 0), OrientedBox(0.5, 0, 2, 2, 0),
                  OrientedBox(9, 9, 1e-200, 1e-200, 0),
                  OrientedBox(9, 9, 1e-200, 1e-200, 0, score=0.5)]
-        assert rotated_nms(boxes, threshold) == boxes
+        calls = []
+
+        def counting(polys, areas, subj, clip):
+            calls.append(len(subj))
+            return iou_pairs(polys, areas, subj, clip)
+
+        with mock.patch.object(geometry, "iou_pairs", counting):
+            assert rotated_nms(boxes, threshold) == boxes
+        assert calls == []
 
     def test_threshold_zero_drops_any_overlap(self):
         a = OrientedBox(0, 0, 2, 2, 0, score=0.9)

@@ -125,8 +125,7 @@ def _sandwich_weights(f, w):
     1xm strip between two quarter turns: the oracle of ``mdcaa_weights``,
     over weights from ``_sandwich_create``."""
     pw = w.pool_window
-    pooled = avg_pool(f, (pw, pw), stride=(1, 1),
-                      padding=((pw - 1) // 2, (pw - 1) // 2))
+    pooled = avg_pool(f, (pw, pw), padding=((pw - 1) // 2, (pw - 1) // 2))
     pooled = w.pointwise(pooled)
     hv = w.seq_horizontal(w.seq_vertical(pooled))
     chv = concat_channels([w.horizontal(pooled), w.vertical(pooled)])

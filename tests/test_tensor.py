@@ -141,16 +141,15 @@ def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
     return Tensor._from_op(out, parents, bwd)
 
 
-def _reference_avg_pool(x, window, stride=None, padding=(0, 0)):
+def _reference_avg_pool(x, window, padding=(0, 0)):
     """avg_pool as a sum over an (N, C, kh, kw, oh, ow) im2col buffer."""
     kh, kw = _as_pair(window)
-    sh, sw = _as_pair(stride if stride is not None else window)
     ph, pw = _as_pair(padding)
     n, c, h, w = x.shape
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
+    oh = h + 2 * ph - kh + 1
+    ow = w + 2 * pw - kw + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _reference_im2col(xp, kh, kw, sh, sw, oh, ow)
+    cols = _reference_im2col(xp, kh, kw, 1, 1, oh, ow)
     inv = 1.0 / (kh * kw)
     out = cols.sum(axis=(2, 3)) * inv
 
@@ -158,7 +157,7 @@ def _reference_avg_pool(x, window, stride=None, padding=(0, 0)):
         gcols = np.broadcast_to(
             (g * inv)[:, :, None, None], (n, c, kh, kw, oh, ow))
         gxp = _reference_col2im(np.ascontiguousarray(gcols), xp.shape, kh, kw,
-                                sh, sw, oh, ow)
+                                1, 1, oh, ow)
         x._accumulate(gxp[:, :, ph:ph + h, pw:pw + w])
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), bwd)
@@ -302,18 +301,18 @@ class TestAvgPool:
 
     def test_constant_field(self):
         x = Tensor(np.full((1, 1, 6, 6), 3.5))
-        out = avg_pool(x, (3, 3), stride=(1, 1))
+        out = avg_pool(x, (3, 3))
         np.testing.assert_allclose(out.data, 3.5)
 
     def test_direct_mean(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        out = avg_pool(x, (2, 2), stride=(1, 1))
+        out = avg_pool(x, (2, 2))
         np.testing.assert_allclose(out.data, [[[[2.5]]]])
 
     def test_count_include_pad(self):
         # padded cells are zeros and stay in the divisor
         x = Tensor(np.ones((1, 1, 2, 2)))
-        out = avg_pool(x, (3, 3), stride=(1, 1), padding=(1, 1))
+        out = avg_pool(x, (3, 3), padding=(1, 1))
         assert out.data[0, 0, 0, 0] == pytest.approx(4.0 / 9.0)
 
     def test_empty_output_rejected(self):
@@ -392,19 +391,17 @@ class TestAgainstReference:
             _assert_rel_close(got, want, REFERENCE_TOL[want.dtype.type])
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
-           st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7]),
-           st.sampled_from([None, 1, 2]), st.booleans(),
+           st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7]), st.booleans(),
            st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
     @settings(max_examples=150, deadline=None)
-    def test_avg_pool_output_and_gradient(self, n, c, h, w, k, stride, same,
-                                          dtype, seed):
+    def test_avg_pool_output_and_gradient(self, n, c, h, w, k, same, dtype,
+                                          seed):
         pad = (k - 1) // 2 if same else 0
         assume(min(h, w) + 2 * pad >= k)  # a non-empty output
         xd = np.random.default_rng(seed).standard_normal(
             (n, c, h, w)).astype(dtype)
         results = [
-            _out_and_grads(lambda x, op=op: op(x, k, stride=stride,
-                                               padding=pad),
+            _out_and_grads(lambda x, op=op: op(x, k, padding=pad),
                            [Tensor(xd, requires_grad=True)], seed + 1)
             for op in (avg_pool, _reference_avg_pool)]
         for got, want in zip(*results):
