@@ -23,15 +23,15 @@ METHODS = ("direct_smoothl1", "eaem_chord")
 JUMP_THRESHOLD = 0.5
 TARGET_COUNT = 32
 TARGET_DELTA = 0.05
+LANDSCAPE_SAMPLES = 4096  # predicted angles per swept period
 
 
-def loss_landscape(method: str, target_theta: float, omega: float = 1.0,
-                   samples: int = 4096) -> np.ndarray:
-    """Loss over predicted angles swept uniformly across one period."""
-    if samples < 16:
-        raise ValueError("need at least 16 samples")
+def loss_landscape(method: str, target_theta: float,
+                   omega: float = 1.0) -> np.ndarray:
+    """Loss over LANDSCAPE_SAMPLES predicted angles swept uniformly across
+    one period."""
     p = eaem.period(omega)
-    thetas = np.arange(samples) * (p / samples)
+    thetas = np.arange(LANDSCAPE_SAMPLES) * (p / LANDSCAPE_SAMPLES)
     if method == "direct_smoothl1":
         return smooth_l1(Tensor(thetas - target_theta)).data
     if method == "eaem_chord":

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import angle as eaem
 from . import boundary, gradsuite
-from .config import Config, load_config
+from .config import MAX_CANVAS, Config, load_config
 from .errors import (ConfigError, DegenerateInputError, FormatError,
                      GenerationError, ShapeError)
 from .evalmap import eval_map, eval_map_sweep
@@ -108,11 +108,27 @@ def cmd_forward(cfg: Config, args) -> int:
             img = load_tensor(path).data
             if img.ndim == 3:
                 img = img[np.newaxis]
+        # the cap on [data] canvas, which bounds the forward's memory
+        if max(img.shape[-2:], default=0) > MAX_CANVAS:
+            extent = "x".join(str(d) for d in img.shape[-2:])
+            raise ShapeError(f"{path}: image extent {extent} must be at most "
+                             f"{MAX_CANVAS} per side")
     else:
         size = cfg.canvas
         img = np.zeros((1, 3, size, size))
-    image = Tensor(img, dtype=dtype)
-    feats, head = assemble_forward(image, _inference_weights(cfg, args, dtype))
+    weights = _inference_weights(cfg, args, dtype)
+    # every Tensor rejects a non-finite value, so numpy's overflow warnings
+    # would only repeat the error below
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats, head = assemble_forward(Tensor(img, dtype=dtype), weights)
+    except ValueError as exc:
+        # only that check raises a bare ValueError here: a value of the
+        # image, or one computed from it, overflows the dtype
+        if type(exc) is not ValueError:
+            raise
+        raise FormatError(f"{args.image}: {exc}: the image overflows the "
+                          f"{args.dtype} forward pass") from None
     named = {**feats, **head.named()}
     lines = []
     for name, tensor in named.items():

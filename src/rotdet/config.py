@@ -14,6 +14,8 @@ from .errors import ConfigError
 from .pyramid import NetworkConfig
 from .scenes import SceneSpec
 
+# per section, each key's default; a value read for a key takes its
+# default's type
 _DEFAULTS = {
     "network": {f.name: f.default for f in fields(NetworkConfig)},
     # a scene's class count is [network] classes
@@ -26,10 +28,6 @@ _DEFAULTS = {
 # forward memory grows with the pixel count: about 0.3 GiB at 1024², so
 # about 5 GB at 4096² and 20 GB at 8192²
 MAX_CANVAS = 4096
-# each key takes the type of its default
-_SCHEMA: dict[str, dict[str, type]] = {
-    section: {key: type(value) for key, value in defaults.items()}
-    for section, defaults in _DEFAULTS.items()}
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class Config:
 
 
 def _parse_value(section: str, key: str, raw: str):
-    typ = _SCHEMA[section][key]
+    typ = type(_DEFAULTS[section][key])
     try:
         if typ is bool:
             low = raw.strip().lower()
@@ -123,25 +121,22 @@ def load_config(path: str | None = None) -> Config:
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in _DEFAULTS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
+                if key not in _DEFAULTS[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 values[section][key] = _parse_value(section, key, raw)
     _validate(values)
     net = values["network"]
     data = values["data"]
-    ev = values["eval"]
+    scene = {f.name: data[f.name] for f in fields(SceneSpec)
+             if f.name != "classes"}
     return Config(
         network=NetworkConfig(**net),
         data_seed=data["seed"],
         images=data["images"],
-        scene=SceneSpec(objects=data["objects"], classes=net["classes"],
-                        min_size=data["min_size"], max_size=data["max_size"]),
+        scene=SceneSpec(classes=net["classes"], **scene),
         canvas=data["canvas"],
-        iou_threshold=ev["iou_threshold"],
-        nms_threshold=ev["nms_threshold"],
-        score_threshold=ev["score_threshold"],
-        coco_sweep=ev["coco_sweep"],
+        **values["eval"],
     )

@@ -17,6 +17,9 @@ from .geometry import OrientedBox, iou_matrix
 # unused here; benchmarks/tracer.py wraps this binding by name
 from .geometry import rotated_iou  # noqa: F401
 
+# the COCO IoU sweep, 0.50:0.95 in steps of 0.05
+COCO_THRESHOLDS = tuple(float(t) for t in np.arange(0.5, 1.0, 0.05))
+
 
 def _ap_from_pr(tp_flags: np.ndarray, n_truth: int) -> float:
     """All-point AP of ranked match flags against ``n_truth >= 1`` truths;
@@ -92,11 +95,10 @@ def eval_map(preds: list[list[OrientedBox]], truth: list[list[OrientedBox]],
     return _map_at(_match_tables(preds, truth), iou_thresh)
 
 
-def eval_map_sweep(preds, truth,
-                   thresholds=tuple(np.arange(0.5, 1.0, 0.05))) -> float:
-    """COCO-style mean of single-threshold mAP over an IoU sweep.
+def eval_map_sweep(preds, truth) -> float:
+    """COCO-style mean of single-threshold mAP over COCO_THRESHOLDS.
 
     The IoU matrices are built once and matched at every threshold.
     """
     tables = _match_tables(preds, truth)
-    return float(np.mean([_map_at(tables, float(t))[0] for t in thresholds]))
+    return float(np.mean([_map_at(tables, t)[0] for t in COCO_THRESHOLDS]))

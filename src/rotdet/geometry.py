@@ -394,8 +394,7 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
     return [ordered[k] for k in kept]
 
 
-# -- annotation file format ---------------------------------------------------
-# One object per line: "cx cy w h theta class_id"; '#' starts a comment.
+# -- annotation files, as gen-data writes them --------------------------------
 
 
 def save_annotations(path, boxes: list[OrientedBox]) -> None:
@@ -405,17 +404,3 @@ def save_annotations(path, boxes: list[OrientedBox]) -> None:
             fh.write(f"{b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f} "
                      f"{b.theta:.9f} {b.class_id}\n")
 
-
-def load_annotations(path) -> list[OrientedBox]:
-    boxes = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"bad annotation line: {line!r}")
-            cx, cy, w, h, theta = map(float, parts[:5])
-            boxes.append(OrientedBox(cx, cy, w, h, theta, class_id=int(parts[5])))
-    return boxes

@@ -40,7 +40,9 @@ STRIDES = (8, 16, 32)
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Channel and head bookkeeping for the assembled network."""
+    """The ``[network]`` config keys: channel widths, MDCAA strip and pool
+    sizes, the angle codec's omega, and the head's anchors, classes and
+    anchor scale. ``strides`` are those of the fused levels."""
 
     stem_channels: int = 8
     branch_out: int = 8
@@ -51,15 +53,6 @@ class NetworkConfig:
     anchors: int = 1
     classes: int = 2
     anchor_scale: float = 4.0
-
-    @property
-    def tower_channels(self) -> int:
-        return 5 * self.branch_out
-
-    @property
-    def fused_channels(self) -> tuple[int, int, int]:
-        c, t = self.backbone_channels, self.tower_channels
-        return (c + t, c + t, c + 2 * t)
 
     @property
     def strides(self) -> tuple[int, int, int]:
@@ -105,7 +98,8 @@ class NetworkWeights(WeightSet):
                                         dtype=dtype) for oc, ic in chain]
         w.tower_stem = ConvParams.create(rng, cfg.stem_channels, 3, 3, 3,
                                          stride=(2, 2), dtype=dtype)
-        tc = cfg.tower_channels
+        # an MSK module concatenates four strip branches and the identity
+        tc = 5 * cfg.branch_out
         for level in range(4):
             in_c = tc if level else cfg.stem_channels
             w.msk.append(MskModuleWeights.create(
@@ -120,7 +114,8 @@ class NetworkWeights(WeightSet):
         for name in ("CP2", "CP3", "CP4", "N5"):
             w.fusion_adjust[name] = ConvParams.create(rng, tc, tc, 3, 3,
                                                       stride=(2, 2), dtype=dtype)
-        for fc in cfg.fused_channels:
+        # [C3 | CP2], [C4 | CP3], [C5 | CP4 | N5]
+        for fc in (bc + tc, bc + tc, bc + 2 * tc):
             w.head_cls.append(ConvParams.create(
                 rng, cfg.anchors * cfg.classes, fc, 3, 3, dtype=dtype))
             w.head_box.append(ConvParams.create(

@@ -101,9 +101,8 @@ def test_criterion_4_boundary_continuity(report):
                 assert d <= 2 * omega * eps * (1 + 1e-6)
         p = angle.period(1.0)
         for target in (0.01, p - 0.01):
-            chord = boundary.loss_landscape("eaem_chord", target, 1.0, 4096)
-            direct = boundary.loss_landscape("direct_smoothl1", target,
-                                             1.0, 4096)
+            chord = boundary.loss_landscape("eaem_chord", target, 1.0)
+            direct = boundary.loss_landscape("direct_smoothl1", target, 1.0)
             assert boundary.count_jumps(chord) == 0
             assert boundary.count_jumps(direct) == 1
 

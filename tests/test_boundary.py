@@ -6,44 +6,43 @@ import numpy as np
 import pytest
 
 from rotdet import angle
-from rotdet.boundary import (boundary_targets, compare_methods, count_jumps,
-                             loss_landscape, run_regression)
+from rotdet.boundary import (LANDSCAPE_SAMPLES, boundary_targets,
+                             compare_methods, count_jumps, loss_landscape,
+                             run_regression)
 
 
 class TestLandscape:
     def test_direct_jumps_once_at_wrap(self):
-        trace = loss_landscape("direct_smoothl1", 0.01, 1.0, 4096)
+        trace = loss_landscape("direct_smoothl1", 0.01, 1.0)
         assert count_jumps(trace) == 1
 
     def test_direct_smooth_for_central_target(self):
-        trace = loss_landscape("direct_smoothl1", math.pi, 1.0, 4096)
+        trace = loss_landscape("direct_smoothl1", math.pi, 1.0)
         assert count_jumps(trace) == 0
 
     def test_chord_never_jumps(self):
         for target in (0.01, 1.0, math.pi, 2 * math.pi - 0.01):
-            trace = loss_landscape("eaem_chord", target, 1.0, 4096)
+            trace = loss_landscape("eaem_chord", target, 1.0)
             assert count_jumps(trace) == 0
 
     def test_chord_lipschitz_bound(self):
         # |d/dtheta 2 sin(omega d/2)| <= omega, so adjacent samples differ
         # by at most omega * period / samples
         for omega in (0.5, 1.0, 2.0):
-            trace = loss_landscape("eaem_chord", 0.02, omega, 4096)
-            step = omega * angle.period(omega) / 4096
+            trace = loss_landscape("eaem_chord", 0.02, omega)
+            step = omega * angle.period(omega) / LANDSCAPE_SAMPLES
             diffs = np.abs(np.diff(np.concatenate([trace, trace[:1]])))
             assert diffs.max() <= step * (1 + 1e-3)
 
     def test_chord_minimum_at_target(self):
         target = 5.5
-        trace = loss_landscape("eaem_chord", target, 1.0, 4096)
-        argmin = np.argmin(trace) * angle.period(1.0) / 4096
-        assert abs(argmin - target) <= angle.period(1.0) / 4096
+        trace = loss_landscape("eaem_chord", target, 1.0)
+        argmin = np.argmin(trace) * angle.period(1.0) / LANDSCAPE_SAMPLES
+        assert abs(argmin - target) <= angle.period(1.0) / LANDSCAPE_SAMPLES
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             loss_landscape("huber", 0.0)
-        with pytest.raises(ValueError):
-            loss_landscape("eaem_chord", 0.0, samples=8)
 
 
 def test_count_jumps_wraps_around():

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from rotdet.cli import _inference_weights, build_parser, main
-from rotdet.config import _SCHEMA, load_config
+from rotdet.config import _DEFAULTS, load_config
 from rotdet.errors import ConfigError
 from rotdet.pyramid import NetworkWeights, assemble_forward
 from rotdet.tensor import Tensor
-from rotdet.tensorio import load_tensor, save_tensor
+from rotdet.tensorio import load_tensor, save_pgm, save_tensor
 
 SMALL = """\
 [network]
@@ -106,6 +106,12 @@ FLAGS = [
      2, "{dir}"),
     ("forward", "--image", "--config {cfg} forward --image {missing} --out "
      "{new}", 2, "{missing}"),
+    ("forward", "--image", "forward --image {huge_f64} --out {new}", 2,
+     "{huge_f64}"),
+    ("forward", "--image", "forward --image {huge_f32} --out {new}", 2,
+     "{huge_f32}"),
+    ("forward", "--image", "--config {cfg} forward --image {wide} --out {new}",
+     2, "{wide}"),
     ("angle-codec", "--encode", "angle-codec --encode 0", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode 100", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode=-1e-20", 0, None),
@@ -181,7 +187,8 @@ def flag_paths(tmp_path):
     """The paths FLAGS names; `new` and `missing` do not exist."""
     paths = {name: tmp_path / name for name in (
         "cfg", "missing", "dir", "no_header", "duplicate", "not_utf8", "new",
-        "file", "image", "angles", "empty")}
+        "file", "image", "angles", "empty", "huge_f64", "huge_f32")}
+    paths["wide"] = tmp_path / "wide.pgm"
     paths["cfg"].write_text(SMALL)
     paths["dir"].mkdir()
     paths["no_header"].write_text("seed = 1\n")
@@ -189,6 +196,13 @@ def flag_paths(tmp_path):
     paths["not_utf8"].write_bytes(b"\xff[data]\n")
     paths["file"].write_text("")
     save_tensor(paths["image"], Tensor(np.zeros((3, 64, 64))))
+    # 1e300 overflows the cast to f32; 3e38 overflows inside the f32
+    # forward of the default network
+    save_tensor(paths["huge_f64"], Tensor(np.full((3, 64, 64), 1e300)))
+    save_tensor(paths["huge_f32"],
+                Tensor(np.full((3, 64, 64), 3e38, dtype=np.float32)))
+    # one side past MAX_CANVAS; the forward never runs
+    save_pgm(paths["wide"], np.zeros((64, 4160)))
     # -1e-20 reduces to the period itself before it wraps to 0
     save_tensor(paths["angles"], Tensor(np.array([-1e-20, 0.0, 3.0, 100.0])))
     save_tensor(paths["empty"], Tensor(np.zeros(0)))
@@ -283,7 +297,7 @@ class TestConfig:
 
     def test_boundaries_cover_every_key(self):
         assert {(sec, key) for sec, key, _, _ in BOUNDARIES} == {
-            (sec, key) for sec, keys in _SCHEMA.items() for key in keys}
+            (sec, key) for sec, keys in _DEFAULTS.items() for key in keys}
 
     @pytest.mark.parametrize("section,key,value,code", BOUNDARIES)
     def test_key_at_boundary(self, tmp_path, capsys, section, key, value,
