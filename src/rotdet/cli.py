@@ -16,7 +16,7 @@ import numpy as np
 
 from . import angle as eaem
 from . import boundary, gradsuite
-from .config import MAX_CANVAS, Config, load_config
+from .config import Config, load_config
 from .errors import (ConfigError, DegenerateInputError, FormatError,
                      GenerationError, ShapeError)
 from .evalmap import eval_map, eval_map_sweep
@@ -99,34 +99,27 @@ def cmd_forward(cfg: Config, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dtype = _dtype(args.dtype)
-    if args.image:
-        path = Path(args.image)
-        if path.suffix == ".pgm":
-            gray = load_pgm(path)
-            img = np.repeat(gray[np.newaxis], 3, axis=0)[np.newaxis]
-        else:
-            img = load_tensor(path).data
-            if img.ndim == 3:
-                img = img[np.newaxis]
-        # the cap on [data] canvas, which bounds the forward's memory
-        if max(img.shape[-2:], default=0) > MAX_CANVAS:
-            extent = "x".join(str(d) for d in img.shape[-2:])
-            raise ShapeError(f"{path}: image extent {extent} must be at most "
-                             f"{MAX_CANVAS} per side")
+    if not args.image:
+        img = np.zeros((1, 3, cfg.canvas, cfg.canvas))
+    elif Path(args.image).suffix == ".pgm":
+        gray = load_pgm(args.image)[np.newaxis, np.newaxis]
+        img = np.repeat(gray, 3, axis=1)
     else:
-        size = cfg.canvas
-        img = np.zeros((1, 3, size, size))
+        img = load_tensor(args.image).data
+        if img.ndim == 3:
+            img = img[np.newaxis]
     weights = _inference_weights(cfg, args, dtype)
     # every Tensor rejects a non-finite value, so numpy's overflow warnings
     # would only repeat the error below
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             feats, head = assemble_forward(Tensor(img, dtype=dtype), weights)
+    except ShapeError as exc:  # the image breaks the forward's input rule
+        raise FormatError(f"{args.image}: {exc}") from None
     except ValueError as exc:
-        # only that check raises a bare ValueError here: a value of the
-        # image, or one computed from it, overflows the dtype
-        if type(exc) is not ValueError:
-            raise
+        # the weights come from a checked config, so this is Tensor's
+        # finiteness check: a value of the image, or one computed from it,
+        # overflows the dtype
         raise FormatError(f"{args.image}: {exc}: the image overflows the "
                           f"{args.dtype} forward pass") from None
     named = {**feats, **head.named()}

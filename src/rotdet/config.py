@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .pyramid import NetworkConfig
+from .pyramid import MAX_CANVAS, NetworkConfig
 from .scenes import SceneSpec
 
 # per section, each key's default; a value read for a key takes its
@@ -25,9 +25,6 @@ _DEFAULTS = {
     "eval": {"iou_threshold": 0.5, "nms_threshold": 0.3,
              "score_threshold": 0.05, "coco_sweep": False},
 }
-# forward memory grows with the pixel count: about 0.3 GiB at 1024², so
-# about 5 GB at 4096² and 20 GB at 8192²
-MAX_CANVAS = 4096
 
 
 @dataclass(frozen=True)

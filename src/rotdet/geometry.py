@@ -357,10 +357,10 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
     circles overlap and whose IoU bound (:func:`_may_exceed`) exceeds the
     threshold reach the kernel; no other pair can suppress. No kernel IoU
     exceeds 1, so at a threshold of 1 or more the ordered list returns at
-    once.
+    once. No IoU exceeds a NaN threshold either, so every box is kept.
     """
     ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
-    if not iou_threshold >= 0.0:
+    if iou_threshold < 0.0:
         return ordered[:1]  # every IoU, 0 included, exceeds it
     if iou_threshold >= 1.0:
         return ordered

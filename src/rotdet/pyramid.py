@@ -1,6 +1,7 @@
 """Network assembly: stub backbone, feature tower, bottom-up path, head.
 
-Layout for an (N, 3, H, W) input with H and W divisible by 64:
+Layout for an (N, 3, H, W) input, N >= 1, with H and W positive multiples
+of 64 and at most MAX_CANVAS:
 
 * stub backbone: stride-2 stem plus stride-2 stages giving C3 (stride 8),
   C4 (stride 16), C5 (stride 32);
@@ -36,6 +37,9 @@ from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
 MAX_LOG_RATIO = abs(math.log(16 / 1000))
 # strides of the three fused levels, the head outputs and their anchors
 STRIDES = (8, 16, 32)
+# the largest input side: forward memory grows with the pixel count, about
+# 0.3 GiB at 1024², so about 5 GB at 4096² and 20 GB at 8192²
+MAX_CANVAS = 4096
 
 
 @dataclass(frozen=True)
@@ -142,16 +146,20 @@ def bottom_up(m_levels: list[Tensor], down_convs: list[ConvParams],
 
 def assemble_forward(image: Tensor,
                      w: NetworkWeights) -> tuple[dict[str, Tensor], HeadOutputs]:
-    """Full forward pass from image to head outputs.
+    """Full forward pass from image to head outputs. An image that breaks
+    the input rule in the module docstring raises ShapeError before any
+    convolution runs.
 
     The dict holds every named intermediate in dump order: C3-C5, M1-M4,
     CP2-CP4, N5, then the fused levels by stride.
     """
-    if image.ndim != 4 or image.shape[1] != 3:
-        raise ShapeError("expected an (N, 3, H, W) image")
+    if image.ndim != 4 or image.shape[0] < 1 or image.shape[1] != 3:
+        raise ShapeError(f"expected an (N, 3, H, W) image with N >= 1, got "
+                         f"shape {image.shape}")
     h, width = image.shape[2:]
-    if h % 64 or width % 64:
-        raise ShapeError(f"input extent {h}x{width} not divisible by 64")
+    if not all(0 < s <= MAX_CANVAS and s % 64 == 0 for s in (h, width)):
+        raise ShapeError(f"input extent {h}x{width} must be a positive "
+                         f"multiple of 64, at most {MAX_CANVAS} per side")
 
     cur = image
     stages = []

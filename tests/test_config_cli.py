@@ -112,6 +112,14 @@ FLAGS = [
      "{huge_f32}"),
     ("forward", "--image", "--config {cfg} forward --image {wide} --out {new}",
      2, "{wide}"),
+    ("forward", "--image", "--config {cfg} forward --image {odd} --out {new}",
+     2, "{odd}"),
+    ("forward", "--image", "--config {cfg} forward --image {one_channel} "
+     "--out {new}", 2, "{one_channel}"),
+    ("forward", "--image", "--config {cfg} forward --image {no_batch} --out "
+     "{new}", 2, "{no_batch}"),
+    ("forward", "--image", "--config {cfg} forward --image {no_rows} --out "
+     "{new}", 2, "{no_rows}"),
     ("angle-codec", "--encode", "angle-codec --encode 0", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode 100", 0, None),
     ("angle-codec", "--encode", "angle-codec --encode=-1e-20", 0, None),
@@ -187,8 +195,10 @@ def flag_paths(tmp_path):
     """The paths FLAGS names; `new` and `missing` do not exist."""
     paths = {name: tmp_path / name for name in (
         "cfg", "missing", "dir", "no_header", "duplicate", "not_utf8", "new",
-        "file", "image", "angles", "empty", "huge_f64", "huge_f32")}
+        "file", "image", "angles", "empty", "huge_f64", "huge_f32",
+        "one_channel", "no_batch", "no_rows")}
     paths["wide"] = tmp_path / "wide.pgm"
+    paths["odd"] = tmp_path / "odd.pgm"
     paths["cfg"].write_text(SMALL)
     paths["dir"].mkdir()
     paths["no_header"].write_text("seed = 1\n")
@@ -201,8 +211,15 @@ def flag_paths(tmp_path):
     save_tensor(paths["huge_f64"], Tensor(np.full((3, 64, 64), 1e300)))
     save_tensor(paths["huge_f32"],
                 Tensor(np.full((3, 64, 64), 3e38, dtype=np.float32)))
-    # one side past MAX_CANVAS; the forward never runs
+    # images that break the forward's input rule, which assemble_forward
+    # checks before any conv: one side past MAX_CANVAS, a side not a
+    # multiple of 64, one channel (a 3-D RMKT is one image), an empty batch
+    # and a zero side
     save_pgm(paths["wide"], np.zeros((64, 4160)))
+    save_pgm(paths["odd"], np.zeros((65, 65)))
+    save_tensor(paths["one_channel"], Tensor(np.zeros((1, 64, 64))))
+    save_tensor(paths["no_batch"], Tensor(np.zeros((0, 3, 64, 64))))
+    save_tensor(paths["no_rows"], Tensor(np.zeros((1, 3, 0, 64))))
     # -1e-20 reduces to the period itself before it wraps to 0
     save_tensor(paths["angles"], Tensor(np.array([-1e-20, 0.0, 3.0, 100.0])))
     save_tensor(paths["empty"], Tensor(np.zeros(0)))

@@ -104,12 +104,18 @@ class TestAssemble:
         assert out["boxes_s32"].shape == (1, 6, 4, 4)
 
     def test_extent_not_divisible_by_64(self):
+        """The whole input rule is checked before any conv: an empty batch,
+        a zero side or one past MAX_CANVAS (4160) raises too."""
         cfg = NetworkConfig()
         w = NetworkWeights.create(np.random.default_rng(5), cfg)
-        with pytest.raises(ShapeError):
-            assemble_forward(Tensor(np.zeros((1, 3, 96, 96))), w)
-        with pytest.raises(ShapeError):
-            assemble_forward(Tensor(np.zeros((1, 4, 64, 64))), w)
+        for shape in ((1, 3, 96, 96), (1, 4, 64, 64), (3, 64, 64),
+                      (0, 3, 64, 64), (1, 3, 0, 64), (1, 3, 64, 0),
+                      (1, 3, 64, 4160), (1, 3, 4160, 64)):
+            with pytest.raises(ShapeError):
+                assemble_forward(Tensor(np.zeros(shape)), w)
+        feats, head = assemble_forward(Tensor(np.zeros((2, 3, 64, 64))), w)
+        assert feats["C3"].shape == (2, 16, 8, 8)
+        assert head.named()["boxes_s32"].shape == (2, 6, 2, 2)
 
     def test_seeded_weights_deterministic(self):
         cfg = NetworkConfig()
