@@ -6,7 +6,8 @@ geometry and evaluation (`geometry`, `evalmap`, `scenes`), the boundary
 loss experiment (`boundary`), and file interchange (`tensorio`).
 """
 
-from .angle import AngleCode, arg_unit, code_distance, decode, encode, normalize
+from .angle import (AngleCode, arg_unit, code_distance, decode, encode,
+                    normalize, wrap)
 from .geometry import OrientedBox, raster_iou_oracle, rotated_iou, rotated_nms
 from .mdcaa import MdcaaWeights, mdcaa_apply, mdcaa_weights
 from .msk import MskModuleWeights, count_params, msk_block_forward, msk_module_forward
@@ -15,6 +16,7 @@ from .tensor import Tensor, gradcheck
 
 __all__ = [
     "AngleCode", "arg_unit", "code_distance", "decode", "encode", "normalize",
+    "wrap",
     "OrientedBox", "raster_iou_oracle", "rotated_iou", "rotated_nms",
     "MdcaaWeights", "mdcaa_apply", "mdcaa_weights",
     "MskModuleWeights", "count_params", "msk_block_forward",

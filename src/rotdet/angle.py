@@ -6,7 +6,7 @@ periodic, regression targets that sit on opposite sides of the angular
 wrap-around are close in the code plane, which removes the loss jumps a
 raw-angle parameterization suffers at the period boundary. The decoder is
 a six-case piecewise argument function mapping the circle back to
-[0, 2*pi), scaled by 1/omega.
+[0, 2*pi), scaled by 1/omega. Only :func:`wrap` reduces an angle by its period.
 
 All functions are pure and take scalars or numpy arrays by one route; a
 scalar comes back as a numpy float64 (a float). Non-finite angles and
@@ -37,6 +37,14 @@ def period(omega: float) -> float:
     return 2.0 * math.pi / _check_omega(omega)
 
 
+def wrap(theta, omega: float = 1.0):
+    """theta (a float or an array) reduced into [0, period(omega)). Rounding
+    can land a tiny negative angle on the period itself, which is angle 0."""
+    p = period(omega)
+    r = theta % p
+    return r - p * (r >= p)
+
+
 @dataclass(frozen=True)
 class AngleCode:
     """Point (x, y) on the unit circle plus its angular frequency."""
@@ -50,12 +58,12 @@ class AngleCode:
 
 
 def encode(theta, omega: float = 1.0) -> AngleCode:
-    """Map angles in [0, 2*pi/omega) to unit-circle codes."""
+    """Map angles in wrap's range [0, period(omega)) to unit-circle codes."""
     omega = _check_omega(omega)
     theta = np.asarray(theta, dtype=np.float64)
-    if not np.all((theta >= 0.0) & (theta < 2.0 * np.pi / omega)):
+    if not np.all((theta >= 0.0) & (theta < period(omega))):
         raise ContractError(
-            "theta outside [0, 2*pi/omega); reduce modulo the period first")
+            "theta outside [0, 2*pi/omega); reduce it with wrap first")
     phase = omega * theta
     return AngleCode(np.cos(phase), np.sin(phase), omega)
 
@@ -83,7 +91,7 @@ def normalize(xy, omega: float = 1.0) -> AngleCode:
 def arg_unit(x, y):
     """Piecewise argument of a unit-circle point, in [0, 2*pi).
 
-    Cases: x>0, y>=0 -> arctan(y/x); x>0, y<0 -> arctan(y/x)+2*pi;
+    Cases: x>0, y>=0 -> arctan(y/x); x>0, y<0 -> wrap(arctan(y/x));
     x<0 -> arctan(y/x)+pi; x=0, y>0 -> pi/2; x=0, y<0 -> 3*pi/2;
     the origin is undefined. Exact zero of x is detected with a 1e-12
     tolerance since float inputs never land on the axis exactly. A NaN
@@ -98,15 +106,14 @@ def arg_unit(x, y):
     ratio = np.arctan(y / np.where(on_axis, 1.0, x))
     return np.select(
         [on_axis & (y > 0), on_axis & (y < 0), x < 0, y < 0],
-        [0.5 * np.pi, 1.5 * np.pi, ratio + np.pi, ratio + 2.0 * np.pi],
+        [0.5 * np.pi, 1.5 * np.pi, ratio + np.pi, wrap(ratio)],
         ratio)[()]
 
 
 def decode(code: AngleCode):
-    """Inverse of :func:`encode`: theta = arg(x, y) / omega."""
+    """Inverse of :func:`encode`: wrap(arg(x, y) / omega), in [0, period)."""
     omega = _check_omega(code.omega)
-    theta = arg_unit(code.x, code.y)
-    return theta / omega
+    return wrap(arg_unit(code.x, code.y) / omega, omega)
 
 
 def code_distance(a: AngleCode, b: AngleCode):

@@ -35,8 +35,8 @@ def loss_landscape(method: str, target_theta: float,
     if method == "direct_smoothl1":
         return smooth_l1(Tensor(thetas - target_theta)).data
     if method == "eaem_chord":
-        pred = eaem.encode(thetas, omega)
-        return eaem.code_distance(pred, eaem.encode(target_theta % p, omega))
+        target = eaem.encode(eaem.wrap(target_theta, omega), omega)
+        return eaem.code_distance(eaem.encode(thetas, omega), target)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -98,7 +98,7 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
                 param.grad = None
                 loss.backward()
                 param.data = param.data - lr * param.grad
-            pred_theta = float(param.data[0]) % eaem.period(omega)
+            pred_theta = eaem.wrap(float(param.data[0]), omega)
         else:
             code0 = eaem.encode(theta0, omega)
             param = Tensor(np.array([code0.x, code0.y]), requires_grad=True)

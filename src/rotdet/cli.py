@@ -71,14 +71,6 @@ def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
     return weights
 
 
-def _reduce_angles(thetas, omega: float):
-    """Angles modulo the codec's period. Rounding can land a tiny negative
-    angle on the period itself, which is the angle 0."""
-    p = eaem.period(omega)
-    reduced = np.mod(thetas, p)
-    return np.where(reduced < p, reduced, 0.0)
-
-
 def cmd_param_count(cfg: Config, args) -> int:
     c = cfg.network.stem_channels
     report = count_params(c)
@@ -149,7 +141,7 @@ def cmd_angle_codec(cfg: Config, args) -> int:
     if args.out is not None and args.input is None:
         raise ConfigError("angle-codec --out needs --input")
     if args.encode is not None:
-        code = eaem.encode(_reduce_angles(args.encode, omega), omega)
+        code = eaem.encode(eaem.wrap(args.encode, omega), omega)
         print(f"theta={args.encode:.9f} omega={omega} -> "
               f"x={code.x:.12f} y={code.y:.12f}")
         return EXIT_OK
@@ -161,10 +153,9 @@ def cmd_angle_codec(cfg: Config, args) -> int:
     thetas = load_tensor(args.input).data.astype(np.float64).ravel()
     if thetas.size == 0:
         raise FormatError(f"{args.input} holds no angles")
-    thetas = _reduce_angles(thetas, omega)
+    thetas = eaem.wrap(thetas, omega)
     code = eaem.encode(thetas, omega)
-    back = eaem.decode(code)
-    err = np.abs(back - thetas)
+    err = eaem.circular_error(eaem.decode(code), thetas, omega)
     if args.out:
         save_tensor(Path(args.out), Tensor(code.as_array()))
     print(f"n={thetas.size} max_roundtrip_err={err.max():.3e} "

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .angle import wrap
+
 # largest |cx|, |cy|, w or h a box may have: the clipping and shoelace
 # arithmetic squares coordinates, which overflows not far above 1e150
 MAX_BOX_COORD = 1e100
@@ -42,9 +43,9 @@ MAX_BOX_COORD = 1e100
 class OrientedBox:
     """Rotated rectangle (cx, cy, w, h, theta) with class id and score.
 
-    Construction canonicalizes: theta is wrapped into [0, 2*pi) and the
-    (w, h, theta) <-> (h, w, theta + pi/2) ambiguity is resolved by
-    preferring w >= h. Both raw forms describe the same polygon.
+    Construction canonicalizes: :func:`rotdet.angle.wrap` reduces theta into
+    [0, 2*pi) and the (w, h, theta) <-> (h, w, theta + pi/2) ambiguity is
+    resolved by preferring w >= h. Both raw forms describe the same polygon.
     """
 
     cx: float
@@ -56,11 +57,11 @@ class OrientedBox:
     score: float = 1.0
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h", "theta"):
+        for name in ("cx", "cy", "w", "h", "theta", "score"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"box {name} must be finite, got {value}")
-            if name != "theta" and abs(value) > MAX_BOX_COORD:
+            if name not in ("theta", "score") and abs(value) > MAX_BOX_COORD:
                 raise ValueError(
                     f"box {name} must be at most {MAX_BOX_COORD:g} in magnitude, "
                     f"got {value}")
@@ -70,10 +71,9 @@ class OrientedBox:
         if w < h:
             w, h = h, w
             theta += 0.5 * math.pi
-        theta %= TWO_PI
         object.__setattr__(self, "w", float(w))
         object.__setattr__(self, "h", float(h))
-        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "theta", float(wrap(theta)))
         object.__setattr__(self, "cx", float(self.cx))
         object.__setattr__(self, "cy", float(self.cy))
 

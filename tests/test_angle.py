@@ -4,16 +4,36 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotdet import angle
 from rotdet.errors import ContractError, DegenerateInputError
 
 
+def reduce_oracle(thetas, omega):
+    """Angles modulo the codec's period by np.mod, the period itself (where
+    a tiny negative angle rounds) taken as 0: the oracle of angle.wrap."""
+    p = angle.period(omega)
+    reduced = np.mod(thetas, p)
+    return np.where(reduced < p, reduced, 0.0)
+
+
 def arg_oracle(x, y):
-    """Two-argument arctangent shifted into [0, 2*pi)."""
-    return math.atan2(y, x) % (2.0 * math.pi)
+    """Two-argument arctangent reduced into [0, 2*pi)."""
+    return float(reduce_oracle(math.atan2(y, x), 1.0))
+
+
+def below_period(omega):
+    """The six largest doubles below the period."""
+    out = [angle.period(omega)]
+    for _ in range(6):
+        out.append(math.nextafter(out[-1], 0.0))
+    return out[1:]
+
+
+# largest double below period(0.1); 0.1 times it rounds onto 2*pi
+EDGE_THETA = float.fromhex("0x1.f6a7a2955385dp+5")
 
 
 class TestEncode:
@@ -127,7 +147,7 @@ class TestArgUnit:
         thetas = rng.uniform(0.0, 2.0 * math.pi, size=100_000)
         x, y = np.cos(thetas), np.sin(thetas)
         got = angle.arg_unit(x, y)
-        want = np.mod(np.arctan2(y, x), 2.0 * math.pi)
+        want = reduce_oracle(np.arctan2(y, x), 1.0)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @given(st.floats(min_value=0.0, max_value=2.0 * math.pi,
@@ -139,6 +159,10 @@ class TestArgUnit:
             return
         assert angle.arg_unit(x, y) == pytest.approx(arg_oracle(x, y),
                                                      abs=1e-12)
+
+    def test_tiny_negative_y_is_zero(self):
+        # arctan(-1e-17) + 2*pi rounds onto 2*pi itself
+        assert float.hex(angle.arg_unit(1.0, -1e-17)) == float.hex(0.0)
 
 
 class TestDecode:
@@ -156,12 +180,30 @@ class TestDecode:
 
     @given(st.floats(min_value=0.0, max_value=2.0 * math.pi,
                      exclude_max=True),
-           st.sampled_from([0.5, 1.0, 2.0]))
+           st.sampled_from([0.1, 0.5, 1.0, 2.0]))
     @settings(max_examples=300, deadline=None)
     def test_round_trip_property(self, theta, omega):
         theta = theta % angle.period(omega)
         got = angle.decode(angle.encode(theta, omega))
         assert abs(got - theta) <= 1e-9
+
+    @given(st.sampled_from([0.05, 0.1, 0.2, 0.3]).flatmap(
+        lambda omega: st.tuples(st.just(omega),
+                                st.sampled_from(below_period(omega)))))
+    @example((0.1, EDGE_THETA))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_just_below_period(self, case):
+        """omega * theta can round onto 2*pi; decode then gives 0, not the
+        period, and the codes re-encode."""
+        omega, theta = case
+        back = angle.decode(angle.encode(theta, omega))
+        assert 0.0 <= back < angle.period(omega)
+        angle.encode(back, omega)
+        assert angle.circular_error(theta, back, omega) <= 1e-9
+
+    def test_negative_zero_decodes_to_zero(self):
+        got = angle.decode(angle.AngleCode(1.0, -0.0, 1.0))
+        assert float.hex(got) == float.hex(0.0)
 
 
 class TestCodeDistance:
@@ -249,3 +291,36 @@ def test_scalar_route_matches_array_lane(case):
             code, angle.encode(float(other), omega)), dists[i])
         _same_bits(angle.circular_error(float(theta), 3.0 * float(other),
                                         omega), errs[i])
+
+
+# angles at and around the wrap: signed zeros and tiny values that round
+# onto the period, whole multiples of it and their neighbours, huge values
+@st.composite
+def wrap_cases(draw):
+    """A frequency and 1..8 finite angles."""
+    omega = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]))
+    p = angle.period(omega)
+    multiple = st.integers(-10**6, 10**6).map(lambda k: k * p)
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-20, -1e-20,
+                            1e-17, -1e-17, 1e300, -1e300, -p, p])
+    theta = (st.floats(allow_nan=False, allow_infinity=False) | edge
+             | multiple | multiple.map(lambda t: math.nextafter(t, -math.inf))
+             | multiple.map(lambda t: math.nextafter(t, math.inf)))
+    return omega, draw(st.lists(theta, min_size=1, max_size=8))
+
+
+@given(wrap_cases())
+@example((0.1, [-1e-20, -0.0, 1e300]))
+@settings(max_examples=300, deadline=None)
+def test_wrap_matches_reduce_oracle(case):
+    """wrap gives the oracle's bits, in [0, period), for a float (as a
+    float) and for each lane of an array."""
+    omega, thetas = case
+    p = angle.period(omega)
+    want = reduce_oracle(np.array(thetas), omega)
+    lanes = angle.wrap(np.array(thetas), omega)
+    for theta, w, lane in zip(thetas, want, lanes):
+        got = angle.wrap(theta, omega)
+        assert type(got) is float
+        assert float.hex(got) == float.hex(float(w)) == float.hex(float(lane))
+        assert 0.0 <= got < p

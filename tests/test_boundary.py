@@ -25,6 +25,12 @@ class TestLandscape:
             trace = loss_landscape("eaem_chord", target, 1.0)
             assert count_jumps(trace) == 0
 
+    def test_chord_target_rounding_onto_period(self):
+        # -1e-20 modulo 2*pi rounds onto 2*pi itself, which is the angle 0
+        trace = loss_landscape("eaem_chord", -1e-20, 1.0)
+        np.testing.assert_array_equal(
+            trace, loss_landscape("eaem_chord", 0.0, 1.0))
+
     def test_chord_lipschitz_bound(self):
         # |d/dtheta 2 sin(omega d/2)| <= omega, so adjacent samples differ
         # by at most omega * period / samples

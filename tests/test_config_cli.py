@@ -80,8 +80,9 @@ BOUNDARIES = [
 
 # Every command-line flag at the edges of what it accepts: (subcommand or
 # None for a top-level flag, flag, argv, exit code, what stderr must name
-# when the code is 2). {name} in argv and in the named text is a path from
-# the `flag_paths` fixture. boundary-exp exits 1, its check failing, when
+# when the code is 2, or what stdout must hold, if not None, when it is 0).
+# {name} in argv and in the named text is a path from the `flag_paths`
+# fixture. boundary-exp exits 1, its check failing, when
 # zero steps train nothing.
 FLAGS = [
     (None, "--config", "--config {cfg} param-count", 0, None),
@@ -131,6 +132,9 @@ FLAGS = [
     ("angle-codec", "--decode", "angle-codec --decode 1 0", 0, None),
     ("angle-codec", "--decode", "angle-codec --decode 1e308 1e308", 0, None),
     ("angle-codec", "--decode", "angle-codec --decode -1e308 1e-300", 0, None),
+    # the argument of (1, -1e-17) rounds onto 2*pi itself, the angle 0
+    ("angle-codec", "--decode", "angle-codec --decode 1 -1e-17", 0,
+     "theta=0.000000000000\n"),
     ("angle-codec", "--decode", "angle-codec --decode 0 0", 2,
      "zero-length vector"),
     ("angle-codec", "--decode", "angle-codec --decode nan 1", 2, "--decode"),
@@ -367,8 +371,10 @@ class TestFlags:
                               code, named):
         args = [arg.format(**flag_paths) for arg in argv.split()]
         assert _exit_code(args) == code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
+        if code == 0 and named is not None:
+            assert out.endswith(named)
         if code == 2:
             # argparse's own usage error, or main's one error line
             assert err.startswith(("usage: ", "error: "))
@@ -457,6 +463,21 @@ class TestCli:
                      str(dst)]) == 0
         assert "max_roundtrip_err" in capsys.readouterr().out
         assert load_tensor(dst).shape == (100, 2)
+
+    def test_angle_codec_input_just_below_period(self, tmp_path, capsys):
+        # omega times the largest double below period(0.1) rounds onto
+        # 2*pi, so the angle decodes to 0: the round-trip error is the
+        # circular one, not the whole period
+        theta = float.fromhex("0x1.f6a7a2955385dp+5")
+        cfg = tmp_path / "omega.ini"
+        cfg.write_text("[network]\nomega = 0.1\n")
+        src = tmp_path / "edge.rmkt"
+        save_tensor(src, Tensor(np.array([theta])))
+        assert load_tensor(src).data[0] == theta
+        assert main(["--config", str(cfg), "angle-codec", "--input",
+                     str(src)]) == 0
+        assert capsys.readouterr().out == (
+            "n=1 max_roundtrip_err=7.105e-15 mean_roundtrip_err=7.105e-15\n")
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_forward_malformed_image_exits_2(self, small_cfg, tmp_path,

@@ -210,11 +210,18 @@ class TestBoxToPolygon:
         assert _poly_set(box_to_polygon(raw)) == pytest.approx(
             _poly_set(box_to_polygon(alt)))
 
+    def test_theta_rounding_onto_period_is_zero(self):
+        # -1e-20 modulo 2*pi rounds onto 2*pi itself, which is the angle 0
+        box = OrientedBox(0, 0, 2, 1, -1e-20)
+        assert box == OrientedBox(0, 0, 2, 1, 0.0)
+        assert float.hex(box.theta) == float.hex(0.0)
+
     def test_invalid_extents(self):
         with pytest.raises(ValueError):
             OrientedBox(0, 0, 0, 1, 0)
 
-    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "theta"])
+    # a NaN score would make rotated_nms's kept list depend on input order
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "theta", "score"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, field, value):
         kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0)
