@@ -88,14 +88,13 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
 def block_checks(seed: int = 0) -> list[CheckResult]:
     """Gradcheck the feature modules end to end on tiny inputs."""
     rng = np.random.default_rng(seed)
-    msk_w = MskModuleWeights.create(rng, 4, 2, dtype=np.float64)
+    msk_w = MskModuleWeights.create(rng, 4, 2)
     x = _rand(rng, (1, 4, 8, 8))
     msk_err = gradcheck(
         lambda a: sum_all(sigmoid(msk_module_forward(a, msk_w))), x,
         coord_limit=64, seed=seed)
 
-    att_w = MdcaaWeights.create(rng, 4, strip_len=3, pool_window=3,
-                                dtype=np.float64)
+    att_w = MdcaaWeights.create(rng, 4, strip_len=3, pool_window=3)
     f = _rand(rng, (1, 4, 8, 8))
     att_err = gradcheck(lambda a: sum_all(mdcaa_apply(a, att_w)), f,
                         coord_limit=64, seed=seed)

@@ -28,39 +28,40 @@ class MdcaaWeights(WeightSet):
     """Per-level attention weights; all strip convs are depthwise. The
     channel count lives in the kernels."""
 
-    pool_window: int = 7
-    pointwise: ConvParams = field(repr=False, default=None)
-    seq_vertical: ConvParams = field(repr=False, default=None)
-    seq_horizontal: ConvParams = field(repr=False, default=None)
-    horizontal: ConvParams = field(repr=False, default=None)
-    vertical: ConvParams = field(repr=False, default=None)
-    diag_main: ConvParams = field(repr=False, default=None)
-    diag_anti: ConvParams = field(repr=False, default=None)
-    fusion: ConvParams = field(repr=False, default=None)
+    pool_window: int
+    pointwise: ConvParams = field(repr=False)
+    seq_vertical: ConvParams = field(repr=False)
+    seq_horizontal: ConvParams = field(repr=False)
+    horizontal: ConvParams = field(repr=False)
+    vertical: ConvParams = field(repr=False)
+    diag_main: ConvParams = field(repr=False)
+    diag_anti: ConvParams = field(repr=False)
+    fusion: ConvParams = field(repr=False)
 
     @staticmethod
     def create(rng: np.random.Generator, channels: int, strip_len: int = 11,
-               pool_window: int = 7, dtype=np.float32) -> "MdcaaWeights":
+               pool_window: int = 7) -> "MdcaaWeights":
         if strip_len < 3 or strip_len % 2 == 0:
-            raise ContractError("strip length must be odd and >= 3")
+            raise ContractError(
+                f"strip_len must be odd and >= 3, got {strip_len}")
         if pool_window < 1 or pool_window % 2 == 0:
             raise ContractError(
                 f"pool_window must be odd and >= 1, got {pool_window}")
-        c = channels
-        w = MdcaaWeights(pool_window)
-        m = strip_len
-        w.pointwise = ConvParams.create(rng, c, c, 1, 1, dtype=dtype)
-        w.seq_vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
-        w.seq_horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-        w.horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-        w.vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
-        w.diag_main = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
+        c, m = channels, strip_len
+        w = MdcaaWeights(
+            pool_window=pool_window,
+            pointwise=ConvParams.create(rng, c, c, 1, 1),
+            seq_vertical=ConvParams.create(rng, c, c, m, 1, groups=c),
+            seq_horizontal=ConvParams.create(rng, c, c, 1, m, groups=c),
+            horizontal=ConvParams.create(rng, c, c, 1, m, groups=c),
+            vertical=ConvParams.create(rng, c, c, m, 1, groups=c),
+            diag_main=ConvParams.create(rng, c, c, m, 1, groups=c),
+            diag_anti=ConvParams.create(rng, c, c, m, 1, groups=c),
+            # fusion mixes concat(main, anti, H, V): 4C channels down to C
+            fusion=ConvParams.create(rng, c, 4 * c, 1, 1))
         # reversed along m: these draws were first read bottom to top (through
         # a quarter turn), and seeded outputs must not change
         w.diag_main.kernel.data[:] = w.diag_main.kernel.data[:, :, ::-1]
-        w.diag_anti = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
-        # fusion mixes concat(main, anti, H, V): 4C channels down to C
-        w.fusion = ConvParams.create(rng, c, 4 * c, 1, 1, dtype=dtype)
         return w
 
 

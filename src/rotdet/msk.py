@@ -13,13 +13,14 @@ three halve it via stride 2 in each branch's leading 1x1 convolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, WeightSet, concat_channels, conv2d, uniform_init
+from .tensor import Tensor, WeightSet, concat_channels, conv2d
 
 STRIP_SIZES = (5, 7, 9, 11)
 
@@ -39,10 +40,12 @@ class ConvParams(WeightSet):
 
     @staticmethod
     def create(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,
-               stride=(1, 1), groups: int = 1, dtype=np.float32) -> "ConvParams":
-        fan_in = (in_c // groups) * kh * kw
-        kernel = uniform_init(rng, (out_c, in_c // groups, kh, kw), fan_in, dtype)
-        bias = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True)
+               stride=(1, 1), groups: int = 1) -> "ConvParams":
+        """Every weight is drawn here, in float64, within ±1/sqrt(fan_in)."""
+        shape = (out_c, in_c // groups, kh, kw)
+        bound = 1.0 / math.sqrt(math.prod(shape[1:]))
+        kernel = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+        bias = Tensor(np.zeros(out_c), requires_grad=True)
         return ConvParams(kernel, bias, tuple(stride), groups)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -58,28 +61,23 @@ class MskModuleWeights(WeightSet):
     kernels: the input width is any reduce kernel's, branch_out any last
     conv's, and the module downsamples when its reduce convs have stride 2."""
 
-    identity_reduce: ConvParams = field(repr=False, default=None)
-    identity_conv: ConvParams = field(repr=False, default=None)
+    identity_reduce: ConvParams = field(repr=False)
+    identity_conv: ConvParams = field(repr=False)
     branches: list[tuple[ConvParams, ConvParams, ConvParams]] = field(
-        repr=False, default_factory=list)
+        repr=False)
 
     @staticmethod
     def create(rng: np.random.Generator, in_channels: int, branch_out: int,
-               downsample: bool = False,
-               dtype=np.float32) -> "MskModuleWeights":
+               downsample: bool = False) -> "MskModuleWeights":
         c = in_channels  # each branch keeps the input width until its last conv
         stride = (2, 2) if downsample else (1, 1)
-        w = MskModuleWeights()
-        w.identity_reduce = ConvParams.create(rng, c, c, 1, 1, stride=stride,
-                                              dtype=dtype)
-        w.identity_conv = ConvParams.create(rng, branch_out, c, 3, 3, dtype=dtype)
-        for m in STRIP_SIZES:
-            reduce = ConvParams.create(rng, c, c, 1, 1, stride=stride,
-                                       dtype=dtype)
-            row = ConvParams.create(rng, c, c, 1, m, dtype=dtype)
-            col = ConvParams.create(rng, branch_out, c, m, 1, dtype=dtype)
-            w.branches.append((reduce, row, col))
-        return w
+        return MskModuleWeights(
+            identity_reduce=ConvParams.create(rng, c, c, 1, 1, stride=stride),
+            identity_conv=ConvParams.create(rng, branch_out, c, 3, 3),
+            branches=[(ConvParams.create(rng, c, c, 1, 1, stride=stride),
+                       ConvParams.create(rng, c, c, 1, m),
+                       ConvParams.create(rng, branch_out, c, m, 1))
+                      for m in STRIP_SIZES])
 
 
 def msk_module_forward(x: Tensor, w: MskModuleWeights) -> Tensor:

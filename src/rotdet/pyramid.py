@@ -21,7 +21,7 @@ of 64 and at most MAX_CANVAS:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,50 +80,52 @@ class HeadOutputs:
 
 @dataclass
 class NetworkWeights(WeightSet):
-    backbone: list[ConvParams] = field(default_factory=list)
-    tower_stem: ConvParams = None
-    msk: list[MskModuleWeights] = field(default_factory=list)
-    mdcaa: list[MdcaaWeights] = field(default_factory=list)
-    bottom_up_down: list[ConvParams] = field(default_factory=list)
-    bottom_up_fuse: list[ConvParams] = field(default_factory=list)
-    fusion_adjust: dict[str, ConvParams] = field(default_factory=dict)
-    head_cls: list[ConvParams] = field(default_factory=list)
-    head_box: list[ConvParams] = field(default_factory=list)
+    backbone: list[ConvParams]
+    tower_stem: ConvParams
+    msk: list[MskModuleWeights]
+    mdcaa: list[MdcaaWeights]
+    bottom_up_down: list[ConvParams]
+    bottom_up_fuse: list[ConvParams]
+    fusion_adjust: dict[str, ConvParams]
+    head_cls: list[ConvParams]
+    head_box: list[ConvParams]
 
     @staticmethod
     def create(rng: np.random.Generator, config: NetworkConfig,
                dtype=np.float32) -> "NetworkWeights":
+        """The seeded network at ``dtype``. The draw order is the seeded
+        contract: backbone, tower stem, the four MSK modules; mdcaa,
+        bottom_up_down and bottom_up_fuse per level; fusion_adjust CP2, CP3,
+        CP4, N5; head_cls and head_box per level. Each weight is drawn in
+        float64 and cast to ``dtype`` once, after the last draw."""
         cfg = config
-        w = NetworkWeights()
-        bc = cfg.backbone_channels
+        bc, tc = cfg.backbone_channels, 5 * cfg.branch_out
         # stem (stride 2) + four stride-2 stages; the last three are C3/C4/C5
         chain = [(bc, 3)] + [(bc, bc)] * 4
-        w.backbone = [ConvParams.create(rng, oc, ic, 3, 3, stride=(2, 2),
-                                        dtype=dtype) for oc, ic in chain]
-        w.tower_stem = ConvParams.create(rng, cfg.stem_channels, 3, 3, 3,
-                                         stride=(2, 2), dtype=dtype)
+        backbone = [ConvParams.create(rng, oc, ic, 3, 3, stride=(2, 2))
+                    for oc, ic in chain]
+        tower_stem = ConvParams.create(rng, cfg.stem_channels, 3, 3, 3,
+                                       stride=(2, 2))
         # an MSK module concatenates four strip branches and the identity
-        tc = 5 * cfg.branch_out
-        for level in range(4):
-            in_c = tc if level else cfg.stem_channels
-            w.msk.append(MskModuleWeights.create(
-                rng, in_c, cfg.branch_out, downsample=level > 0, dtype=dtype))
-        for _ in range(3):
-            w.mdcaa.append(MdcaaWeights.create(rng, tc, cfg.strip_len,
-                                               cfg.pool_window, dtype=dtype))
-            w.bottom_up_down.append(ConvParams.create(rng, tc, tc, 3, 3,
-                                                      stride=(2, 2), dtype=dtype))
-            w.bottom_up_fuse.append(ConvParams.create(rng, tc, tc, 3, 3,
-                                                      dtype=dtype))
-        for name in ("CP2", "CP3", "CP4", "N5"):
-            w.fusion_adjust[name] = ConvParams.create(rng, tc, tc, 3, 3,
-                                                      stride=(2, 2), dtype=dtype)
+        msk = [MskModuleWeights.create(rng, tc if level else cfg.stem_channels,
+                                       cfg.branch_out, downsample=level > 0)
+               for level in range(4)]
+        per_level = [(MdcaaWeights.create(rng, tc, cfg.strip_len,
+                                          cfg.pool_window),
+                      ConvParams.create(rng, tc, tc, 3, 3, stride=(2, 2)),
+                      ConvParams.create(rng, tc, tc, 3, 3))
+                     for _ in range(3)]
+        fusion_adjust = {
+            name: ConvParams.create(rng, tc, tc, 3, 3, stride=(2, 2))
+            for name in ("CP2", "CP3", "CP4", "N5")}
         # [C3 | CP2], [C4 | CP3], [C5 | CP4 | N5]
-        for fc in (bc + tc, bc + tc, bc + 2 * tc):
-            w.head_cls.append(ConvParams.create(
-                rng, cfg.anchors * cfg.classes, fc, 3, 3, dtype=dtype))
-            w.head_box.append(ConvParams.create(
-                rng, cfg.anchors * 6, fc, 3, 3, dtype=dtype))
+        heads = [(ConvParams.create(rng, cfg.anchors * cfg.classes, fc, 3, 3),
+                  ConvParams.create(rng, cfg.anchors * 6, fc, 3, 3))
+                 for fc in (bc + tc, bc + tc, bc + 2 * tc)]
+        w = NetworkWeights(backbone, tower_stem, msk, *map(list, zip(*per_level)),
+                           fusion_adjust, *map(list, zip(*heads)))
+        for p in w.parameters():
+            p.data = Tensor(p.data, dtype=dtype).data
         return w
 
 

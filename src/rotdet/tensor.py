@@ -38,7 +38,6 @@ are the tensors ``named_parameters`` finds by walking their fields.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,11 +61,12 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype not in FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
-        arr = np.ascontiguousarray(arr)
+        if dtype is None:
+            dtype = arr.dtype if arr.dtype in FLOAT_DTYPES else np.float64
+        elif np.dtype(dtype) not in FLOAT_DTYPES:
+            raise ContractError(f"tensor dtype must be float32 or float64, "
+                                f"got {np.dtype(dtype)}")
+        arr = np.ascontiguousarray(arr, dtype=dtype)
         if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
@@ -500,14 +500,6 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
 
 
 # -- weight sets --------------------------------------------------------------
-
-
-def uniform_init(rng: np.random.Generator, shape, fan_in: int,
-                 dtype=np.float32) -> Tensor:
-    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
 
 
 def named_parameters(obj, prefix: str = "") -> dict[str, Tensor]:

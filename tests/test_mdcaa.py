@@ -72,8 +72,7 @@ class TestAttentionMap:
 
     def test_passthrough_sigmoid_oracle(self):
         rng = np.random.default_rng(2)
-        w = MdcaaWeights.create(rng, 3, strip_len=5, pool_window=1,
-                                dtype=np.float64)
+        w = MdcaaWeights.create(rng, 3, strip_len=5, pool_window=1)
         _passthrough(w)
         x = rng.standard_normal((1, 3, 9, 9))
         a = mdcaa_weights(Tensor(x, dtype=np.float64), w).data
@@ -89,31 +88,30 @@ class TestAttentionMap:
 
     def test_strip_len_validated(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(ContractError):
-            MdcaaWeights.create(rng, 3, strip_len=4)
-        with pytest.raises(ContractError):
-            MdcaaWeights.create(rng, 3, strip_len=1)
+        for m in (4, 1):
+            msg = f"strip_len must be odd and >= 3, got {m}$"
+            with pytest.raises(ContractError, match=msg):
+                MdcaaWeights.create(rng, 3, strip_len=m)
         for pw in (4, 0, -1):
             with pytest.raises(ContractError, match="pool_window"):
                 MdcaaWeights.create(rng, 3, pool_window=pw)
 
 
-def _sandwich_create(rng, channels, strip_len=11, pool_window=7,
-                     dtype=np.float32):
+def _sandwich_create(rng, channels, strip_len=11, pool_window=7):
     """Weights as the quarter-turn sandwich drew them: the same RNG draws
     as ``MdcaaWeights.create``, but both diagonal strips are 1xm and main's
     taps are stored in draw order."""
     c, m = channels, strip_len
-    w = MdcaaWeights(pool_window)
-    w.pointwise = ConvParams.create(rng, c, c, 1, 1, dtype=dtype)
-    w.seq_vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
-    w.seq_horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-    w.horizontal = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-    w.vertical = ConvParams.create(rng, c, c, m, 1, groups=c, dtype=dtype)
-    w.diag_main = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-    w.diag_anti = ConvParams.create(rng, c, c, 1, m, groups=c, dtype=dtype)
-    w.fusion = ConvParams.create(rng, c, 4 * c, 1, 1, dtype=dtype)
-    return w
+    return MdcaaWeights(
+        pool_window=pool_window,
+        pointwise=ConvParams.create(rng, c, c, 1, 1),
+        seq_vertical=ConvParams.create(rng, c, c, m, 1, groups=c),
+        seq_horizontal=ConvParams.create(rng, c, c, 1, m, groups=c),
+        horizontal=ConvParams.create(rng, c, c, 1, m, groups=c),
+        vertical=ConvParams.create(rng, c, c, m, 1, groups=c),
+        diag_main=ConvParams.create(rng, c, c, 1, m, groups=c),
+        diag_anti=ConvParams.create(rng, c, c, 1, m, groups=c),
+        fusion=ConvParams.create(rng, c, 4 * c, 1, 1))
 
 
 def _sandwich_anti(hv, w):
@@ -158,10 +156,8 @@ class TestSandwichOracle:
     @settings(max_examples=60, deadline=None)
     def test_map_and_gradients_match_sandwich(self, case):
         c, h, wd, m, pw, seed = case
-        w = MdcaaWeights.create(np.random.default_rng(seed), c, m, pw,
-                                dtype=np.float64)
-        old = _sandwich_create(np.random.default_rng(seed), c, m, pw,
-                               dtype=np.float64)
+        w = MdcaaWeights.create(np.random.default_rng(seed), c, m, pw)
+        old = _sandwich_create(np.random.default_rng(seed), c, m, pw)
         rng = np.random.default_rng([seed, 1])
         params, old_params = w.parameters(), old.parameters()
         for p, q in zip(params, old_params):
@@ -195,10 +191,8 @@ class TestSandwichOracle:
         # when H*W is not a multiple of its vector width; sides that are
         # multiples of 4, as on every pyramid level, leave no tail.
         h, wd = 4 * h4, 4 * w4
-        w = MdcaaWeights.create(np.random.default_rng(seed), c, m,
-                                dtype=np.float64)
-        old = _sandwich_create(np.random.default_rng(seed), c, m,
-                               dtype=np.float64)
+        w = MdcaaWeights.create(np.random.default_rng(seed), c, m)
+        old = _sandwich_create(np.random.default_rng(seed), c, m)
         rng = np.random.default_rng([seed, 1])
         w.diag_anti.bias.data[:] = old.diag_anti.bias.data[:] = (
             rng.standard_normal(c))

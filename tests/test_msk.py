@@ -65,7 +65,7 @@ class TestMskModule:
 
     def test_matches_full_kernel_oracle(self):
         rng = np.random.default_rng(3)
-        w = MskModuleWeights.create(rng, 4, 3, dtype=np.float64)
+        w = MskModuleWeights.create(rng, 4, 3)
         _zero_biases(w)
         x = Tensor(rng.standard_normal((1, 4, 12, 12)), dtype=np.float64)
         got = msk_module_forward(x, w).data

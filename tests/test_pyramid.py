@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rotdet import angle, mdcaa, msk
 from rotdet.config import load_config
-from rotdet.errors import ShapeError
+from rotdet.errors import ContractError, ShapeError
 from rotdet.geometry import OrientedBox
 from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
@@ -453,3 +453,76 @@ def test_decode_inverts_encode(case):
             assert getattr(g, field) == pytest.approx(getattr(b, field),
                                                       rel=0, abs=1e-9)
         assert angle.circular_error(g.theta, b.theta, cfg.omega) <= 1e-9
+
+
+# -- seeded pins: the draw order of every weight and a small forward ----------
+
+SMALL = NetworkConfig(stem_channels=4, branch_out=4, backbone_channels=8)
+CONFIGS = {"default": NetworkConfig(), "small": SMALL}
+DTYPES = {"f32": np.float32, "f64": np.float64}
+PINNED_WEIGHTS = {
+    ("default", "f32"):
+        "e7aa4bfd570db906bb24b0c5fd68d282f75609dc0cda93c89fa9d60c571a7b7b",
+    ("default", "f64"):
+        "1877430b4aabeff7458011b95fb4a818dc9d1cb20155ae8cabd218af8dbdd069",
+    ("small", "f32"):
+        "7173c925c626541dbdb52b3830144635c03c97ed67f97d7c857026fa8f66aae5",
+    ("small", "f64"):
+        "aec68dfd665a361ebdb4478e10b2c27a1ebf0f20aac8cb310b388a84f2b88bd5",
+}
+PINNED_MSK = (
+    "e3332ebbc31c54b5a9313eaba6198da9785e58a7e5b68d1e612c6dd88a545a87")
+PINNED_MDCAA = (
+    "3df9349f842347d5463280fc3e9c00d46c9ead846ae4824c200b153dfa51fe5a")
+# a 64² forward gives the same bytes at any BLAS thread count; the default
+# 256² one does not, so it is not pinned here
+PINNED_SMALL_FORWARD = {
+    "f32": "15665fa512d87771a6097d3076ec6fd6ba058ed18abde6aa51d38910745f9cad",
+    "f64": "afa8abdccf585a71e4771700985f88b87b72b1e01d364803dba6d7caaa180caf",
+}
+
+
+def _sha(named):
+    """SHA-256 over each tensor's name, dtype and bytes, in order."""
+    h = hashlib.sha256()
+    for name, t in named.items():
+        h.update(f"{name} {t.dtype} ".encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg_name, dt", list(PINNED_WEIGHTS))
+def test_seeded_network_weights_pinned(cfg_name, dt):
+    w = NetworkWeights.create(np.random.default_rng(0), CONFIGS[cfg_name],
+                              dtype=DTYPES[dt])
+    assert _sha(named_parameters(w)) == PINNED_WEIGHTS[cfg_name, dt]
+
+
+def test_seeded_module_weights_pinned():
+    w = msk.MskModuleWeights.create(np.random.default_rng(0), 4, 3,
+                                    downsample=True)
+    assert _sha(named_parameters(w)) == PINNED_MSK
+    w = mdcaa.MdcaaWeights.create(np.random.default_rng(0), 3, strip_len=5,
+                                  pool_window=3)
+    assert _sha(named_parameters(w)) == PINNED_MDCAA
+
+
+@pytest.mark.parametrize("dt", list(PINNED_SMALL_FORWARD))
+def test_seeded_small_forward_pinned(dt):
+    w = NetworkWeights.create(np.random.default_rng(0), SMALL,
+                              dtype=DTYPES[dt])
+    image = np.random.default_rng(1).standard_normal((1, 3, 64, 64))
+    feats, head = assemble_forward(Tensor(image, dtype=DTYPES[dt]), w)
+    assert _sha({**feats, **head.named()}) == PINNED_SMALL_FORWARD[dt]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16])
+def test_network_dtype_must_be_float(dtype):
+    with pytest.raises(ContractError, match=np.dtype(dtype).name):
+        NetworkWeights.create(np.random.default_rng(0), SMALL, dtype=dtype)
+
+
+def test_weight_sets_are_built_complete():
+    for cls in (msk.MskModuleWeights, mdcaa.MdcaaWeights, NetworkWeights):
+        with pytest.raises(TypeError):
+            cls()

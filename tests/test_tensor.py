@@ -741,6 +741,14 @@ def test_non_finite_rejected():
         Tensor(np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float16])
+def test_non_float_dtype_rejected(dtype):
+    # an int64 tensor once failed only in save_tensor, with a bare KeyError
+    with pytest.raises(ContractError, match=np.dtype(dtype).name):
+        Tensor([1, 2], dtype=dtype)
+    assert Tensor(np.array([1, 2], dtype=dtype)).dtype == np.float64
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(18)
     xd = rng.standard_normal((1, 3, 8, 8))
