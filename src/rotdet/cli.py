@@ -23,7 +23,7 @@ from .evalmap import eval_map, eval_map_sweep
 from .geometry import rotated_nms, save_annotations
 from .msk import STRIP_SIZES, count_params
 from .pyramid import NetworkWeights, assemble_forward, decode_boxes
-from .scenes import gen_scene
+from .scenes import gen_scene, scene_boxes
 from .tensor import Tensor
 from .tensorio import load_pgm, load_tensor, save_pgm, save_tensor
 
@@ -201,17 +201,16 @@ def cmd_eval(cfg: Config, args) -> int:
     if args.mode == "model":
         weights = _inference_weights(cfg, args, dtype)
     for i in range(cfg.images):
-        image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
-        truths.append(truth)
-        if args.mode == "oracle":
-            preds.append([b for b in truth])
-        elif args.mode == "empty":
-            preds.append([])
-        else:
+        if args.mode == "model":
+            image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
             batch = Tensor(image.data[np.newaxis], dtype=dtype)
             _, head = assemble_forward(batch, weights)
             raw = decode_boxes(head, cfg.network, cfg.score_threshold)
             preds.append(rotated_nms(raw, cfg.nms_threshold))
+        else:  # the oracle and empty predictions need no image
+            truth = scene_boxes(rng_seed + i, cfg.scene, cfg.canvas)
+            preds.append(list(truth) if args.mode == "oracle" else [])
+        truths.append(truth)
     mean_ap, per_class = eval_map(preds, truths, cfg.iou_threshold)
     for cls, ap in sorted(per_class.items()):
         print(f"class {cls}: AP = {ap:.4f}")

@@ -6,7 +6,9 @@ IoU matrix per image; each truth box can be claimed once. AP is the area
 under the all-point-interpolated precision-recall curve. mAP averages over
 classes that appear in the truth; classes with no truth are excluded from
 the mean. The matrices do not depend on the threshold, so an IoU sweep
-builds them once and matches them at every threshold.
+builds them once and matches them at every threshold. Matching walks
+their rows as Python lists: a prediction meets only its image's truths
+of its class, too few for a NumPy call per prediction to pay.
 """
 
 from __future__ import annotations
@@ -38,41 +40,47 @@ def _ap_from_pr(tp_flags: np.ndarray, n_truth: int) -> float:
 def _match_tables(preds: list[list[OrientedBox]],
                   truth: list[list[OrientedBox]]) -> dict[int, tuple]:
     """Per truth class: its predictions in matching order as (image index,
-    row) pairs, one pred x truth IoU matrix per image, and the truth count.
+    IoU row) pairs, each row a list of the prediction's IoU with the
+    image's truths; the truth count per image; and the total truth count.
+    The IoU comes from one pred x truth matrix per image.
     """
     if len(preds) != len(truth):
         raise ValueError("preds and truth must cover the same images")
     classes = sorted({b.class_id for img in truth for b in img})
     tables = {}
     for cls in classes:
-        records = []  # (score, image index, row in its IoU matrix, box)
-        ious = []  # per image: class-cls preds x class-cls truth IoU
-        n_truth = 0
+        records = []  # (score, image index, IoU row, box)
+        widths = []  # per image: its class-cls truth count
         for idx, (img_preds, img_truth) in enumerate(zip(preds, truth)):
             cls_preds = [b for b in img_preds if b.class_id == cls]
             cls_truth = [b for b in img_truth if b.class_id == cls]
-            n_truth += len(cls_truth)
+            widths.append(len(cls_truth))
+            rows = iou_matrix(cls_preds, cls_truth).tolist()
             records += [(b.score, idx, row, b)
-                        for row, b in enumerate(cls_preds)]
-            ious.append(iou_matrix(cls_preds, cls_truth))
+                        for row, b in zip(rows, cls_preds)]
         records.sort(key=lambda r: (-r[0], r[1], r[3].cx, r[3].cy))
         order = [(idx, row) for _, idx, row, _ in records]
-        tables[cls] = (order, ious, n_truth)
+        tables[cls] = (order, widths, sum(widths))
     return tables
 
 
-def _match_ap(order, ious, n_truth: int, iou_thresh: float) -> float:
-    """AP of one class: greedy matching of ``order`` at ``iou_thresh``."""
-    free = [np.ones(m.shape[1], dtype=bool) for m in ious]
+def _match_ap(order, widths, n_truth: int, iou_thresh: float) -> float:
+    """AP of one class: greedy matching of ``order`` at ``iou_thresh``.
+
+    Each prediction takes the first unclaimed truth of highest IoU, if
+    that IoU is > 0: the first strictly larger IoU along the row, as
+    ``argmax(where(free, row, 0)) > 0`` would find it.
+    """
+    free = [[True] * n for n in widths]
     flags = np.zeros(len(order), dtype=np.int64)
     for i, (idx, row) in enumerate(order):
-        # the first unclaimed truth of highest IoU, if that IoU is > 0
-        cand = np.where(free[idx], ious[idx][row], 0.0)
-        if not cand.size:
-            continue
-        j = int(np.argmax(cand))
-        if cand[j] > 0.0 and cand[j] >= iou_thresh:
-            free[idx][j] = False
+        is_free = free[idx]
+        best, best_j = 0.0, -1
+        for j, iou in enumerate(row):
+            if iou > best and is_free[j]:
+                best, best_j = iou, j
+        if best_j >= 0 and best >= iou_thresh:
+            is_free[best_j] = False
             flags[i] = 1
     return _ap_from_pr(flags, n_truth)
 

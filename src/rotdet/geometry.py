@@ -4,7 +4,7 @@
 arrays of (subject, clipper) polygon pairs (Sutherland-Hodgman) and
 measures each intersection with the shoelace formula, in coordinates
 local to the pair. :func:`rotated_nms`, :func:`iou_matrix` (which AP
-matching and scene placement use) and the one-pair :func:`rotated_iou`
+matching uses), scene placement and the one-pair :func:`rotated_iou`
 run on it; they first drop pairs whose circumscribed circles do not
 overlap, whose IoU is exactly 0. NMS, which needs only whether an IoU
 exceeds its threshold, also drops the pairs whose exact IoU bound

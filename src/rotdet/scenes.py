@@ -1,4 +1,11 @@
-"""Seeded synthetic scenes of filled rotated rectangles on a noise background."""
+"""Seeded synthetic scenes of filled rotated rectangles on a noise background.
+
+A scene's generator first draws the canvas² noise floor, then places the
+boxes (:func:`_place`), then renders them. :func:`scene_boxes` gives the
+boxes alone: PCG64 spends one 64-bit output per uniform double, so
+advancing a fresh generator by canvas² outputs reaches the state the noise
+draw leaves, and the boxes are those of :func:`gen_scene`, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import OrientedBox, box_polygons, iou_matrix, points_in_box
+from .geometry import (OrientedBox, _near_pairs, box_polygons, iou_pairs,
+                       points_in_box)
 # unused here; benchmarks/tracer.py wraps this binding by name
 from .geometry import rotated_iou  # noqa: F401
 from .tensor import Tensor
@@ -33,18 +41,75 @@ class SceneSpec:
         return 0.35 + 0.6 * class_id / (self.classes - 1)
 
 
+def _grown(rows: np.ndarray, n: int) -> np.ndarray:
+    """``rows`` with room for row n, doubled when it is full."""
+    if n < len(rows):
+        return rows
+    out = np.empty((2 * len(rows),) + rows.shape[1:])
+    out[:n] = rows
+    return out
+
+
+def _place(rng: np.random.Generator, spec: SceneSpec,
+           canvas: int) -> list[OrientedBox]:
+    """Draw boxes until ``spec.objects`` are placed. A candidate is placed
+    when its kernel IoU with each placed box, the candidate clipped by it,
+    is at most MAX_OVERLAP; each object gets MAX_PLACEMENT_TRIES draws.
+
+    The placed boxes' polygons, w * h areas, centers and circumscribed
+    radii are kept in arrays whose row len(boxes) holds the candidate, so
+    only the placed boxes whose circles reach the candidate's go to the
+    kernel, and no box is stacked twice. The kernel rates a pair apart
+    from its batch, so the decisions are those of ``iou_matrix([cand],
+    boxes)``.
+    """
+    boxes: list[OrientedBox] = []
+    polys, areas = np.empty((16, 4, 2)), np.empty(16)
+    centers, radii = np.empty((16, 2)), np.empty(16)
+    for _ in range(spec.objects):
+        n = len(boxes)
+        polys, areas, centers, radii = (
+            _grown(a, n) for a in (polys, areas, centers, radii))
+        for _ in range(MAX_PLACEMENT_TRIES):
+            w = rng.uniform(spec.min_size, spec.max_size)
+            h = rng.uniform(spec.min_size, w)  # canonical w >= h
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            radius = 0.5 * math.hypot(w, h)
+            if 2 * radius >= canvas:
+                continue
+            cx = rng.uniform(radius, canvas - radius)
+            cy = rng.uniform(radius, canvas - radius)
+            cls = int(rng.integers(0, spec.classes))
+            cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
+            polys[n] = box_polygons([cand])[0]
+            areas[n] = cand.w * cand.h
+            centers[n] = cand.cx, cand.cy
+            radii[n] = 0.5 * np.hypot(cand.w, cand.h)
+            _, near = _near_pairs(centers, radii, np.array([n]), np.arange(n))
+            if (not len(near) or iou_pairs(polys, areas, np.full(len(near), n),
+                                           near).max() <= MAX_OVERLAP):
+                boxes.append(cand)
+                break
+        else:
+            raise GenerationError(
+                f"could not place object {n + 1} of objects = {spec.objects} "
+                f"on a {canvas}² canvas within {MAX_PLACEMENT_TRIES} tries")
+    return boxes
+
+
 def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
                   spec: SceneSpec) -> None:
     """Set pixels whose centers lie in a box to its class intensity. Each
-    box must overlap the canvas, as the boxes :func:`gen_scene` places do."""
+    box must overlap the canvas, as the boxes :func:`_place` places do."""
     h, w = canvas.shape
     for box, poly in zip(boxes, box_polygons(boxes)):
         x0 = max(int(math.floor(poly[:, 0].min())), 0)
         x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
         y0 = max(int(math.floor(poly[:, 1].min())), 0)
         y1 = min(int(math.ceil(poly[:, 1].max())) + 1, h)
-        ys, xs = np.mgrid[y0:y1, x0:x1]
-        inside = points_in_box(xs + 0.5, ys + 0.5, box)
+        xs = np.arange(x0, x1) + 0.5
+        ys = np.arange(y0, y1)[:, np.newaxis] + 0.5
+        inside = points_in_box(xs, ys, box)
         canvas[y0:y1, x0:x1][inside] = spec.class_intensity(box.class_id)
 
 
@@ -58,28 +123,20 @@ def gen_scene(seed: int, spec: SceneSpec,
     within the retry budget.
     """
     rng = np.random.default_rng(seed)
-    img = rng.uniform(0.0, NOISE_LEVEL, size=(canvas, canvas))
-    boxes: list[OrientedBox] = []
-    for _ in range(spec.objects):
-        for _ in range(MAX_PLACEMENT_TRIES):
-            w = rng.uniform(spec.min_size, spec.max_size)
-            h = rng.uniform(spec.min_size, w)  # canonical w >= h
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            radius = 0.5 * math.hypot(w, h)
-            if 2 * radius >= canvas:
-                continue
-            cx = rng.uniform(radius, canvas - radius)
-            cy = rng.uniform(radius, canvas - radius)
-            cls = int(rng.integers(0, spec.classes))
-            cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
-            if (not boxes or
-                    iou_matrix([cand], boxes).max() <= MAX_OVERLAP):
-                boxes.append(cand)
-                break
-        else:
-            raise GenerationError(
-                f"could not place object {len(boxes) + 1} of {spec.objects} "
-                f"within {MAX_PLACEMENT_TRIES} tries")
+    img = rng.random((canvas, canvas))  # uniform(0, b) is b * random()
+    img *= NOISE_LEVEL
+    boxes = _place(rng, spec, canvas)
     _render_boxes(img, boxes, spec)
-    image = Tensor(np.repeat(img[np.newaxis].astype(np.float32), 3, axis=0))
-    return image, boxes
+    image = np.empty((3, canvas, canvas), dtype=np.float32)
+    image[0] = img
+    image[1:] = image[0]
+    return Tensor(image), boxes
+
+
+def scene_boxes(seed: int, spec: SceneSpec,
+                canvas: int = 256) -> list[OrientedBox]:
+    """The boxes of ``gen_scene(seed, spec, canvas)``, with no image drawn:
+    the generator skips the noise draw's canvas² outputs."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(canvas * canvas)
+    return _place(rng, spec, canvas)

@@ -56,7 +56,7 @@ BOUNDARIES = [
     ("data", "seed", "-1", 2), ("data", "seed", "0", 0),
     ("data", "images", "0", 2), ("data", "images", "1", 0),
     ("data", "objects", "-1", 2), ("data", "objects", "0", 2),
-    ("data", "objects", "1", 0),
+    ("data", "objects", "1", 0), ("data", "objects", "1000000000000", 2),
     ("data", "canvas", "-64", 2), ("data", "canvas", "0", 2),
     ("data", "canvas", "63", 2), ("data", "canvas", "64", 0),
     ("data", "canvas", "100", 2), ("data", "canvas", "128", 0),
@@ -563,6 +563,28 @@ class TestCli:
     def test_eval_empty_zero(self, small_cfg, capsys):
         assert main(["--config", small_cfg, "eval", "--mode", "empty"]) == 0
         assert "mAP@0.5 = 0.0000" in capsys.readouterr().out
+
+    # Pinned stdout: the classes listed are those of the seeded truth boxes,
+    # which `oracle` and `empty` place without drawing an image.
+    @pytest.mark.parametrize("mode,ap", [("oracle", "1.0000"),
+                                         ("empty", "0.0000")])
+    @pytest.mark.parametrize("seed,config,classes", [
+        (42, None, (0, 1)), (7, None, (0, 1)),
+        (42, "six", (2, 3, 4, 5)), (7, "six", (0, 1, 2, 3, 4))])
+    def test_eval_without_model_pinned(self, tmp_path, capsys, mode, ap, seed,
+                                       config, classes):
+        argv = ["--seed", str(seed), "eval", "--mode", mode]
+        if config:
+            path = tmp_path / "six.ini"
+            path.write_text("[network]\nclasses = 6\n[data]\nimages = 2\n"
+                            "[eval]\ncoco_sweep = yes\n")
+            argv = ["--config", str(path)] + argv
+        assert main(argv) == 0
+        want = "".join(f"class {c}: AP = {ap}\n" for c in classes)
+        want += f"mAP@0.5 = {ap}\n"
+        if config:
+            want += f"mAP@[0.50:0.95] = {ap}\n"
+        assert capsys.readouterr().out == want
 
     def test_gen_data_writes_scene_files(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "data"

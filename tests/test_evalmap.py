@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotdet.evalmap import _ap_from_pr, eval_map, eval_map_sweep
-from rotdet.geometry import OrientedBox
+from rotdet.geometry import OrientedBox, iou_matrix
 from test_geometry import _reference_iou, decisive
 
 
@@ -121,6 +121,32 @@ def _reference_eval_map(preds, truth, iou_thresh):
     if not per_class:
         return 0.0, {}
     return float(np.mean(list(per_class.values()))), per_class
+
+
+@pytest.mark.parametrize("left_first", [True, False])
+def test_tie_claims_lower_index(left_first):
+    # the first prediction's IoU with either truth is 6 / 10; it claims the
+    # first truth in the list, so the second prediction, a copy of that
+    # truth, is left only the other at IoU 4 / 12 and misses
+    left, right = _box(-1), _box(1)
+    truth = [[left, right] if left_first else [right, left]]
+    preds = [[_box(0, score=0.9), _box(truth[0][0].cx, score=0.8)]]
+    ious = iou_matrix(preds[0][:1], truth[0])
+    assert ious[0, 0] == ious[0, 1] == 0.6
+    result = eval_map(preds, truth, 0.5)
+    assert result == _reference_eval_map(preds, truth, 0.5)
+    assert result[1] == {0: 0.5}
+
+
+def test_zero_iou_claims_nothing_at_threshold_zero():
+    # every IoU of the first prediction is 0, which meets the threshold 0.0
+    # yet claims nothing; the second then takes the truth it covers
+    truth = [[_box(0), _box(20)]]
+    preds = [[_box(100, score=0.9), _box(20, score=0.8)]]
+    assert not iou_matrix(preds[0][:1], truth[0]).any()
+    result = eval_map(preds, truth, 0.0)
+    assert result == _reference_eval_map(preds, truth, 0.0)
+    assert result[1] == {0: pytest.approx(0.25)}
 
 
 _scene_box = st.builds(

@@ -1,6 +1,7 @@
 """Synthetic scene generation: determinism, rendering, failure modes."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from rotdet import scenes
 from rotdet.config import load_config
 from rotdet.errors import GenerationError
-from rotdet.geometry import OrientedBox, box_polygons
-from rotdet.scenes import SceneSpec, _render_boxes, gen_scene
+from rotdet.geometry import OrientedBox, box_polygons, iou_matrix
+from rotdet.scenes import (SceneSpec, _place, _render_boxes, gen_scene,
+                           scene_boxes)
 
 # Placement runs the batched IoU kernel; a warning here is a defect.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -19,6 +21,10 @@ _CFG = load_config()
 MATCH_SPEC = SceneSpec(objects=16, classes=_CFG.network.classes,
                        min_size=_CFG.scene.min_size,
                        max_size=_CFG.scene.max_size)
+# At 128² with CROWDED_TRIES tries per object, most candidates are
+# rejected and about one seed in six runs out of tries.
+CROWDED = SceneSpec(objects=6, min_size=20, max_size=60)
+CROWDED_TRIES = 25
 
 # gen_scene output the benchmarks and `eval` are fed: (spec, canvas, seed,
 # SHA-256 of the image bytes, SHA-256 of the boxes as float.hex lines).
@@ -54,6 +60,82 @@ def test_pinned_scenes(spec, canvas, seed, image_sha, boxes_sha):
     image, boxes = gen_scene(seed, spec, canvas)
     assert hashlib.sha256(image.data.tobytes()).hexdigest() == image_sha
     assert hashlib.sha256(_boxes_hex(boxes).encode()).hexdigest() == boxes_sha
+    alone = scene_boxes(seed, spec, canvas)
+    assert hashlib.sha256(_boxes_hex(alone).encode()).hexdigest() == boxes_sha
+
+
+@pytest.mark.parametrize("canvas,seeds", [
+    *((canvas, [seed]) for _, canvas, seed, _, _ in PINNED),
+    (256, range(1000, 1100)), (512, range(2000, 2100))])
+def test_advance_skips_the_noise_draw(canvas, seeds):
+    """scene_boxes relies on PCG64 spending one output per uniform double:
+    advancing by canvas² outputs must leave the state the noise draw does."""
+    for seed in seeds:
+        drawn = np.random.default_rng(seed)
+        drawn.random((canvas, canvas))
+        skipped = np.random.default_rng(seed)
+        skipped.bit_generator.advance(canvas * canvas)
+        assert skipped.bit_generator.state == drawn.bit_generator.state, seed
+
+
+def _reference_place(rng, spec, canvas):
+    """The placement loop _place replaced, kept as its oracle: each
+    candidate is rated by iou_matrix against every placed box."""
+    boxes = []
+    for _ in range(spec.objects):
+        for _ in range(scenes.MAX_PLACEMENT_TRIES):
+            w = rng.uniform(spec.min_size, spec.max_size)
+            h = rng.uniform(spec.min_size, w)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            radius = 0.5 * math.hypot(w, h)
+            if 2 * radius >= canvas:
+                continue
+            cx = rng.uniform(radius, canvas - radius)
+            cy = rng.uniform(radius, canvas - radius)
+            cls = int(rng.integers(0, spec.classes))
+            cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
+            if (not boxes or
+                    iou_matrix([cand], boxes).max() <= scenes.MAX_OVERLAP):
+                boxes.append(cand)
+                break
+        else:
+            raise GenerationError("no room")
+    return boxes
+
+
+def _placement(place, seed, spec, canvas):
+    """The boxes as float.hex lines (None when placement fails) and the
+    generator state after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        boxes = _boxes_hex(place(rng, spec, canvas))
+    except GenerationError:
+        boxes = None
+    return boxes, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spec,canvas", [
+    (SceneSpec(), 256), (MATCH_SPEC, 512), (CROWDED, 128)])
+def test_placement_matches_reference(monkeypatch, spec, canvas):
+    if spec is CROWDED:
+        monkeypatch.setattr(scenes, "MAX_PLACEMENT_TRIES", CROWDED_TRIES)
+    failed = []
+    for seed in range(200):
+        got = _placement(_place, seed, spec, canvas)
+        assert got == _placement(_reference_place, seed, spec, canvas), seed
+        failed.append(got[0] is None)
+    assert any(failed) == (spec is CROWDED) and not all(failed)
+
+
+def test_placement_reads_max_overlap(monkeypatch):
+    monkeypatch.setattr(scenes, "MAX_PLACEMENT_TRIES", CROWDED_TRIES)
+    seeds = range(20)
+    default = [_placement(_place, seed, CROWDED, 128) for seed in seeds]
+    monkeypatch.setattr(scenes, "MAX_OVERLAP", 0.0)
+    strict = [_placement(_place, seed, CROWDED, 128) for seed in seeds]
+    assert strict != default
+    assert strict == [_placement(_reference_place, seed, CROWDED, 128)
+                      for seed in seeds]
 
 
 def test_zero_objects_pure_noise():
@@ -109,5 +191,5 @@ def test_class_intensities_distinct():
 def test_overcrowded_spec_fails(monkeypatch):
     monkeypatch.setattr(scenes, "MAX_OVERLAP", 0.0)
     spec = SceneSpec(objects=50, min_size=60, max_size=60)
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError, match="of objects = 50 "):
         gen_scene(0, spec, canvas=128)
