@@ -24,7 +24,7 @@ from .geometry import rotated_nms, save_annotations
 from .msk import STRIP_SIZES, count_params
 from .pyramid import NetworkWeights, assemble_forward, decode_boxes
 from .scenes import gen_scene, scene_boxes
-from .tensor import Tensor
+from .tensor import Tensor, no_recording
 from .tensorio import load_pgm, load_tensor, save_pgm, save_tensor
 
 EXIT_OK = 0
@@ -62,13 +62,10 @@ def _positive_float(text: str) -> float:
 
 
 def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
-    """The seeded network, with no weight that requires a gradient: a forward
-    pass through it records no autodiff graph."""
-    weights = NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
-                                    cfg.network, dtype=dtype)
-    for p in weights.parameters():
-        p.requires_grad = False
-    return weights
+    """The seeded network of `forward` and `eval --mode model`, which run
+    their forward passes inside ``no_recording``: no autodiff graph."""
+    return NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
+                                 cfg.network, dtype=dtype)
 
 
 def cmd_param_count(cfg: Config, args) -> int:
@@ -104,7 +101,7 @@ def cmd_forward(cfg: Config, args) -> int:
     # every Tensor rejects a non-finite value, so numpy's overflow warnings
     # would only repeat the error below
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with no_recording(), np.errstate(over="ignore", invalid="ignore"):
             feats, head = assemble_forward(Tensor(img, dtype=dtype), weights)
     except ShapeError as exc:  # the image breaks the forward's input rule
         raise FormatError(f"{args.image}: {exc}") from None
@@ -204,7 +201,8 @@ def cmd_eval(cfg: Config, args) -> int:
         if args.mode == "model":
             image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
             batch = Tensor(image.data[np.newaxis], dtype=dtype)
-            _, head = assemble_forward(batch, weights)
+            with no_recording():
+                _, head = assemble_forward(batch, weights)
             raw = decode_boxes(head, cfg.network, cfg.score_threshold)
             preds.append(rotated_nms(raw, cfg.nms_threshold))
         else:  # the oracle and empty predictions need no image

@@ -3,7 +3,12 @@
 Tensors wrap contiguous numpy arrays (float32 or float64). Every operation on
 a tensor that requires a gradient keeps a backward closure and its parents,
 so calling ``backward`` on a scalar result accumulates gradients into every
-leaf that was created with ``requires_grad=True``. The op set is what the
+leaf that was created with ``requires_grad=True``. Each op output is built by
+``Tensor._from_op``, which checks it as the constructor checks data and
+records the node only while recording is on. ``no_recording()`` is the one
+switch that turns recording off, for a block, as ``torch.no_grad`` does: the
+CLI's inference forwards and ``gradcheck``'s finite-difference forwards run
+inside it, compute the same values and keep no graph. The op set is what the
 feature blocks need: conv2d (with groups and stride), average pooling,
 sigmoid, channel concat, and elementwise arithmetic. Quarter rotations
 (``rot90``) are no longer used by the feature blocks; they stay for the
@@ -11,7 +16,9 @@ rotation contracts of acceptance criterion 7 and the gradcheck battery.
 
 A convolution is one ``np.matmul`` per direction: every window of the
 padded input is one 7-D strided view, copied once into a (groups,
-Cg*kH*kW, N*oH*oW) patch buffer; the kernel multiplies it in the forward
+Cg*kH*kW, N*oH*oW) patch buffer, or used as it is when it already lies in
+that order (a 1x1 stride-1 kernel over one image, whose patches are the
+input itself, copies nothing); the kernel multiplies it in the forward
 pass, and the backward pass multiplies by its transpose and adds the patch
 gradients back into place, one kernel tap at a time since windows overlap.
 The optional bias is added in the same node. Padding is a zero buffer with
@@ -37,14 +44,36 @@ are the tensors ``named_parameters`` finds by walking their fields.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
-FLOAT_DTYPES = (np.float32, np.float64)
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# sigmoid's outputs stay in the open interval: (least value above 0, greatest
+# value below 1) per dtype
+_OPEN_UNIT = {d: (np.nextafter(d.type(0), d.type(1)),
+                  np.nextafter(d.type(1), d.type(0))) for d in FLOAT_DTYPES}
+# read by Tensor._from_op; only no_recording() sets it
+_recording = True
+
+
+@contextlib.contextmanager
+def no_recording():
+    """Ops inside the block record no graph: their outputs have no parents
+    and require no gradient. The previous state comes back on exit, also
+    when the block raises, so blocks nest."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _as_pair(v) -> tuple[int, int]:
@@ -78,11 +107,29 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
-        out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        """The node holding an op's output array. ``data`` meets the
+        constructor's contract (at least 1-D, float32 or float64, C order,
+        finite) or is converted and checked by the constructor. The node
+        records ``parents`` and ``backward`` when recording is on and a
+        parent requires a gradient."""
+        if data.ndim and data.dtype in FLOAT_DTYPES and data.flags.c_contiguous:
+            if not np.isfinite(data).all():
+                raise ValueError("tensor values must be finite")
+        else:
+            data = Tensor(data).data
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.grad = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        if _recording:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    break
         return out
 
     # -- basic introspection --------------------------------------------------
@@ -214,9 +261,9 @@ def sigmoid(x: Tensor) -> Tensor:
     out = np.where(v >= 0, 1.0, e)
     out /= 1.0 + e
     # keep the open-interval contract even where rounding would hit 0 or 1
-    tiny = np.nextafter(v.dtype.type(0), v.dtype.type(1))
-    below_one = np.nextafter(v.dtype.type(1), v.dtype.type(0))
-    np.clip(out, tiny, below_one, out=out)
+    tiny, below_one = _OPEN_UNIT[v.dtype]
+    np.maximum(out, tiny, out=out)
+    np.minimum(out, below_one, out=out)
 
     def bwd(g):
         x._accumulate(g * out * (1.0 - out))
@@ -330,7 +377,12 @@ def _windows(kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
 
 def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
             oh: int, ow: int) -> np.ndarray:
-    """Patches of ``xp`` laid out as (G, Cg*kh*kw, N*oh*ow) for matmul."""
+    """Patches of ``xp`` laid out as (G, Cg*kh*kw, N*oh*ow) for matmul.
+
+    When the windows already lie in that order (a 1x1 stride-1 kernel over
+    one image, say) the result is a view of ``xp`` itself, not a copy;
+    callers only read it.
+    """
     xp = np.ascontiguousarray(xp)  # the view below assumes C order
     n, c = xp.shape[:2]
     cg = c // groups
@@ -341,9 +393,11 @@ def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
     windows = np.ndarray(shape, xp.dtype, buffer=xp, offset=0,
                          strides=(cg * s_c, s_c, s_h, s_w, s_n, sh * s_h,
                                   sw * s_w))
-    cols = np.empty(shape, dtype=xp.dtype)
-    np.copyto(cols, windows)
-    return cols.reshape(groups, cg * kh * kw, n * oh * ow)
+    if not windows.flags.c_contiguous:
+        cols = np.empty(shape, dtype=xp.dtype)
+        np.copyto(cols, windows)
+        windows = cols
+    return windows.reshape(groups, cg * kh * kw, n * oh * ow)
 
 
 def _col2im(gcols: np.ndarray, xp_shape, groups, kh, kw, sh, sw, oh,
@@ -463,10 +517,12 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
     ``fn`` maps the given tensors to a scalar tensor. Every coordinate of
     every input is perturbed by ±eps (or a seeded subset of ``coord_limit``
     coordinates when the input is large). The error at one coordinate is
-    |analytic - numeric| / max(1, |analytic|).
+    |analytic - numeric| / max(1, |analytic|). A non-finite analytic
+    gradient anywhere gives ``inf``. The analytic pass records its graph;
+    the finite-difference forwards run with recording off.
     """
-    if eps <= 0:
-        raise ContractError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError(f"eps must be finite and positive, got {eps}")
     if isinstance(inputs, Tensor):
         inputs = [inputs]
     for t in inputs:
@@ -475,27 +531,32 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
     if out.data.size != 1:
         raise ContractError("gradcheck target must return a scalar")
     grads = gradients(out, inputs)
+    # max() below would pass over the NaN error of a NaN gradient; with the
+    # gradient finite, the error is finite or inf
+    if not all(np.isfinite(g).all() for g in grads):
+        return math.inf
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t, analytic in zip(inputs, grads):
-        flat = t.data.reshape(-1)
-        n = flat.size
-        if coord_limit is not None and n > coord_limit:
-            idx = rng.choice(n, size=coord_limit, replace=False)
-        else:
-            idx = np.arange(n)
-        aflat = analytic.reshape(-1)
-        for i in idx:
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = fn(*inputs).item()
-            flat[i] = keep - eps
-            lo = fn(*inputs).item()
-            flat[i] = keep
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
-            worst = max(worst, err)
+    with no_recording():
+        for t, analytic in zip(inputs, grads):
+            flat = t.data.reshape(-1)
+            n = flat.size
+            if coord_limit is not None and n > coord_limit:
+                idx = rng.choice(n, size=coord_limit, replace=False)
+            else:
+                idx = np.arange(n)
+            aflat = analytic.reshape(-1)
+            for i in idx:
+                keep = flat[i]
+                flat[i] = keep + eps
+                hi = fn(*inputs).item()
+                flat[i] = keep - eps
+                lo = fn(*inputs).item()
+                flat[i] = keep
+                numeric = (hi - lo) / (2.0 * eps)
+                err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
+                worst = max(worst, err)
     return worst
 
 

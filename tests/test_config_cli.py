@@ -8,11 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rotdet import cli
 from rotdet.cli import _inference_weights, build_parser, main
 from rotdet.config import _DEFAULTS, load_config
 from rotdet.errors import ConfigError
 from rotdet.pyramid import NetworkWeights, assemble_forward
-from rotdet.tensor import Tensor
+from rotdet.tensor import Tensor, no_recording
 from rotdet.tensorio import load_tensor, save_pgm, save_tensor
 
 SMALL = """\
@@ -388,8 +389,8 @@ class TestFlags:
 
 
 class TestInferenceWeights:
-    """`forward` and `eval --mode model` run on weights that require no
-    gradient, so their forward passes record no autodiff graph."""
+    """`forward` and `eval --mode model` run their forward passes with
+    recording off, so they record no autodiff graph."""
 
     def _forward(self, weights):
         image = Tensor(np.random.default_rng(3).uniform(size=(1, 3, 256, 256)),
@@ -403,10 +404,10 @@ class TestInferenceWeights:
 
     def test_forward_builds_no_graph(self):
         weights = self._weights()
-        assert not any(p.requires_grad for p in weights.parameters())
         tracemalloc.start()
         try:
-            named = self._forward(weights)
+            with no_recording():
+                named = self._forward(weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,12 +415,32 @@ class TestInferenceWeights:
         # about 17 MiB; the same forward with a graph peaks near 42 MiB
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("command", [["forward", "--out", "dump"],
+                                         ["eval", "--mode", "model"]])
+    def test_commands_record_no_graph(self, monkeypatch, tmp_path, command):
+        outputs = []
+
+        def spy(batch, weights):
+            feats, head = assemble_forward(batch, weights)
+            outputs.extend([*feats.values(), *head.named().values()])
+            return feats, head
+
+        monkeypatch.setattr(cli, "assemble_forward", spy)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "small.ini"
+        config.write_text(SMALL)
+        assert main(["--config", str(config), *command]) == 0
+        assert outputs
+        assert all(t._parents == () for t in outputs)
+        assert any(p.requires_grad for p in self._weights().parameters())
+
     def test_same_bytes_as_gradient_tracking_weights(self):
         cfg = load_config(None)
         tracked = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
                                         cfg.network, dtype=np.float32)
         want = self._forward(tracked)
-        got = self._forward(self._weights())
+        with no_recording():
+            got = self._forward(self._weights())
         assert want["logits_s8"]._parents
         assert list(got) == list(want)
         for name, t in want.items():

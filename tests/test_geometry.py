@@ -19,7 +19,7 @@ from rotdet.geometry import (OrientedBox, box_polygons, iou_matrix,
                              rotated_iou, rotated_nms, save_annotations)
 from rotdet.pyramid import NetworkWeights, assemble_forward, decode_boxes
 from rotdet.scenes import gen_scene
-from rotdet.tensor import Tensor
+from rotdet.tensor import Tensor, no_recording
 
 # The batched kernel guards its divisions; a warning here is a defect.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -891,12 +891,11 @@ class TestNmsWaves:
         cfg = load_config()
         weights = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
                                         cfg.network, dtype=np.float32)
-        for p in weights.parameters():
-            p.requires_grad = False
         for seed, count, digest in PINNED_DETECT:
             image, _ = gen_scene(seed, cfg.scene, cfg.canvas)
-            _, head = assemble_forward(
-                Tensor(image.data[np.newaxis], dtype=np.float32), weights)
+            with no_recording():
+                _, head = assemble_forward(
+                    Tensor(image.data[np.newaxis], dtype=np.float32), weights)
             kept = rotated_nms(
                 decode_boxes(head, cfg.network, cfg.score_threshold), 0.3)
             records = "\n".join(

@@ -1,5 +1,6 @@
 """Tensor engine: op contracts, invariants, gradients."""
 
+import math
 import tracemalloc
 from dataclasses import dataclass
 
@@ -12,8 +13,9 @@ from hypothesis.extra import numpy as hnp
 from rotdet.errors import ContractError, ShapeError
 from rotdet.tensor import (Tensor, WeightSet, _as_pair, _col2im, _im2col,
                            _padded, add, avg_pool, backward, concat_channels,
-                           conv2d, gradcheck, gradients, mul, named_parameters,
-                           rot90, sigmoid, sum_all)
+                           conv2d, gradcheck, gradients, mean_all, mul,
+                           named_parameters, no_recording, normalize_vec,
+                           rot90, scale, sigmoid, smooth_l1, sub, sum_all)
 
 # Convolution and pooling copy into preallocated buffers; a warning here
 # (overflow, invalid cast) is a defect.
@@ -90,6 +92,34 @@ def _looped_im2col(xp, groups, kh, kw, sh, sw, oh, ow):
         for j in range(kw):
             cols[:, :, i, j] = src[..., i:i + sh * oh:sh, j:j + sw * ow:sw]
     return cols.reshape(groups, cg * kh * kw, n * oh * ow)
+
+
+def _copying_im2col(xp, groups, kh, kw, sh, sw, oh, ow):
+    """``_im2col`` as it was when it copied the strided view of every
+    window into a new buffer, even when the view was already in order."""
+    xp = np.ascontiguousarray(xp)
+    n, c = xp.shape[:2]
+    cg = c // groups
+    s_n, s_c, s_h, s_w = xp.strides
+    shape = (groups, cg, kh, kw, n, oh, ow)
+    windows = np.ndarray(shape, xp.dtype, buffer=xp, offset=0,
+                         strides=(cg * s_c, s_c, s_h, s_w, s_n, sh * s_h,
+                                  sw * s_w))
+    cols = np.empty(shape, dtype=xp.dtype)
+    np.copyto(cols, windows)
+    return cols.reshape(groups, cg * kh * kw, n * oh * ow)
+
+
+def _clipped_sigmoid(v):
+    """sigmoid as it was when it computed its bounds on every call and
+    clipped with ``np.clip``."""
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0, e)
+    out /= 1.0 + e
+    tiny = np.nextafter(v.dtype.type(0), v.dtype.type(1))
+    below_one = np.nextafter(v.dtype.type(1), v.dtype.type(0))
+    np.clip(out, tiny, below_one, out=out)
+    return out
 
 
 def _masked_sigmoid(v):
@@ -486,6 +516,45 @@ class TestIm2col:
         want = conv2d(Tensor(np.ascontiguousarray(x.data)), k)
         assert got.data.tobytes() == want.data.tobytes()
 
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_copying(self, case):
+        (n, c, h, w, _, groups, kh, kw, (sh, sw), (ph, pw), dtype, _,
+         seed) = case
+        x = np.random.default_rng(seed).standard_normal((n, c, h, w))
+        xp = _padded(x.astype(dtype), ph, pw)
+        oh = (xp.shape[2] - kh) // sh + 1
+        ow = (xp.shape[3] - kw) // sw + 1
+        got = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+        want = _copying_im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,groups,h,w", [
+        (1, 1, 1, 1), (3, 1, 5, 7), (4, 2, 8, 8), (6, 6, 4, 9),
+        (40, 1, 64, 64)])
+    def test_pointwise_single_image_copies_nothing(self, dtype, c, groups, h,
+                                                   w):
+        # a 1x1 stride-1 kernel over one image reads the input in place
+        xp = np.random.default_rng(23).standard_normal((1, c, h, w)).astype(
+            dtype)
+        got = _im2col(xp, groups, 1, 1, 1, 1, h, w)
+        want = _copying_im2col(xp, groups, 1, 1, 1, 1, h, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, xp)
+
+    @pytest.mark.parametrize("n,kh,kw,sh,sw", [
+        (2, 1, 1, 1, 1), (1, 1, 1, 2, 1), (1, 3, 3, 1, 1), (1, 1, 3, 1, 1)])
+    def test_other_layouts_copy(self, n, kh, kw, sh, sw):
+        xp = np.random.default_rng(24).standard_normal((n, 3, 6, 6))
+        oh, ow = (6 - kh) // sh + 1, (6 - kw) // sw + 1
+        got = _im2col(xp, 1, kh, kw, sh, sw, oh, ow)
+        assert not np.shares_memory(got, xp)
+        assert got.tobytes() == _copying_im2col(
+            xp, 1, kh, kw, sh, sw, oh, ow).tobytes()
+
     def test_allocates_only_its_buffer(self):
         # a 40-channel 1x11 strip at 64x64, padded to 64x74 beforehand: the
         # patch buffer is the only allocation, so a temporary copy of the
@@ -502,11 +571,20 @@ class TestIm2col:
         assert peak <= buffer_bytes + 64 * 1024
 
 
+# where exp(-|v|) leaves the normal range (about 88.7 in float32, 709 in
+# float64) and where it rounds to zero (about 104 and 745)
+EXP_SATURATION = {np.float32: [88.5, 88.72, 88.73, 103.0, 103.97, 103.98,
+                               104.0, 105.0],
+                  np.float64: [708.0, 709.78, 709.79, 744.0, 744.44, 745.13,
+                               745.14, 746.0]}
+
+
 def _sigmoid_edges(dtype):
     info = np.finfo(dtype)
     tiny = float(np.nextafter(dtype(0), dtype(1)))
+    saturation = EXP_SATURATION[dtype]
     return [0.0, -0.0, tiny, -tiny, 1e4, -1e4, float(info.max),
-            -float(info.max)]
+            -float(info.max)] + saturation + [-v for v in saturation]
 
 
 @st.composite
@@ -527,6 +605,23 @@ class TestSigmoid:
         want = _masked_sigmoid(Tensor(v).data)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @given(sigmoid_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_clipped(self, v):
+        got = sigmoid(Tensor(v)).data
+        want = _clipped_sigmoid(Tensor(v).data)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturation_bit_equal_to_clipped(self, dtype):
+        edges = np.array(EXP_SATURATION[dtype], dtype=dtype)
+        v = np.concatenate([edges, -edges])
+        # every value around each edge, a few ulps either way
+        v = np.concatenate([v + k * np.spacing(v) for k in range(-4, 5)])
+        assert sigmoid(Tensor(v)).data.tobytes() == \
+            _clipped_sigmoid(v).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_edges_bit_equal_to_masked(self, dtype):
@@ -672,6 +767,48 @@ class TestGradcheck:
         with pytest.raises(ContractError):
             gradcheck(lambda a: sum_all(a), Tensor(np.ones(2)), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ContractError, match="eps"):
+            gradcheck(lambda a: sum_all(a), Tensor(np.ones(2)), eps=eps)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    @pytest.mark.parametrize("coord_limit", [None, 1])
+    def test_non_finite_gradient_fails(self, factor, coord_limit):
+        # max(0.0, nan) is 0.0, so a NaN error must not reach the maximum;
+        # a bad coordinate the sample leaves out fails too
+        def skewed_sum(a):
+            out = sum_all(a)
+            correct = out._backward
+            if correct is not None:
+                out._backward = lambda g: correct(g * np.array([1.0, factor]))
+            return out
+
+        err = gradcheck(skewed_sum, Tensor(np.ones(2)),
+                        coord_limit=coord_limit)
+        assert err == math.inf
+
+    def test_differences_record_nothing(self):
+        # the analytic pass records its graph; every finite-difference
+        # forward runs with recording off
+        rng = np.random.default_rng(25)
+        k = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        outs = []
+
+        def fn(a):
+            out = sum_all(sigmoid(conv2d(a, k, padding=(1, 1))))
+            outs.append(out)
+            return out
+
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        assert gradcheck(fn, x) <= 1e-6
+        assert len(outs) == 1 + 2 * x.data.size
+        assert outs[0]._parents and outs[0].requires_grad
+        assert all(o._parents == () and o._backward is None
+                   and not o.requires_grad for o in outs[1:])
+        # and recording is back on afterwards
+        assert sum_all(x)._parents == (x,)
+
 
 def graph_leaves(out: Tensor) -> set[int]:
     """Ids of the grad-requiring leaves reachable from ``out``."""
@@ -756,3 +893,131 @@ def test_forward_determinism():
     a = conv2d(Tensor(xd), Tensor(kd), padding=(1, 1)).data
     b = conv2d(Tensor(xd), Tensor(kd), padding=(1, 1)).data
     assert np.array_equal(a, b)
+
+
+class TestNoRecording:
+    def test_block_records_nothing(self):
+        x = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+        with no_recording():
+            out = sigmoid(avg_pool(x, 3, padding=1))
+        assert (out.requires_grad, out._parents, out._backward,
+                out.grad) == (False, (), None, None)
+        assert sigmoid(x)._parents == (x,)
+
+    def test_same_values_as_recorded(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        recorded = sigmoid(conv2d(x, k, padding=(1, 1)))
+        with no_recording():
+            unrecorded = sigmoid(conv2d(x, k, padding=(1, 1)))
+        assert recorded._parents
+        assert unrecorded.data.tobytes() == recorded.data.tobytes()
+
+    def test_restored_after_nesting(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_recording():
+            with no_recording():
+                assert add(x, x)._parents == ()
+            assert add(x, x)._parents == ()
+        assert add(x, x)._parents == (x, x)
+
+    def test_restored_after_raise(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with no_recording():
+                add(x, Tensor(np.ones(3)))
+        assert add(x, x)._parents == (x, x)
+
+    def test_restored_after_fn_raises_in_gradcheck(self):
+        def fn(a):  # fails on a perturbed input only
+            if a.data[0] != 1.0:
+                raise ShapeError("perturbed")
+            return sum_all(a)
+
+        x = Tensor(np.ones(2))
+        with pytest.raises(ShapeError, match="perturbed"):
+            gradcheck(fn, x)
+        assert add(x, x)._parents == (x, x)
+
+
+def _constructor_from_op(data, parents, backward):
+    """``Tensor._from_op`` as it was: every output through the full
+    constructor, recorded when a parent requires a gradient."""
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward = backward
+    return out
+
+
+def _rebound(a):
+    """A tensor requiring a gradient whose ``.data`` is ``a`` as a
+    non-contiguous view, as a rebound ``.data`` may be."""
+    t = Tensor(np.zeros(a.shape, a.dtype), requires_grad=True)
+    t.data = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert not t.data.flags.c_contiguous
+    return t
+
+
+# every op on small inputs: name -> (op, input shapes)
+OPS = {
+    "add": (add, [(2, 3), (2, 3)]),
+    "sub": (sub, [(2, 3), (1, 3)]),
+    "mul": (mul, [(2, 3), (2, 1)]),
+    "scale": (lambda a: scale(a, 10.0), [(2, 3)]),
+    "sigmoid": (sigmoid, [(2, 3)]),
+    "smooth_l1": (lambda a: smooth_l1(scale(a, 2.0)), [(2, 3)]),
+    "sum_all": (sum_all, [(2, 3)]),
+    "mean_all": (mean_all, [(2, 3)]),
+    "normalize_vec": (normalize_vec, [(4,)]),
+    "concat_channels": (lambda a, b: concat_channels([a, b]),
+                        [(2, 1, 3, 3), (2, 2, 3, 3)]),
+    "rot90": (lambda a: rot90(a, "ccw"), [(2, 2, 3, 4)]),
+    "conv2d": (lambda a, b, c: conv2d(a, b, padding=1, bias=c),
+               [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "conv2d_pointwise": (conv2d, [(1, 3, 4, 4), (2, 3, 1, 1)]),
+    "avg_pool": (lambda a: avg_pool(a, 3, padding=1), [(2, 2, 4, 4)]),
+}
+
+
+class TestFromOpContract:
+    """Every op's output is what the full constructor made of it."""
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", OPS)
+    def test_same_node_as_constructor(self, monkeypatch, name, dtype,
+                                      contiguous):
+        op, shapes = OPS[name]
+        rng = np.random.default_rng(27)
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        leaf = (lambda a: Tensor(a, requires_grad=True)) if contiguous \
+            else _rebound
+        got = op(*map(leaf, arrays))
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "_from_op", staticmethod(_constructor_from_op))
+            want = op(*map(leaf, arrays))
+        assert got.data.dtype == want.data.dtype == dtype
+        assert got.shape == want.shape and got.ndim >= 1
+        assert got.data.flags.c_contiguous
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.requires_grad and len(got._parents) == len(want._parents)
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["add", "sub", "mul", "scale", "sum_all",
+                                      "mean_all", "conv2d", "avg_pool"])
+    def test_overflow_rejected(self, name, dtype, contiguous):
+        op, shapes = OPS[name]
+        big = 0.75 * float(np.finfo(dtype).max)
+        signs = [1.0, -1.0 if name == "sub" else 1.0, 1.0]
+        leaf = (lambda a: Tensor(a, requires_grad=True)) if contiguous \
+            else _rebound
+        inputs = [leaf(np.full(shape, sign * big, dtype))
+                  for shape, sign in zip(shapes, signs)]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^tensor values must be "
+                                                "finite$"):
+            op(*inputs)
