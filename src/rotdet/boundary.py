@@ -92,24 +92,26 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
         if method == "direct_smoothl1":
             param = Tensor(np.array([theta0]), requires_grad=True)
             target_t = Tensor(targets)
-            for _ in range(steps):
-                loss = mean_all(smooth_l1(sub(param, target_t)))
-                trace.append(loss.item())
-                param.grad = None
-                loss.backward()
-                param.data = param.data - lr * param.grad
-            pred_theta = eaem.wrap(float(param.data[0]), omega)
+
+            def loss_of(p):
+                return mean_all(smooth_l1(sub(p, target_t)))
         else:
             code0 = eaem.encode(theta0, omega)
             param = Tensor(np.array([code0.x, code0.y]), requires_grad=True)
             target_codes = Tensor(eaem.encode(targets, omega).as_array())
-            for _ in range(steps):
-                diff = sub(normalize_vec(param), target_codes)
-                loss = scale(sum_all(mul(diff, diff)), 1.0 / len(targets))
-                trace.append(loss.item())
-                param.grad = None
-                loss.backward()
-                param.data = param.data - lr * param.grad
+
+            def loss_of(p):
+                diff = sub(normalize_vec(p), target_codes)
+                return scale(sum_all(mul(diff, diff)), 1.0 / len(targets))
+        for _ in range(steps):
+            loss = loss_of(param)
+            trace.append(loss.item())
+            param.grad = None
+            loss.backward()
+            param.data = param.data - lr * param.grad
+        if method == "direct_smoothl1":
+            pred_theta = eaem.wrap(float(param.data[0]), omega)
+        else:
             pred_theta = eaem.decode(eaem.normalize(param.data, omega))
     except ValueError:
         return MethodResult("diverged", float("nan"), trace)

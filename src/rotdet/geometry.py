@@ -1,28 +1,23 @@
 """Rotated-rectangle geometry: polygons, exact IoU, a raster oracle, NMS.
 
-:func:`iou_pairs` is the one exact IoU route: a batched kernel that clips
-arrays of (subject, clipper) polygon pairs (Sutherland-Hodgman) and
-measures each intersection with the shoelace formula, in coordinates
-local to the pair. :func:`rotated_nms`, :func:`iou_matrix` (which AP
-matching uses), scene placement and the one-pair :func:`rotated_iou`
-run on it; they first drop pairs whose circumscribed circles do not
-overlap, whose IoU is exactly 0. NMS, which needs only whether an IoU
-exceeds its threshold, also drops the pairs whose exact IoU bound
-m / (A + B - m) does not, where m is the least of the two polygons'
-areas and their bounding boxes' overlap. Those polygon areas are the
-stacked polygons' shoelace areas, which the kernel measures, not w * h:
-far from the origin the rounded polygon of a small box can be larger
-than w * h (see :func:`_may_exceed`). NMS runs in waves: the first
-NMS_BLOCK boxes that no kept box suppresses are resolved against each
-other, and their survivors then filter every later box in one kernel
-call, so a wave that clears many boxes still costs two calls.
+A box list is read into arrays once, by :func:`_columns`: one float64 row
+(cx, cy, w, h, cos theta, sin theta, score, class id) per box, from which
+:func:`_stack` derives the polygons, areas, centers and radii. The one
+exact IoU route, :func:`iou_pairs`, is a batched kernel that clips arrays
+of (subject, clipper) polygon pairs (Sutherland-Hodgman) and measures each
+intersection with the shoelace formula, in coordinates local to the pair.
+:func:`rotated_nms`, :func:`iou_matrix` (which AP matching uses), scene
+placement and the one-pair :func:`rotated_iou` run on it; they first drop
+pairs whose circumscribed circles do not overlap, whose IoU is exactly 0.
+NMS orders the rows with one stable ``np.lexsort``, returns at once for a
+threshold outside [0, 1), and otherwise runs in waves over row indices.
+It needs only whether an IoU exceeds its threshold, so it also drops the
+pairs whose exact IoU bound (:func:`_may_exceed`) does not.
 
 The kernel is checked against a scalar clip in the tests and against the
-independent raster oracle, which rates a pair by the share of a
-uniform grid's points that lie in both boxes. It counts those points row
-by row: along a grid row a box's points form one run of columns, whose
-ends a binary search finds with the arithmetic of :func:`points_in_box`.
-Its counts are those of testing every grid point, in O(grid) memory.
+independent raster oracle, which rates a pair by the share of a uniform
+grid's points that lie in both boxes, counted row by row
+(:func:`_row_spans`) exactly as testing every point would count them.
 """
 
 from __future__ import annotations
@@ -78,18 +73,25 @@ class OrientedBox:
         object.__setattr__(self, "cy", float(self.cy))
 
 
-def box_polygons(boxes: list[OrientedBox]) -> np.ndarray:
-    """Four CCW vertices of each box, shape (N, 4, 2); a box's row does not
-    depend on the other boxes in the list."""
-    p = np.array([(b.cx, b.cy, 0.5 * b.w, 0.5 * b.h, math.cos(b.theta),
-                   math.sin(b.theta)) for b in boxes]).reshape(len(boxes), 6)
-    local = np.empty((len(boxes), 4, 2))
-    local[..., 0] = p[:, 2:3] * np.array([-1.0, 1.0, 1.0, -1.0])
-    local[..., 1] = p[:, 3:4] * np.array([-1.0, -1.0, 1.0, 1.0])
-    rot_t = np.empty((len(boxes), 2, 2))  # transposed rotation by theta
-    rot_t[:, 0, 0], rot_t[:, 0, 1] = p[:, 4], p[:, 5]
-    rot_t[:, 1, 0], rot_t[:, 1, 1] = -p[:, 5], p[:, 4]
-    return local @ rot_t + p[:, np.newaxis, :2]
+def _columns(boxes: list[OrientedBox]) -> np.ndarray:
+    """The one read of a box list into arrays: float64 rows (cx, cy, w, h,
+    cos theta, sin theta, score, class id), shape (N, 8). Class ids are
+    exact in float64 up to 2**53 in magnitude."""
+    return np.array([(b.cx, b.cy, b.w, b.h, math.cos(b.theta),
+                      math.sin(b.theta), b.score, b.class_id) for b in boxes],
+                    dtype=np.float64).reshape(len(boxes), 8)
+
+
+def box_polygons(cols: np.ndarray) -> np.ndarray:
+    """Four CCW vertices of each :func:`_columns` row, shape (N, 4, 2); a
+    row's polygon does not depend on the other rows."""
+    local = np.empty((len(cols), 4, 2))
+    local[..., 0] = 0.5 * cols[:, 2:3] * np.array([-1.0, 1.0, 1.0, -1.0])
+    local[..., 1] = 0.5 * cols[:, 3:4] * np.array([-1.0, -1.0, 1.0, 1.0])
+    rot_t = np.empty((len(cols), 2, 2))  # transposed rotation by theta
+    rot_t[:, 0, 0], rot_t[:, 0, 1] = cols[:, 4], cols[:, 5]
+    rot_t[:, 1, 0], rot_t[:, 1, 1] = -cols[:, 5], cols[:, 4]
+    return local @ rot_t + cols[:, np.newaxis, :2]
 
 
 def _box_frame(px, py, b: OrientedBox):
@@ -142,7 +144,7 @@ def _row_spans(xs: np.ndarray, ys: np.ndarray, b: OrientedBox):
 def _raster_counts(a: OrientedBox, b: OrientedBox, grid: int):
     """Grid points in a, in b and in both, over a grid x grid lattice
     spanning both boxes' corners."""
-    corners = box_polygons([a, b]).reshape(8, 2)
+    corners = box_polygons(_columns([a, b])).reshape(8, 2)
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid)
@@ -157,15 +159,9 @@ def _raster_counts(a: OrientedBox, b: OrientedBox, grid: int):
 
 def raster_iou_oracle(a: OrientedBox, b: OrientedBox, grid: int = 1024) -> float:
     """Brute-force IoU over a uniform grid covering both boxes' extent: the
-    share of the grid points in either box that lie in both.
-
-    The points are counted per grid row, not tested one by one. Along a
-    row, each coordinate points_in_box compares is monotone in the column,
-    because every IEEE operation is monotone in each argument; so a box
-    covers one run of columns, and a binary search with points_in_box's
-    own arithmetic finds its ends (see :func:`_row_spans`). The counts are
-    therefore exactly those of testing every grid point, and the memory
-    is O(grid) instead of O(grid**2).
+    share of the grid points in either box that lie in both. The points
+    are counted per grid row (:func:`_row_spans`), with the counts of
+    testing every grid point, in O(grid) instead of O(grid**2) memory.
     """
     if grid < 256:
         raise ValueError("grid must be at least 256")
@@ -277,12 +273,11 @@ def iou_pairs(polys: np.ndarray, areas: np.ndarray, subj: np.ndarray,
     return out
 
 
-def _stack(boxes: list[OrientedBox]):
-    """Polygons, areas, centers and circumscribed radii of the boxes."""
-    n = len(boxes)
-    params = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]).reshape(n, 4)
-    w, h = params[:, 2], params[:, 3]
-    return box_polygons(boxes), w * h, params[:, :2], 0.5 * np.hypot(w, h)
+def _stack(cols: np.ndarray):
+    """Polygons, w * h areas, centers and circumscribed radii of the
+    :func:`_columns` rows."""
+    w, h = cols[:, 2], cols[:, 3]
+    return box_polygons(cols), w * h, cols[:, :2], 0.5 * np.hypot(w, h)
 
 
 def _near_pairs(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray,
@@ -328,7 +323,8 @@ def _may_exceed(caps, areas: np.ndarray, a: np.ndarray, b: np.ndarray,
 def iou_matrix(subjects: list[OrientedBox],
                clippers: list[OrientedBox]) -> np.ndarray:
     """IoU of every subject with every clipper box, shape (S, C)."""
-    polys, areas, centers, radii = _stack(list(subjects) + list(clippers))
+    polys, areas, centers, radii = _stack(
+        _columns(list(subjects) + list(clippers)))
     rows = np.arange(len(subjects))
     cols = np.arange(len(subjects), len(polys))
     i, j = _near_pairs(centers, radii, rows, cols)
@@ -346,34 +342,37 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
 def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[OrientedBox]:
     """Greedy descending-score suppression with a stable tie-break.
 
-    Ordering key: score desc, then class_id asc, cx asc, cy asc. A box is
-    dropped when its IoU with an already kept box exceeds the threshold.
-    Candidates are resolved in waves: the first NMS_BLOCK boxes that no
-    kept box suppresses are resolved in order against each other, their
-    survivors are kept, and one kernel call drops every later box that a
-    survivor suppresses. Each kept box comes before every remaining box,
-    so the kept list is the greedy one, and each pair reaches the kernel
-    as (later box, kept box), as in a one-by-one loop. Only pairs whose
-    circles overlap and whose IoU bound (:func:`_may_exceed`) exceeds the
-    threshold reach the kernel; no other pair can suppress. No kernel IoU
-    exceeds 1, so at a threshold of 1 or more the ordered list returns at
-    once. No IoU exceeds a NaN threshold either, so every box is kept.
+    The boxes are read once into :func:`_columns` rows and ordered by one
+    stable ``np.lexsort``: score desc, then class_id asc, cx asc, cy asc,
+    and input order among rows equal in all four, as ``sorted`` would
+    order them. A box is dropped when its IoU with an already kept box
+    exceeds the threshold. Outside [0, 1) the order decides alone: every
+    IoU, 0 included, exceeds a negative threshold, so only the first box
+    stays, and no kernel IoU exceeds 1 or more, or NaN, so every box does.
+    Otherwise candidates are resolved in waves, on row indices: the first
+    NMS_BLOCK boxes that no kept box suppresses are resolved in order
+    against each other, their survivors are kept, and one kernel call
+    drops every later box that a survivor suppresses. Each kept box comes
+    before every remaining box, so the kept list is the greedy one, and
+    each pair reaches the kernel as (later box, kept box), as in a
+    one-by-one loop. Only pairs whose circles overlap and whose IoU bound
+    (:func:`_may_exceed`) exceeds the threshold reach the kernel; no other
+    pair can suppress.
     """
-    ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx, b.cy))
-    if iou_threshold < 0.0:
-        return ordered[:1]  # every IoU, 0 included, exceeds it
-    if iou_threshold >= 1.0:
-        return ordered
-    polys, areas, centers, radii = _stack(ordered)
+    cols = _columns(boxes)
+    order = np.lexsort((cols[:, 1], cols[:, 0], cols[:, 7], -cols[:, 6]))
+    if not 0.0 <= iou_threshold < 1.0:
+        return [boxes[k] for k in order[:1 if iou_threshold < 0.0 else None]]
+    polys, areas, centers, radii = _stack(cols[order])
     caps = _overlap_caps(polys)
 
-    def candidates(rows, cols):
-        i, j = _near_pairs(centers, radii, rows, cols)
-        keep = _may_exceed(caps, areas, rows[i], cols[j], iou_threshold)
+    def candidates(subj, clip):
+        i, j = _near_pairs(centers, radii, subj, clip)
+        keep = _may_exceed(caps, areas, subj[i], clip[j], iou_threshold)
         return i[keep], j[keep]
 
     kept = []
-    rest = np.arange(len(ordered))  # in order; no kept box suppresses one
+    rest = np.arange(len(order))  # in order; no kept box suppresses one
     while len(rest):
         block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
         i, j = candidates(block, block)
@@ -391,7 +390,7 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
         i, j = candidates(rest, survivors)
         over = iou_pairs(polys, areas, rest[i], survivors[j]) > iou_threshold
         rest = rest[np.bincount(i[over], minlength=len(rest)) == 0]
-    return [ordered[k] for k in kept]
+    return [boxes[k] for k in order[kept]]
 
 
 # -- annotation files, as gen-data writes them --------------------------------

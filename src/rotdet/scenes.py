@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import (OrientedBox, _near_pairs, box_polygons, iou_pairs,
-                       points_in_box)
+from .geometry import (OrientedBox, _columns, _near_pairs, _stack,
+                       box_polygons, iou_pairs, points_in_box)
 # unused here; benchmarks/tracer.py wraps this binding by name
 from .geometry import rotated_iou  # noqa: F401
 from .tensor import Tensor
@@ -56,16 +56,14 @@ def _place(rng: np.random.Generator, spec: SceneSpec,
     when its kernel IoU with each placed box, the candidate clipped by it,
     is at most MAX_OVERLAP; each object gets MAX_PLACEMENT_TRIES draws.
 
-    The placed boxes' polygons, w * h areas, centers and circumscribed
-    radii are kept in arrays whose row len(boxes) holds the candidate, so
-    only the placed boxes whose circles reach the candidate's go to the
-    kernel, and no box is stacked twice. The kernel rates a pair apart
-    from its batch, so the decisions are those of ``iou_matrix([cand],
-    boxes)``.
+    The placed boxes' :func:`rotdet.geometry._stack` rows are kept in
+    arrays whose row len(boxes) holds the candidate's, so only the placed
+    boxes whose circles reach the candidate's go to the kernel, and no box
+    is stacked twice. The kernel rates a pair apart from its batch, so the
+    decisions are those of ``iou_matrix([cand], boxes)``.
     """
     boxes: list[OrientedBox] = []
-    polys, areas = np.empty((16, 4, 2)), np.empty(16)
-    centers, radii = np.empty((16, 2)), np.empty(16)
+    polys, areas, centers, radii = _stack(np.zeros((16, 8)))
     for _ in range(spec.objects):
         n = len(boxes)
         polys, areas, centers, radii = (
@@ -81,10 +79,9 @@ def _place(rng: np.random.Generator, spec: SceneSpec,
             cy = rng.uniform(radius, canvas - radius)
             cls = int(rng.integers(0, spec.classes))
             cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
-            polys[n] = box_polygons([cand])[0]
-            areas[n] = cand.w * cand.h
-            centers[n] = cand.cx, cand.cy
-            radii[n] = 0.5 * np.hypot(cand.w, cand.h)
+            for placed, row in zip((polys, areas, centers, radii),
+                                   _stack(_columns([cand]))):
+                placed[n] = row[0]
             _, near = _near_pairs(centers, radii, np.array([n]), np.arange(n))
             if (not len(near) or iou_pairs(polys, areas, np.full(len(near), n),
                                            near).max() <= MAX_OVERLAP):
@@ -102,7 +99,7 @@ def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
     """Set pixels whose centers lie in a box to its class intensity. Each
     box must overlap the canvas, as the boxes :func:`_place` places do."""
     h, w = canvas.shape
-    for box, poly in zip(boxes, box_polygons(boxes)):
+    for box, poly in zip(boxes, box_polygons(_columns(boxes))):
         x0 = max(int(math.floor(poly[:, 0].min())), 0)
         x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
         y0 = max(int(math.floor(poly[:, 1].min())), 0)

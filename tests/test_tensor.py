@@ -1,6 +1,7 @@
 """Tensor engine: op contracts, invariants, gradients."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import dataclass
 
@@ -409,6 +410,19 @@ def _conv_out_and_grads(op, case):
         seed + 1)
 
 
+def _bytes_differ(got, want) -> list[str]:
+    """Which of two ``_conv_out_and_grads`` results differ in any byte."""
+    names = ("output", "input grad", "kernel grad", "bias grad")
+    return [name for name, a, b in zip(names, got, want)
+            if (a.dtype, a.shape) != (b.dtype, b.shape)
+            or a.tobytes() != b.tobytes()]
+
+
+def _blas_vars() -> str:
+    return ", ".join(f"{v}={os.environ.get(v)}" for v in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE"))
+
+
 class TestAgainstReference:
     """conv2d and avg_pool against the einsum / im2col code they replaced."""
 
@@ -442,11 +456,20 @@ class TestAgainstReference:
     def test_conv2d_bit_equal_to_buffered(self, case):
         # copying the patches again in the backward pass, in one strided copy,
         # changes no bit of the output or of any gradient
-        results = [_conv_out_and_grads(op, case)
-                   for op in (conv2d, _buffered_conv2d)]
-        for got, want in zip(*results):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        differ = _bytes_differ(*(_conv_out_and_grads(op, case)
+                                 for op in (conv2d, _buffered_conv2d)))
+        assert not differ, (f"conv2d and _buffered_conv2d differ in {differ} "
+                            f"on case {case}; {_blas_vars()}")
+
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_conv2d_bit_equal_to_itself(self, case):
+        """Two runs on one draw give the same bytes, so a failure of the
+        test above tells whether conv2d disagreed with itself."""
+        differ = _bytes_differ(*(_conv_out_and_grads(conv2d, case)
+                                 for _ in range(2)))
+        assert not differ, (f"two conv2d runs differ in {differ} on case "
+                            f"{case}; {_blas_vars()}")
 
     def test_bias_is_one_node(self):
         rng = np.random.default_rng(19)
