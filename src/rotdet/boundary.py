@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angle as eaem
-from .tensor import (Tensor, mean_all, mul, normalize_vec, scale, smooth_l1,
-                     sub, sum_all)
+from .tensor import (Tensor, mean_all, mul, no_recording, normalize_vec,
+                     scale, smooth_l1, sub, sum_all)
 
 METHODS = ("direct_smoothl1", "eaem_chord")
 JUMP_THRESHOLD = 0.5
@@ -33,7 +33,8 @@ def loss_landscape(method: str, target_theta: float,
     p = eaem.period(omega)
     thetas = np.arange(LANDSCAPE_SAMPLES) * (p / LANDSCAPE_SAMPLES)
     if method == "direct_smoothl1":
-        return smooth_l1(Tensor(thetas - target_theta)).data
+        with no_recording():
+            return smooth_l1(Tensor(thetas - target_theta)).data
     if method == "eaem_chord":
         target = eaem.encode(eaem.wrap(target_theta, omega), omega)
         return eaem.code_distance(eaem.encode(thetas, omega), target)
@@ -90,14 +91,14 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
     trace: list[float] = []
     try:
         if method == "direct_smoothl1":
-            param = Tensor(np.array([theta0]), requires_grad=True)
+            param = Tensor(np.array([theta0]))
             target_t = Tensor(targets)
 
             def loss_of(p):
                 return mean_all(smooth_l1(sub(p, target_t)))
         else:
             code0 = eaem.encode(theta0, omega)
-            param = Tensor(np.array([code0.x, code0.y]), requires_grad=True)
+            param = Tensor(np.array([code0.x, code0.y]))
             target_codes = Tensor(eaem.encode(targets, omega).as_array())
 
             def loss_of(p):

@@ -62,8 +62,9 @@ def _positive_float(text: str) -> float:
 
 
 def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
-    """The seeded network of `forward` and `eval --mode model`, which run
-    their forward passes inside ``no_recording``: no autodiff graph."""
+    """The seeded network of `forward` and `eval --mode model`. Those commands
+    keep no autodiff graph because their forward and decode run inside
+    ``no_recording``, not because of anything in the weights."""
     return NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
                                  cfg.network, dtype=dtype)
 
@@ -203,7 +204,7 @@ def cmd_eval(cfg: Config, args) -> int:
             batch = Tensor(image.data[np.newaxis], dtype=dtype)
             with no_recording():
                 _, head = assemble_forward(batch, weights)
-            raw = decode_boxes(head, cfg.network, cfg.score_threshold)
+                raw = decode_boxes(head, cfg.network, cfg.score_threshold)
             preds.append(rotated_nms(raw, cfg.nms_threshold))
         else:  # the oracle and empty predictions need no image
             truth = scene_boxes(rng_seed + i, cfg.scene, cfg.canvas)

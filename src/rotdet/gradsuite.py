@@ -25,8 +25,7 @@ class CheckResult:
 
 
 def _rand(rng, shape):
-    return Tensor(rng.standard_normal(shape), dtype=np.float64,
-                  requires_grad=True)
+    return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
 def per_op_checks(seed: int = 0) -> list[CheckResult]:

@@ -44,8 +44,8 @@ class ConvParams(WeightSet):
         """Every weight is drawn here, in float64, within ±1/sqrt(fan_in)."""
         shape = (out_c, in_c // groups, kh, kw)
         bound = 1.0 / math.sqrt(math.prod(shape[1:]))
-        kernel = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-        bias = Tensor(np.zeros(out_c), requires_grad=True)
+        kernel = Tensor(rng.uniform(-bound, bound, shape))
+        bias = Tensor(np.zeros(out_c))
         return ConvParams(kernel, bias, tuple(stride), groups)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -1,18 +1,18 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Tensors wrap contiguous numpy arrays (float32 or float64). Every operation on
-a tensor that requires a gradient keeps a backward closure and its parents,
-so calling ``backward`` on a scalar result accumulates gradients into every
-leaf that was created with ``requires_grad=True``. Each op output is built by
-``Tensor._from_op``, which checks it as the constructor checks data and
-records the node only while recording is on. ``no_recording()`` is the one
-switch that turns recording off, for a block, as ``torch.no_grad`` does: the
-CLI's inference forwards and ``gradcheck``'s finite-difference forwards run
-inside it, compute the same values and keep no graph. The op set is what the
-feature blocks need: conv2d (with groups and stride), average pooling,
-sigmoid, channel concat, and elementwise arithmetic. Quarter rotations
-(``rot90``) are no longer used by the feature blocks; they stay for the
-rotation contracts of acceptance criterion 7 and the gradcheck battery.
+Tensors wrap contiguous numpy arrays (float32 or float64). Every operation
+keeps a backward closure and its parents while recording is on, so calling
+``backward`` on a scalar result accumulates gradients into every leaf it
+reaches. Each op output is built by ``Tensor._from_op``, which checks it as the
+constructor checks data and records the node only while recording is on.
+``no_recording()`` is the one switch that turns recording off, for a block, as
+``torch.no_grad`` does: the CLI's inference forwards and ``gradcheck``'s
+finite-difference forwards run inside it, compute the same values and keep no
+graph. The op set is what the feature blocks need: conv2d (with groups and
+stride), average pooling, sigmoid, channel concat, and elementwise arithmetic.
+Quarter rotations (``rot90``) are no longer used by the feature blocks; they
+stay for the rotation contracts of acceptance criterion 7 and the gradcheck
+battery.
 
 A convolution is one ``np.matmul`` per direction: every window of the
 padded input is one 7-D strided view, copied once into a (groups,
@@ -65,7 +65,7 @@ _recording = True
 @contextlib.contextmanager
 def no_recording():
     """Ops inside the block record no graph: their outputs have no parents
-    and require no gradient. The previous state comes back on exit, also
+    and no backward closure. The previous state comes back on exit, also
     when the block raises, so blocks nest."""
     global _recording
     previous = _recording
@@ -86,9 +86,9 @@ def _as_pair(v) -> tuple[int, int]:
 class Tensor:
     """Dense N-d array node in a dynamically built computation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if dtype is None:
             dtype = arr.dtype if arr.dtype in FLOAT_DTYPES else np.float64
@@ -99,7 +99,6 @@ class Tensor:
         if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -110,8 +109,7 @@ class Tensor:
         """The node holding an op's output array. ``data`` meets the
         constructor's contract (at least 1-D, float32 or float64, C order,
         finite) or is converted and checked by the constructor. The node
-        records ``parents`` and ``backward`` when recording is on and a
-        parent requires a gradient."""
+        records ``parents`` and ``backward`` when recording is on."""
         if data.ndim and data.dtype in FLOAT_DTYPES and data.flags.c_contiguous:
             if not np.isfinite(data).all():
                 raise ValueError("tensor values must be finite")
@@ -120,16 +118,8 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        if _recording:
-            for p in parents:
-                if p.requires_grad:
-                    out.requires_grad = True
-                    out._parents = tuple(parents)
-                    out._backward = backward
-                    break
+        out._parents = tuple(parents) if _recording else ()
+        out._backward = backward if _recording else None
         return out
 
     # -- basic introspection --------------------------------------------------
@@ -519,18 +509,20 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
     coordinates when the input is large). The error at one coordinate is
     |analytic - numeric| / max(1, |analytic|). A non-finite analytic
     gradient anywhere gives ``inf``. The analytic pass records its graph;
-    the finite-difference forwards run with recording off.
+    the finite-difference forwards run with recording off. The inputs keep
+    their values and their ``.grad``, also when ``fn`` raises.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError(f"eps must be finite and positive, got {eps}")
     if isinstance(inputs, Tensor):
         inputs = [inputs]
-    for t in inputs:
-        t.requires_grad = True
     out = fn(*inputs)
     if out.data.size != 1:
         raise ContractError("gradcheck target must return a scalar")
+    held = [t.grad for t in inputs]
     grads = gradients(out, inputs)
+    for t, g in zip(inputs, held):
+        t.grad = g
     # max() below would pass over the NaN error of a NaN gradient; with the
     # gradient finite, the error is finite or inf
     if not all(np.isfinite(g).all() for g in grads):
@@ -549,11 +541,13 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
             aflat = analytic.reshape(-1)
             for i in idx:
                 keep = flat[i]
-                flat[i] = keep + eps
-                hi = fn(*inputs).item()
-                flat[i] = keep - eps
-                lo = fn(*inputs).item()
-                flat[i] = keep
+                try:
+                    flat[i] = keep + eps
+                    hi = fn(*inputs).item()
+                    flat[i] = keep - eps
+                    lo = fn(*inputs).item()
+                finally:
+                    flat[i] = keep
                 numeric = (hi - lo) / (2.0 * eps)
                 err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
                 worst = max(worst, err)

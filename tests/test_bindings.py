@@ -1,6 +1,6 @@
 """Names other code binds to by string: the package's ``__all__`` and the
 module attributes ``benchmarks/tracer.py`` wraps; and that the package
-defines nothing only tests call.
+defines nothing, and no defaulted parameter, that only tests call or pass.
 
 The tracer replaces attributes like ``rotdet.scenes.rotated_iou`` by name,
 so a binding the package drops would otherwise surface only as an
@@ -64,3 +64,61 @@ def _uncalled_definitions() -> list[str]:
 
 def test_every_definition_has_a_product_caller():
     assert _uncalled_definitions() == []
+
+
+# Defaulted parameters that no package or benchmark call passes, kept on
+# purpose: "file:function(parameter)" -> why.
+UNPASSED_KEPT = {
+    "cli.py:main(argv)": "the entry point; tests call it with an argv",
+    "msk.py:count_params(strip_sizes)": "acceptance criterion 1 audits "
+                                        "other strip sizes through it",
+    "pyramid.py:decode_boxes(image_index)": "kept on purpose (ROADMAP "
+                                            "item 3): decodes any image of "
+                                            "a batch",
+}
+
+
+def _unpassed_parameters() -> list[str]:
+    """``file:function(parameter)`` of each defaulted parameter of a package
+    function that no package or benchmark call passes. A call passes it by
+    naming it as a keyword, by reaching its position, or by any ``*`` or
+    ``**`` argument. Calls are matched to functions by name, as in
+    ``_uncalled_definitions``; a class name calls its ``__init__``, and the
+    ``self`` of a method that is not static takes no call position."""
+    defined, calls = [], {}
+    for path in PACKAGE + BENCHMARKS:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, spread))
+            elif isinstance(node, ast.FunctionDef) and path in PACKAGE:
+                defined.append((path.name, node, owner.get(id(node))))
+    unpassed = []
+    for file, f, cls in defined:
+        name = cls.name if cls and f.name == "__init__" else f.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in f.decorator_list)
+        positional = [a.arg for a in f.args.posonlyargs + f.args.args]
+        positional = positional[1:] if cls and not static else positional
+        defaulted = positional[len(positional) - len(f.args.defaults):] + [
+            a.arg for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+            if d is not None]
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            if not any(spread or param in keywords
+                       or (index is not None and n > index)
+                       for n, keywords, spread in calls.get(name, [])):
+                unpassed.append(f"{file}:{f.name}({param})")
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _unpassed_parameters() == sorted(UNPASSED_KEPT)

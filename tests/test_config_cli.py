@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotdet import cli
 from rotdet.cli import _inference_weights, build_parser, main
 from rotdet.config import _DEFAULTS, load_config
 from rotdet.errors import ConfigError
@@ -418,21 +417,22 @@ class TestInferenceWeights:
     @pytest.mark.parametrize("command", [["forward", "--out", "dump"],
                                          ["eval", "--mode", "model"]])
     def test_commands_record_no_graph(self, monkeypatch, tmp_path, command):
+        # every op output of the whole command: the forward and, under
+        # eval, the decode
         outputs = []
+        from_op = Tensor._from_op
 
-        def spy(batch, weights):
-            feats, head = assemble_forward(batch, weights)
-            outputs.extend([*feats.values(), *head.named().values()])
-            return feats, head
+        def spy(data, parents, backward):
+            outputs.append(from_op(data, parents, backward))
+            return outputs[-1]
 
-        monkeypatch.setattr(cli, "assemble_forward", spy)
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "small.ini"
         config.write_text(SMALL)
         assert main(["--config", str(config), *command]) == 0
         assert outputs
-        assert all(t._parents == () for t in outputs)
-        assert any(p.requires_grad for p in self._weights().parameters())
+        assert all(t._parents == () and t._backward is None for t in outputs)
 
     def test_same_bytes_as_gradient_tracking_weights(self):
         cfg = load_config(None)

@@ -968,13 +968,16 @@ class TestNmsWaves:
                                      {"OPENBLAS_CORETYPE": "Haswell"}],
                              ids=["1-thread", "haswell"])
     def test_detect_pin_holds_under_other_blas(self, env):
-        """The pin in a child process whose BLAS runs on one thread, or on
-        the kernel an AVX2-only CPU gets; OpenBLAS reads both variables
-        only when it loads."""
-        test = "TestNmsWaves::test_detect_kept_boxes_pinned"
+        """The detect pin and the small-forward pins in a child process
+        whose BLAS runs on one thread, or on the kernel an AVX2-only CPU
+        gets; OpenBLAS reads both variables only when it loads."""
+        tests = [f"tests/{Path(__file__).name}::TestNmsWaves::"
+                 "test_detect_kept_boxes_pinned",
+                 "tests/test_pyramid.py::test_seeded_small_forward_pinned"]
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"tests/{Path(__file__).name}::{test}"],
+             *tests],
             cwd=Path(__file__).parents[1], env={**os.environ, **env},
             capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+        assert proc.returncode == 0 and "\n3 passed " in proc.stdout, \
+            proc.stdout[-4000:] + proc.stderr[-2000:]

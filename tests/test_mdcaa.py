@@ -47,7 +47,7 @@ def test_parameter_walk_covers_attention_graph():
     rng = np.random.default_rng(13)
     w = MdcaaWeights.create(rng, 3, strip_len=5, pool_window=3)
     f = Tensor(rng.standard_normal((1, 3, 8, 8)))
-    assert_walk_covers_graph(w, [mdcaa_apply(f, w)], 16)
+    assert_walk_covers_graph(w, f, [mdcaa_apply(f, w)], 16)
 
 
 class TestAttentionMap:

@@ -97,8 +97,8 @@ def test_parameter_walk_covers_module_graph():
     # identity 1x1 + 3x3 and four (1x1, 1xm, mx1) branches: 14 convs
     rng = np.random.default_rng(12)
     w = MskModuleWeights.create(rng, 4, 2, downsample=True)
-    out = msk_module_forward(Tensor(rng.standard_normal((1, 4, 8, 8))), w)
-    assert_walk_covers_graph(w, [out], 28)
+    x = Tensor(rng.standard_normal((1, 4, 8, 8)))
+    assert_walk_covers_graph(w, x, [msk_module_forward(x, w)], 28)
 
 
 class TestMskBlock:

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rotdet import tensor as tensor_module
 from rotdet.errors import ContractError, ShapeError
 from rotdet.tensor import (Tensor, WeightSet, _as_pair, _col2im, _im2col,
                            _padded, add, avg_pool, backward, concat_channels,
@@ -406,7 +407,7 @@ def _conv_out_and_grads(op, case):
         return op(x, k, stride=stride, padding=padding, groups=groups, bias=b)
 
     return _out_and_grads(
-        run, [Tensor(d.astype(dtype), requires_grad=True) for d in leaves],
+        run, [Tensor(d.astype(dtype)) for d in leaves],
         seed + 1)
 
 
@@ -446,7 +447,7 @@ class TestAgainstReference:
             (n, c, h, w)).astype(dtype)
         results = [
             _out_and_grads(lambda x, op=op: op(x, k, padding=pad),
-                           [Tensor(xd, requires_grad=True)], seed + 1)
+                           [Tensor(xd)], seed + 1)
             for op in (avg_pool, _reference_avg_pool)]
         for got, want in zip(*results):
             _assert_rel_close(got, want, REFERENCE_TOL[dtype])
@@ -473,9 +474,9 @@ class TestAgainstReference:
 
     def test_bias_is_one_node(self):
         rng = np.random.default_rng(19)
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-        k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        b = Tensor(rng.standard_normal(3))
         out = conv2d(x, k, padding=(1, 1), bias=b)
         assert out._parents == (x, k, b)
 
@@ -532,9 +533,9 @@ class TestIm2col:
 
     def test_conv2d_on_rebound_data(self):
         rng = np.random.default_rng(22)
-        x = Tensor(np.zeros((2, 4, 5, 6)), requires_grad=True)
+        x = Tensor(np.zeros((2, 4, 5, 6)))
         x.data = rng.standard_normal((2, 6, 6, 5)).transpose(0, 1, 3, 2)[:, 1:5]
-        k = Tensor(rng.standard_normal((3, 4, 3, 3)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 4, 3, 3)))
         got = conv2d(x, k)
         want = conv2d(Tensor(np.ascontiguousarray(x.data)), k)
         assert got.data.tobytes() == want.data.tobytes()
@@ -721,25 +722,24 @@ class TestConcatAndAdd:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = Tensor(np.random.default_rng(14).standard_normal((3, 4)),
-                   requires_grad=True)
+        x = Tensor(np.random.default_rng(14).standard_normal((3, 4)))
         (g,) = gradients(sum_all(x), [x])
         np.testing.assert_array_equal(g, np.ones((3, 4)))
 
     def test_sigmoid_gradient_quarter_at_zero(self):
-        x = Tensor(np.zeros((2, 2)), requires_grad=True)
+        x = Tensor(np.zeros((2, 2)))
         (g,) = gradients(sum_all(sigmoid(x)), [x])
         np.testing.assert_allclose(g, 0.25)
 
     def test_unused_leaf_gets_zero(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones(3))
+        y = Tensor(np.ones(3))
         (gx, gy) = gradients(sum_all(x), [x, y])
         np.testing.assert_array_equal(gx, np.ones(3))
         np.testing.assert_array_equal(gy, np.zeros(3))
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones(3))
         with pytest.raises(ContractError):
             backward(mul(x, x))
 
@@ -749,8 +749,8 @@ class TestBackward:
         kd = rng.standard_normal((2, 2, 3, 3))
 
         def run():
-            x = Tensor(xd, requires_grad=True)
-            k = Tensor(kd, requires_grad=True)
+            x = Tensor(xd)
+            k = Tensor(kd)
             loss = sum_all(sigmoid(conv2d(x, k, padding=(1, 1))))
             return gradients(loss, [x, k])
 
@@ -826,15 +826,30 @@ class TestGradcheck:
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         assert gradcheck(fn, x) <= 1e-6
         assert len(outs) == 1 + 2 * x.data.size
-        assert outs[0]._parents and outs[0].requires_grad
+        assert outs[0]._parents and outs[0]._backward is not None
         assert all(o._parents == () and o._backward is None
-                   and not o.requires_grad for o in outs[1:])
+                   for o in outs[1:])
         # and recording is back on afterwards
         assert sum_all(x)._parents == (x,)
 
+    def test_inputs_left_as_they_were(self):
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        k = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        k.grad = np.full(k.shape, 7.0)
+        before = [([getattr(t, a) for a in Tensor.__slots__], t.data.tobytes())
+                  for t in (x, k)]
+        assert gradcheck(lambda a, b: sum_all(conv2d(a, b, padding=1)),
+                         [x, k]) <= 1e-6
+        for t, (attrs, data) in zip((x, k), before):
+            assert all(getattr(t, a) is v
+                       for a, v in zip(Tensor.__slots__, attrs))
+            assert t.data.tobytes() == data
+        assert (k.grad == 7.0).all()
+
 
 def graph_leaves(out: Tensor) -> set[int]:
-    """Ids of the grad-requiring leaves reachable from ``out``."""
+    """Ids of the nodes without parents reachable from ``out``."""
     leaves, seen, stack = set(), set(), [out]
     while stack:
         t = stack.pop()
@@ -843,21 +858,22 @@ def graph_leaves(out: Tensor) -> set[int]:
         seen.add(id(t))
         if t._parents:
             stack.extend(t._parents)
-        elif t.requires_grad:
+        else:
             leaves.add(id(t))
     return leaves
 
 
-def assert_walk_covers_graph(weights, outputs, count):
+def assert_walk_covers_graph(weights, image, outputs, count):
     """The walk names each parameter once, and a loss over ``outputs`` reaches
-    exactly the walked tensors and gives each a gradient."""
+    exactly the walked tensors and the input ``image`` as leaves, and gives
+    each parameter a gradient."""
     params = weights.parameters()
     assert len(named_parameters(weights)) == len(params) == count
     assert len(set(map(id, params))) == count
     loss = sum_all(outputs[0])
     for t in outputs[1:]:
         loss = add(loss, sum_all(t))
-    assert graph_leaves(loss) == set(map(id, params))
+    assert graph_leaves(loss) == {*map(id, params), id(image)}
     backward(loss)
     assert all(p.grad is not None for p in params)
 
@@ -878,7 +894,7 @@ class _Nested(WeightSet):
 
 class TestNamedParameters:
     def test_walks_fields_items_and_keys(self):
-        t = [Tensor(np.full(2, float(i)), requires_grad=True) for i in range(5)]
+        t = [Tensor(np.full(2, float(i))) for i in range(5)]
         w = _Nested(inner=_Leafy(t[0]), pair=(t[1], _Leafy(t[2], 7)),
                     table={"a": t[3], "b": "not a tensor"},
                     items=[None, [t[4]]])
@@ -909,6 +925,12 @@ def test_non_float_dtype_rejected(dtype):
     assert Tensor(np.array([1, 2], dtype=dtype)).dtype == np.float64
 
 
+def test_second_positional_argument_is_dtype():
+    x32 = np.ones(3, np.float32)
+    assert Tensor(x32, np.float64).dtype == np.float64
+    assert Tensor(x32).dtype == np.float32
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(18)
     xd = rng.standard_normal((1, 3, 8, 8))
@@ -920,17 +942,16 @@ def test_forward_determinism():
 
 class TestNoRecording:
     def test_block_records_nothing(self):
-        x = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+        x = Tensor(np.ones((1, 2, 3, 3)))
         with no_recording():
             out = sigmoid(avg_pool(x, 3, padding=1))
-        assert (out.requires_grad, out._parents, out._backward,
-                out.grad) == (False, (), None, None)
+        assert (out._parents, out._backward, out.grad) == ((), None, None)
         assert sigmoid(x)._parents == (x,)
 
     def test_same_values_as_recorded(self):
         rng = np.random.default_rng(26)
-        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
-        k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)))
         recorded = sigmoid(conv2d(x, k, padding=(1, 1)))
         with no_recording():
             unrecorded = sigmoid(conv2d(x, k, padding=(1, 1)))
@@ -938,7 +959,7 @@ class TestNoRecording:
         assert unrecorded.data.tobytes() == recorded.data.tobytes()
 
     def test_restored_after_nesting(self):
-        x = Tensor(np.ones(2), requires_grad=True)
+        x = Tensor(np.ones(2))
         with no_recording():
             with no_recording():
                 assert add(x, x)._parents == ()
@@ -946,7 +967,7 @@ class TestNoRecording:
         assert add(x, x)._parents == (x, x)
 
     def test_restored_after_raise(self):
-        x = Tensor(np.ones(2), requires_grad=True)
+        x = Tensor(np.ones(2))
         with pytest.raises(ShapeError):
             with no_recording():
                 add(x, Tensor(np.ones(3)))
@@ -962,23 +983,30 @@ class TestNoRecording:
         with pytest.raises(ShapeError, match="perturbed"):
             gradcheck(fn, x)
         assert add(x, x)._parents == (x, x)
+        # and the perturbed coordinate is put back
+        assert x.data.tolist() == [1.0, 1.0]
+
+    def test_plain_tensors_record(self):
+        # outside the block every op records, whatever its inputs are
+        x, y = Tensor(np.ones(2)), Tensor(np.ones(2))
+        out = mul(x, y)
+        assert out._parents == (x, y) and out._backward is not None
 
 
 def _constructor_from_op(data, parents, backward):
     """``Tensor._from_op`` as it was: every output through the full
-    constructor, recorded when a parent requires a gradient."""
+    constructor, recorded when recording is on."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
+    if tensor_module._recording:
         out._parents = tuple(parents)
         out._backward = backward
     return out
 
 
 def _rebound(a):
-    """A tensor requiring a gradient whose ``.data`` is ``a`` as a
-    non-contiguous view, as a rebound ``.data`` may be."""
-    t = Tensor(np.zeros(a.shape, a.dtype), requires_grad=True)
+    """A tensor whose ``.data`` is ``a`` as a non-contiguous view, as a
+    rebound ``.data`` may be."""
+    t = Tensor(np.zeros(a.shape, a.dtype))
     t.data = np.repeat(a, 2, axis=-1)[..., ::2]
     assert not t.data.flags.c_contiguous
     return t
@@ -1016,8 +1044,7 @@ class TestFromOpContract:
         op, shapes = OPS[name]
         rng = np.random.default_rng(27)
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
-        leaf = (lambda a: Tensor(a, requires_grad=True)) if contiguous \
-            else _rebound
+        leaf = Tensor if contiguous else _rebound
         got = op(*map(leaf, arrays))
         with monkeypatch.context() as m:
             m.setattr(Tensor, "_from_op", staticmethod(_constructor_from_op))
@@ -1026,7 +1053,8 @@ class TestFromOpContract:
         assert got.shape == want.shape and got.ndim >= 1
         assert got.data.flags.c_contiguous
         assert got.data.tobytes() == want.data.tobytes()
-        assert got.requires_grad and len(got._parents) == len(want._parents)
+        assert (bool(got._parents), len(got._parents)) == \
+            (bool(want._parents), len(want._parents)) == (True, len(shapes))
 
     @pytest.mark.parametrize("contiguous", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1036,8 +1064,7 @@ class TestFromOpContract:
         op, shapes = OPS[name]
         big = 0.75 * float(np.finfo(dtype).max)
         signs = [1.0, -1.0 if name == "sub" else 1.0, 1.0]
-        leaf = (lambda a: Tensor(a, requires_grad=True)) if contiguous \
-            else _rebound
+        leaf = Tensor if contiguous else _rebound
         inputs = [leaf(np.full(shape, sign * big, dtype))
                   for shape, sign in zip(shapes, signs)]
         with np.errstate(over="ignore", invalid="ignore"), \
