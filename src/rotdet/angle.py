@@ -6,7 +6,8 @@ periodic, regression targets that sit on opposite sides of the angular
 wrap-around are close in the code plane, which removes the loss jumps a
 raw-angle parameterization suffers at the period boundary. The decoder is
 a six-case piecewise argument function mapping the circle back to
-[0, 2*pi), scaled by 1/omega. Only :func:`wrap` reduces an angle by its period.
+[0, 2*pi), scaled by 1/omega. Only :func:`wrap` reduces an angle by its period,
+and only :func:`omega_ok` states the range of omega, for the config too.
 
 All functions are pure and take scalars or numpy arrays by one route; a
 scalar comes back as a numpy float64 (a float). Non-finite angles and
@@ -23,12 +24,18 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError
 
 AXIS_TOL = 1e-12  # |x| at or below this routes to the x == 0 cases
+OMEGA_RANGE = "in (0, 2] with a finite period 2*pi/omega"  # omega_ok's rule
+
+
+def omega_ok(omega: float) -> bool:
+    """The one range rule of omega: 2*pi/omega is finite from ~3.495e-308."""
+    return 0.0 < omega <= 2.0 and math.isfinite(2.0 * math.pi / omega)
 
 
 def _check_omega(omega: float) -> float:
     omega = float(omega)
-    if not (0.0 < omega <= 2.0):
-        raise ContractError(f"omega must lie in (0, 2], got {omega}")
+    if not omega_ok(omega):
+        raise ContractError(f"omega must be {OMEGA_RANGE}, got {omega}")
     return omega
 
 

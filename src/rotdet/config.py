@@ -10,6 +10,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
+from .angle import OMEGA_RANGE, omega_ok
 from .errors import ConfigError
 from .pyramid import MAX_CANVAS, NetworkConfig
 from .scenes import SceneSpec
@@ -66,7 +67,7 @@ def _validate(values: dict[str, dict]) -> None:
     # per section, key: (test, what the value must be)
     ranges = {
         "network": {
-            "omega": (lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
+            "omega": (omega_ok, OMEGA_RANGE),
             "strip_len": (lambda v: v >= 3 and v % 2 == 1, "odd and >= 3"),
             # an even window would shrink the attention map against its input
             "pool_window": (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"),

@@ -31,8 +31,8 @@ def _rand(rng, shape):
 def per_op_checks(seed: int = 0) -> list[CheckResult]:
     """Gradcheck every differentiable op in 64-bit."""
     rng = np.random.default_rng(seed)
-    x = _rand(rng, (1, 2, 6, 6))
-    k = _rand(rng, (3, 2, 3, 3))
+    rng.standard_normal((1, 2, 6, 6))  # draws no check reads: see below
+    rng.standard_normal((3, 2, 3, 3))
     kd = _rand(rng, (2, 1, 1, 3))
     results = [
         ("conv2d", gradcheck(
@@ -56,8 +56,8 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
             lambda a, b: sum_all(sigmoid(concat_channels([a, b]))),
             [_rand(rng, (1, 2, 3, 3)), _rand(rng, (1, 3, 3, 3))]), 1e-6),
     ]
-    # A draw no check reads, like x and k above: it keeps the inputs of the
-    # checks below what they are for this seed.
+    # A draw no check reads, like the first two: each keeps the inputs of
+    # the checks after it what they are for this seed.
     rng.standard_normal((1, 4, 3, 3))
     eye = Tensor(np.eye(3).reshape(3, 3, 1, 1))  # conv2d(a, eye) is a
     results += [

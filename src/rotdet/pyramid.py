@@ -27,7 +27,7 @@ import numpy as np
 
 from . import angle as eaem
 from .errors import ShapeError
-from .geometry import MAX_BOX_COORD, OrientedBox
+from .geometry import OrientedBox
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
 from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
@@ -199,11 +199,11 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
 
     Centers move by delta*anchor_size, extents scale by exp(delta) with
     delta clamped to +-MAX_LOG_RATIO. A cell gives no box, like a cell
-    under the score threshold, where its center or an extent is not finite
-    or exceeds MAX_BOX_COORD in magnitude, or an extent is not positive.
-    The angle comes from the unit-circle decode of the normalized (x, y)
-    channels. Degenerate (near-zero) angle vectors fall back to the prior
-    angle 0, so a zero-weight network decodes every cell to its anchor.
+    under the score threshold, where ``OrientedBox`` rejects its center or
+    an extent; its angle and score are always finite. The angle comes from
+    the unit-circle decode of the normalized (x, y) channels. Degenerate
+    (near-zero) angle vectors fall back to the prior angle 0, so a
+    zero-weight network decodes every cell to its anchor.
     """
     out: list[OrientedBox] = []
     a, k = config.anchors, config.classes
@@ -225,15 +225,15 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
                             (r + 0.5) * stride + d[:, 1] * anchor_size,
                             [anchor_size * math.exp(v) for v in dw],
                             [anchor_size * math.exp(v) for v in dh]])
-        fits = (np.all(np.abs(box) <= MAX_BOX_COORD, axis=0)
-                & (np.minimum(box[2], box[3]) > 0))
-        ai, r, c, d, box = ai[fits], r[fits], c[fits], d[fits], box[:, fits]
-        ax, ay = d[:, 4].tolist(), d[:, 5].tolist()
-        live = np.array([math.hypot(x, y) >= 1e-6 for x, y in zip(ax, ay)],
-                        dtype=bool)
+        live = np.array([math.hypot(x, y) >= 1e-6
+                         for x, y in d[:, 4:].tolist()], dtype=bool)
         theta = np.zeros(len(ai))
         theta[live] = eaem.decode(eaem.normalize(d[live][:, 4:], config.omega))
-        out += [OrientedBox(*b, class_id=cid, score=sc) for *b, cid, sc in
-                zip(*box.tolist(), theta.tolist(),
-                    cls_id[ai, r, c].tolist(), score[ai, r, c].tolist())]
+        for *b, cid, sc in zip(*box.tolist(), theta.tolist(),
+                               cls_id[ai, r, c].tolist(),
+                               score[ai, r, c].tolist()):
+            try:
+                out.append(OrientedBox(*b, class_id=cid, score=sc))
+            except ValueError:  # the center or an extent is out of range
+                pass
     return out

@@ -3,8 +3,8 @@
 Tensors wrap contiguous numpy arrays (float32 or float64). Every operation
 keeps a backward closure and its parents while recording is on, so calling
 ``backward`` on a scalar result accumulates gradients into every leaf it
-reaches. Each op output is built by ``Tensor._from_op``, which checks it as the
-constructor checks data and records the node only while recording is on.
+reaches. ``Tensor._from_op`` builds each op output in one path: C order, at
+least 1-D, checked finite, and recorded only while recording is on.
 ``no_recording()`` is the one switch that turns recording off, for a block, as
 ``torch.no_grad`` does: the CLI's inference forwards and ``gradcheck``'s
 finite-difference forwards run inside it, compute the same values and keep no
@@ -76,13 +76,6 @@ def no_recording():
         _recording = previous
 
 
-def _as_pair(v) -> tuple[int, int]:
-    if isinstance(v, int):
-        return (v, v)
-    a, b = v
-    return (int(a), int(b))
-
-
 class Tensor:
     """Dense N-d array node in a dynamically built computation graph."""
 
@@ -106,15 +99,12 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """The node holding an op's output array. ``data`` meets the
-        constructor's contract (at least 1-D, float32 or float64, C order,
-        finite) or is converted and checked by the constructor. The node
-        records ``parents`` and ``backward`` when recording is on."""
-        if data.ndim and data.dtype in FLOAT_DTYPES and data.flags.c_contiguous:
-            if not np.isfinite(data).all():
-                raise ValueError("tensor values must be finite")
-        else:
-            data = Tensor(data).data
+        """An op's output (float32 or float64) stored as the constructor
+        stores data: C order, at least 1-D (a 0-d sum gets shape (1,)), and
+        finite. It records ``parents`` and ``backward`` if recording is on."""
+        data = np.ascontiguousarray(data)
+        if not np.isfinite(data).all():
+            raise ValueError("tensor values must be finite")
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -408,16 +398,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
     """2-D cross-correlation over NCHW input with grouped channels.
 
     Kernel layout is (out_channels, in_channels // groups, kH, kW);
-    ``groups == in_channels`` gives a depthwise convolution. Output spatial
-    extent is floor((H + 2*padH - kH) / strideH) + 1 and must be positive.
+    ``groups == in_channels`` gives a depthwise convolution. ``stride`` and
+    ``padding`` are (h, w) pairs; the output extent per axis is
+    floor((H + 2*padH - kH) / strideH) + 1 and must be positive.
     The optional per-channel ``bias`` is added in the same graph node.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and kernel")
     n, c, h, w = x.shape
     oc, cg, kh, kw = kernel.shape
-    sh, sw = _as_pair(stride)
-    ph, pw = _as_pair(padding)
+    sh, sw = stride
+    ph, pw = padding
     if groups < 1 or c % groups != 0 or oc % groups != 0:
         raise ShapeError(f"groups={groups} incompatible with C={c}, outC={oc}")
     if cg != c // groups:
@@ -461,18 +452,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
 
 
 def avg_pool(x: Tensor, window, padding=(0, 0)) -> Tensor:
-    """Mean pooling at stride 1 with zero padding; the divisor always counts
-    padded cells.
+    """Mean pooling at stride 1 with zero padding over (h, w) ``window`` and
+    ``padding`` pairs; the divisor always counts padded cells.
 
     The output is the sum of kh*kw shifted views of the padded input, added
     in row-major window order, times 1/(kh*kw).
     """
     if x.ndim != 4:
         raise ShapeError("avg_pool expects a 4-D tensor")
-    kh, kw = _as_pair(window)
+    kh, kw = window
     if kh < 1 or kw < 1:
         raise ContractError("pool window must be >= 1 per axis")
-    ph, pw = _as_pair(padding)
+    ph, pw = padding
     n, c, h, w = x.shape
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1

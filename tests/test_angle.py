@@ -62,6 +62,17 @@ class TestEncode:
         with pytest.raises(ContractError):
             angle.encode(0.0, 0.0)
 
+    @pytest.mark.parametrize("omega", [5e-324, 3.4e-308])
+    def test_omega_with_infinite_period(self, omega):
+        """2*pi/omega overflows to inf, where wrap would compute inf * 0 and
+        return NaN: every use of omega rejects it."""
+        assert math.isinf(2.0 * math.pi / omega)
+        for use in (lambda: angle.period(omega),
+                    lambda: angle.wrap(1.0, omega),
+                    lambda: angle.encode(1.0, omega)):
+            with pytest.raises(ContractError, match="finite period"):
+                use()
+
     def test_theta_out_of_range(self):
         with pytest.raises(ContractError):
             angle.encode(-0.1, 1.0)

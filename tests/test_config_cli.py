@@ -46,6 +46,9 @@ BOUNDARIES = [
     ("network", "omega", "0", 2), ("network", "omega", "0.5", 0),
     ("network", "omega", "2", 0), ("network", "omega", "2.5", 2),
     ("network", "omega", "nan", 2),
+    # the period 2*pi/omega overflows below about 3.495e-308
+    ("network", "omega", "5e-324", 2), ("network", "omega", "3.4e-308", 2),
+    ("network", "omega", "4e-308", 0),
     ("network", "anchors", "0", 2), ("network", "anchors", "1", 0),
     ("network", "anchors", "2", 0),
     ("network", "classes", "0", 2), ("network", "classes", "1", 0),
@@ -459,6 +462,19 @@ class TestCli:
         path.write_text("[network]\nomega = 3.0\n")
         assert main(["--config", str(path), "param-count"]) == 2
         assert "omega" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["5e-324", "3.4e-308"])
+    @pytest.mark.parametrize("argv", [
+        "eval --mode model", "angle-codec --encode 1.0",
+        "angle-codec --decode 0.3 0.9", "boundary-exp --steps 1"])
+    def test_omega_with_infinite_period_exits_2(self, tmp_path, capsys,
+                                                omega, argv):
+        path = tmp_path / "omega.ini"
+        path.write_text(f"[network]\nomega = {omega}\n")
+        assert main(["--config", str(path), *argv.split()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [network] omega must be")
+        assert "Traceback" not in err
 
     def test_angle_codec_encode_decode(self, capsys):
         assert main(["angle-codec", "--encode", "1.234"]) == 0

@@ -13,9 +13,9 @@ from hypothesis.extra import numpy as hnp
 
 from rotdet import tensor as tensor_module
 from rotdet.errors import ContractError, ShapeError
-from rotdet.tensor import (Tensor, WeightSet, _as_pair, _col2im, _im2col,
-                           _padded, add, avg_pool, backward, concat_channels,
-                           conv2d, gradcheck, gradients, mean_all, mul,
+from rotdet.tensor import (Tensor, WeightSet, _col2im, _im2col, _padded, add,
+                           avg_pool, backward, concat_channels, conv2d,
+                           gradcheck, gradients, mean_all, mul,
                            named_parameters, no_recording, normalize_vec,
                            rot90, scale, sigmoid, smooth_l1, sub, sum_all)
 
@@ -50,8 +50,8 @@ def _reference_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
     with the bias added in a node of its own."""
     n, c, h, w = x.shape
     oc, cg, kh, kw = kernel.shape
-    sh, sw = _as_pair(stride)
-    ph, pw = _as_pair(padding)
+    sh, sw = stride
+    ph, pw = padding
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
@@ -144,8 +144,8 @@ def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
     one kernel tap at a time (shape checks left out)."""
     n, c, h, w = x.shape
     oc, cg, kh, kw = kernel.shape
-    sh, sw = _as_pair(stride)
-    ph, pw = _as_pair(padding)
+    sh, sw = stride
+    ph, pw = padding
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
     xp = _padded(x.data, ph, pw)
@@ -175,8 +175,8 @@ def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
 
 def _reference_avg_pool(x, window, padding=(0, 0)):
     """avg_pool as a sum over an (N, C, kh, kw, oh, ow) im2col buffer."""
-    kh, kw = _as_pair(window)
-    ph, pw = _as_pair(padding)
+    kh, kw = window
+    ph, pw = padding
     n, c, h, w = x.shape
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
@@ -446,8 +446,9 @@ class TestAgainstReference:
         xd = np.random.default_rng(seed).standard_normal(
             (n, c, h, w)).astype(dtype)
         results = [
-            _out_and_grads(lambda x, op=op: op(x, k, padding=pad),
-                           [Tensor(xd)], seed + 1)
+            _out_and_grads(
+                lambda x, op=op: op(x, (k, k), padding=(pad, pad)),
+                [Tensor(xd)], seed + 1)
             for op in (avg_pool, _reference_avg_pool)]
         for got, want in zip(*results):
             _assert_rel_close(got, want, REFERENCE_TOL[dtype])
@@ -839,7 +840,7 @@ class TestGradcheck:
         k.grad = np.full(k.shape, 7.0)
         before = [([getattr(t, a) for a in Tensor.__slots__], t.data.tobytes())
                   for t in (x, k)]
-        assert gradcheck(lambda a, b: sum_all(conv2d(a, b, padding=1)),
+        assert gradcheck(lambda a, b: sum_all(conv2d(a, b, padding=(1, 1))),
                          [x, k]) <= 1e-6
         for t, (attrs, data) in zip((x, k), before):
             assert all(getattr(t, a) is v
@@ -944,7 +945,7 @@ class TestNoRecording:
     def test_block_records_nothing(self):
         x = Tensor(np.ones((1, 2, 3, 3)))
         with no_recording():
-            out = sigmoid(avg_pool(x, 3, padding=1))
+            out = sigmoid(avg_pool(x, (3, 3), padding=(1, 1)))
         assert (out._parents, out._backward, out.grad) == ((), None, None)
         assert sigmoid(x)._parents == (x,)
 
@@ -1012,6 +1013,15 @@ def _rebound(a):
     return t
 
 
+def _transposed(a):
+    """A tensor whose ``.data`` is ``a`` in Fortran order, the transpose of
+    a C-order array, as a rebound ``.data`` may be."""
+    t = Tensor(np.zeros(a.shape, a.dtype))
+    t.data = np.ascontiguousarray(a.T).T
+    assert t.data.flags.f_contiguous
+    return t
+
+
 # every op on small inputs: name -> (op, input shapes)
 OPS = {
     "add": (add, [(2, 3), (2, 3)]),
@@ -1026,10 +1036,11 @@ OPS = {
     "concat_channels": (lambda a, b: concat_channels([a, b]),
                         [(2, 1, 3, 3), (2, 2, 3, 3)]),
     "rot90": (lambda a: rot90(a, "ccw"), [(2, 2, 3, 4)]),
-    "conv2d": (lambda a, b, c: conv2d(a, b, padding=1, bias=c),
+    "conv2d": (lambda a, b, c: conv2d(a, b, padding=(1, 1), bias=c),
                [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
     "conv2d_pointwise": (conv2d, [(1, 3, 4, 4), (2, 3, 1, 1)]),
-    "avg_pool": (lambda a: avg_pool(a, 3, padding=1), [(2, 2, 4, 4)]),
+    "avg_pool": (lambda a: avg_pool(a, (3, 3), padding=(1, 1)),
+                 [(2, 2, 4, 4)]),
 }
 
 
@@ -1041,10 +1052,27 @@ class TestFromOpContract:
     @pytest.mark.parametrize("name", OPS)
     def test_same_node_as_constructor(self, monkeypatch, name, dtype,
                                       contiguous):
+        self._same_node(monkeypatch, name, dtype,
+                        Tensor if contiguous else _rebound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", OPS)
+    def test_same_node_from_fortran_order_leaves(self, monkeypatch, name,
+                                                 dtype):
+        self._same_node(monkeypatch, name, dtype, _transposed)
+
+    @pytest.mark.parametrize("name", ["sum_all", "mean_all"])
+    def test_reductions_are_1d(self, name):
+        # a 0-d sum is stored as the constructor stores it, in shape (1,)
+        out = OPS[name][0](Tensor(np.ones((2, 3))))
+        assert out.shape == (1,) and out.data.flags.c_contiguous
+        assert out.item() == (6.0 if name == "sum_all" else 1.0)
+
+    @staticmethod
+    def _same_node(monkeypatch, name, dtype, leaf):
         op, shapes = OPS[name]
         rng = np.random.default_rng(27)
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
-        leaf = Tensor if contiguous else _rebound
         got = op(*map(leaf, arrays))
         with monkeypatch.context() as m:
             m.setattr(Tensor, "_from_op", staticmethod(_constructor_from_op))
