@@ -164,16 +164,17 @@ def cmd_angle_codec(cfg: Config, args) -> int:
 def cmd_boundary_exp(cfg: Config, args) -> int:
     omega = cfg.network.omega
     seed = _seed(cfg, args)
-    report = boundary.compare_methods(steps=args.steps, lr=args.lr,
-                                      seed=seed, omega=omega)
-    print(f"seed={seed} omega={omega} steps={args.steps} "
-          f"lr={args.lr} targets={boundary.TARGET_COUNT}")
-    for target in (0.01, np.pi / omega):
-        for method in boundary.METHODS:
-            trace = boundary.loss_landscape(method, target, omega)
-            jumps = boundary.count_jumps(trace)
-            print(f"landscape target={target:.4f} method={method} "
-                  f"jumps={jumps}")
+    with np.errstate(over="ignore", invalid="ignore"):  # tiny omega diverges
+        report = boundary.compare_methods(steps=args.steps, lr=args.lr,
+                                          seed=seed, omega=omega)
+        print(f"seed={seed} omega={omega} steps={args.steps} "
+              f"lr={args.lr} targets={boundary.TARGET_COUNT}")
+        for target in (0.01, np.pi / omega):
+            for method in boundary.METHODS:
+                trace = boundary.loss_landscape(method, target, omega)
+                jumps = boundary.count_jumps(trace)
+                print(f"landscape target={target:.4f} method={method} "
+                      f"jumps={jumps}")
     for method, result in report.results.items():
         print(f"regression method={method} status={result.status} "
               f"final_angular_error={result.final_error:.6f}")

@@ -1,14 +1,15 @@
 """Average-precision evaluation for oriented boxes.
 
 Per class, predictions across all images are sorted by score and matched
-greedily against ground truth using rotated IoU, read from one pred x truth
-IoU matrix per image; each truth box can be claimed once. AP is the area
-under the all-point-interpolated precision-recall curve. mAP averages over
-classes that appear in the truth; classes with no truth are excluded from
-the mean. The matrices do not depend on the threshold, so an IoU sweep
-builds them once and matches them at every threshold. Matching walks
-their rows as Python lists: a prediction meets only its image's truths
-of its class, too few for a NumPy call per prediction to pay.
+greedily against ground truth using rotated IoU, read from one pred x
+truth IoU matrix per image, sliced by class; each truth box can be
+claimed once. AP is the area under the all-point-interpolated
+precision-recall curve. mAP averages over classes that appear in the
+truth; classes with no truth are excluded from the mean. The matrices do
+not depend on the threshold, so an IoU sweep builds them once and matches
+them at every threshold. Matching walks their rows as Python lists: a
+prediction meets only its image's truths of its class, too few for a
+NumPy call per prediction to pay.
 """
 
 from __future__ import annotations
@@ -41,26 +42,27 @@ def _match_tables(preds: list[list[OrientedBox]],
                   truth: list[list[OrientedBox]]) -> dict[int, tuple]:
     """Per truth class: its predictions in matching order as (image index,
     IoU row) pairs, each row a list of the prediction's IoU with the
-    image's truths; the truth count per image; and the total truth count.
-    The IoU comes from one pred x truth matrix per image.
+    image's truths of the class; the truth count per image; and the total
+    truth count. Each image's pred x truth matrix is sliced by class id:
+    the kernel rates each pair apart from its batch.
     """
     if len(preds) != len(truth):
         raise ValueError("preds and truth must cover the same images")
     classes = sorted({b.class_id for img in truth for b in img})
+    ious = [iou_matrix(p, t) for p, t in zip(preds, truth)]
     tables = {}
     for cls in classes:
-        records = []  # (score, image index, IoU row, box)
+        records = []  # (box, image index, IoU row)
         widths = []  # per image: its class-cls truth count
         for idx, (img_preds, img_truth) in enumerate(zip(preds, truth)):
-            cls_preds = [b for b in img_preds if b.class_id == cls]
-            cls_truth = [b for b in img_truth if b.class_id == cls]
-            widths.append(len(cls_truth))
-            rows = iou_matrix(cls_preds, cls_truth).tolist()
-            records += [(b.score, idx, row, b)
-                        for row, b in zip(rows, cls_preds)]
-        records.sort(key=lambda r: (-r[0], r[1], r[3].cx, r[3].cy))
-        order = [(idx, row) for _, idx, row, _ in records]
-        tables[cls] = (order, widths, sum(widths))
+            r = [k for k, b in enumerate(img_preds) if b.class_id == cls]
+            c = [j for j, b in enumerate(img_truth) if b.class_id == cls]
+            widths.append(len(c))
+            records += zip([img_preds[k] for k in r], [idx] * len(r),
+                           ious[idx][np.ix_(r, c)].tolist())
+        keys = [(b.cy, b.cx, idx, -b.score) for b, idx, _ in records]
+        order = np.lexsort(np.array(keys).reshape(-1, 4).T).tolist()
+        tables[cls] = ([records[k][1:] for k in order], widths, sum(widths))
     return tables
 
 

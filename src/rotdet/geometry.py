@@ -9,10 +9,10 @@ intersection with the shoelace formula, in coordinates local to the pair.
 :func:`rotated_nms`, :func:`iou_matrix` (which AP matching uses), scene
 placement and the one-pair :func:`rotated_iou` run on it; they first drop
 pairs whose circumscribed circles do not overlap, whose IoU is exactly 0.
-NMS orders the rows with one stable ``np.lexsort``, returns at once for a
-threshold outside [0, 1), and otherwise runs in waves over row indices.
-It needs only whether an IoU exceeds its threshold, so it also drops the
-pairs whose exact IoU bound (:func:`_may_exceed`) does not.
+NMS (in score order) and scene placement (in draw order) share one greedy
+loop, :func:`_greedy`, which runs in waves over row indices. It needs only
+whether an IoU exceeds its threshold, so it also drops the pairs whose
+exact IoU bound (:func:`_may_exceed`) does not.
 
 The kernel is checked against a scalar clip in the tests and against the
 independent raster oracle, which rates a pair by the share of a uniform
@@ -339,46 +339,32 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
-def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[OrientedBox]:
-    """Greedy descending-score suppression with a stable tie-break.
-
-    The boxes are read once into :func:`_columns` rows and ordered by one
-    stable ``np.lexsort``: score desc, then class_id asc, cx asc, cy asc,
-    and input order among rows equal in all four, as ``sorted`` would
-    order them. A box is dropped when its IoU with an already kept box
-    exceeds the threshold. Outside [0, 1) the order decides alone: every
-    IoU, 0 included, exceeds a negative threshold, so only the first box
-    stays, and no kernel IoU exceeds 1 or more, or NaN, so every box does.
-    Otherwise candidates are resolved in waves, on row indices: the first
-    NMS_BLOCK boxes that no kept box suppresses are resolved in order
-    against each other, their survivors are kept, and one kernel call
-    drops every later box that a survivor suppresses. Each kept box comes
-    before every remaining box, so the kept list is the greedy one, and
-    each pair reaches the kernel as (later box, kept box), as in a
-    one-by-one loop. Only pairs whose circles overlap and whose IoU bound
-    (:func:`_may_exceed`) exceeds the threshold reach the kernel; no other
-    pair can suppress.
+def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the :func:`_columns` rows that greedy suppression keeps,
+    in the given order, at a threshold in [0, 1): a row goes when its IoU
+    with a kept row, clipped by it, exceeds the threshold. Rows resolve in
+    waves: the first NMS_BLOCK rows no kept row suppresses are resolved in
+    order against each other, and their survivors are kept and drop every
+    later row they suppress in one kernel call. So each pair reaches the
+    kernel as (later row, kept row), as in a one-by-one loop; pairs that
+    cannot suppress (:func:`_near_pairs`, :func:`_may_exceed`) skip it.
     """
-    cols = _columns(boxes)
-    order = np.lexsort((cols[:, 1], cols[:, 0], cols[:, 7], -cols[:, 6]))
-    if not 0.0 <= iou_threshold < 1.0:
-        return [boxes[k] for k in order[:1 if iou_threshold < 0.0 else None]]
-    polys, areas, centers, radii = _stack(cols[order])
+    polys, areas, centers, radii = _stack(cols)
     caps = _overlap_caps(polys)
 
     def candidates(subj, clip):
         i, j = _near_pairs(centers, radii, subj, clip)
-        keep = _may_exceed(caps, areas, subj[i], clip[j], iou_threshold)
+        keep = _may_exceed(caps, areas, subj[i], clip[j], threshold)
         return i[keep], j[keep]
 
     kept = []
-    rest = np.arange(len(order))  # in order; no kept box suppresses one
+    rest = np.arange(len(cols))  # in order; no kept row suppresses one
     while len(rest):
         block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
         i, j = candidates(block, block)
         later = i > j
         i, j = i[later], j[later]
-        over = iou_pairs(polys, areas, block[i], block[j]) > iou_threshold
+        over = iou_pairs(polys, areas, block[i], block[j]) > threshold
         hits = np.zeros((len(block), len(block)), dtype=bool)
         hits[i[over], j[over]] = True  # hits[l, c]: kept c would drop l
         dropped = np.zeros(len(block), dtype=bool)
@@ -387,10 +373,29 @@ def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[Oriented
                 dropped |= hits[:, c]
         survivors = block[~dropped]
         kept.extend(survivors)
-        i, j = candidates(rest, survivors)
-        over = iou_pairs(polys, areas, rest[i], survivors[j]) > iou_threshold
-        rest = rest[np.bincount(i[over], minlength=len(rest)) == 0]
-    return [boxes[k] for k in order[kept]]
+        if len(rest):
+            i, j = candidates(rest, survivors)
+            over = iou_pairs(polys, areas, rest[i], survivors[j]) > threshold
+            rest = rest[np.bincount(i[over], minlength=len(rest)) == 0]
+    return np.array(kept, dtype=np.intp)
+
+
+def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[OrientedBox]:
+    """Greedy descending-score suppression with a stable tie-break.
+
+    The boxes are read once into :func:`_columns` rows and ordered by one
+    stable ``np.lexsort``: score desc, then class_id asc, cx asc, cy asc,
+    and input order among rows equal in all four, as ``sorted`` would
+    order them. Outside [0, 1) the order decides alone: every IoU, 0
+    included, exceeds a negative threshold, so only the first box stays,
+    and no kernel IoU exceeds 1 or more, or NaN, so every box does.
+    Otherwise the boxes go through :func:`_greedy` in that order.
+    """
+    cols = _columns(boxes)
+    order = np.lexsort((cols[:, 1], cols[:, 0], cols[:, 7], -cols[:, 6]))
+    if not 0.0 <= iou_threshold < 1.0:
+        return [boxes[k] for k in order[:1 if iou_threshold < 0.0 else None]]
+    return [boxes[k] for k in order[_greedy(cols[order], iou_threshold)]]
 
 
 # -- annotation files, as gen-data writes them --------------------------------

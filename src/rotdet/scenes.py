@@ -1,10 +1,11 @@
 """Seeded synthetic scenes of filled rotated rectangles on a noise background.
 
 A scene's generator first draws the canvas² noise floor, then places the
-boxes (:func:`_place`), then renders them. :func:`scene_boxes` gives the
-boxes alone: PCG64 spends one 64-bit output per uniform double, so
-advancing a fresh generator by canvas² outputs reaches the state the noise
-draw leaves, and the boxes are those of :func:`gen_scene`, bit for bit.
+boxes in rounds of NMS's greedy loop (:func:`_place`), then renders them.
+:func:`scene_boxes` gives the boxes alone: PCG64 spends one 64-bit output
+per uniform double, so advancing a fresh generator by canvas² outputs
+reaches the state the noise draw leaves, and the boxes are those of
+:func:`gen_scene`, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import (OrientedBox, _columns, _near_pairs, _stack,
-                       box_polygons, iou_pairs, points_in_box)
+from .geometry import (OrientedBox, _columns, _greedy, box_polygons,
+                       points_in_box)
 # unused here; benchmarks/tracer.py wraps this binding by name
 from .geometry import rotated_iou  # noqa: F401
 from .tensor import Tensor
@@ -41,56 +42,49 @@ class SceneSpec:
         return 0.35 + 0.6 * class_id / (self.classes - 1)
 
 
-def _grown(rows: np.ndarray, n: int) -> np.ndarray:
-    """``rows`` with room for row n, doubled when it is full."""
-    if n < len(rows):
-        return rows
-    out = np.empty((2 * len(rows),) + rows.shape[1:])
-    out[:n] = rows
-    return out
-
-
 def _place(rng: np.random.Generator, spec: SceneSpec,
            canvas: int) -> list[OrientedBox]:
     """Draw boxes until ``spec.objects`` are placed. A candidate is placed
     when its kernel IoU with each placed box, the candidate clipped by it,
-    is at most MAX_OVERLAP; each object gets MAX_PLACEMENT_TRIES draws.
+    is at most MAX_OVERLAP; each object gets MAX_PLACEMENT_TRIES tries,
+    and a try too large for the canvas draws nothing more.
 
-    The placed boxes' :func:`rotdet.geometry._stack` rows are kept in
-    arrays whose row len(boxes) holds the candidate's, so only the placed
-    boxes whose circles reach the candidate's go to the kernel, and no box
-    is stacked twice. The kernel rates a pair apart from its batch, so the
-    decisions are those of ``iou_matrix([cand], boxes)``.
+    That is greedy suppression in draw order: each round runs
+    :func:`rotdet.geometry._greedy` over the placed boxes (kept again),
+    then the round's fitting tries. A round of min(objects left, tries
+    left) tries meets neither the last object nor the budget's end before
+    its last try, so no draw is replayed: the generator state is the loop's.
     """
     boxes: list[OrientedBox] = []
-    polys, areas, centers, radii = _stack(np.zeros((16, 8)))
-    for _ in range(spec.objects):
-        n = len(boxes)
-        polys, areas, centers, radii = (
-            _grown(a, n) for a in (polys, areas, centers, radii))
-        for _ in range(MAX_PLACEMENT_TRIES):
+    misses = 0  # tries since the last box was placed
+    while len(boxes) < spec.objects:
+        drawn = []  # per try: its box, or None when it cannot fit
+        for _ in range(min(spec.objects - len(boxes),
+                           MAX_PLACEMENT_TRIES - misses)):
             w = rng.uniform(spec.min_size, spec.max_size)
             h = rng.uniform(spec.min_size, w)  # canonical w >= h
             theta = rng.uniform(0.0, 2.0 * math.pi)
             radius = 0.5 * math.hypot(w, h)
             if 2 * radius >= canvas:
+                drawn.append(None)
                 continue
             cx = rng.uniform(radius, canvas - radius)
             cy = rng.uniform(radius, canvas - radius)
             cls = int(rng.integers(0, spec.classes))
-            cand = OrientedBox(cx, cy, w, h, theta, class_id=cls)
-            for placed, row in zip((polys, areas, centers, radii),
-                                   _stack(_columns([cand]))):
-                placed[n] = row[0]
-            _, near = _near_pairs(centers, radii, np.array([n]), np.arange(n))
-            if (not len(near) or iou_pairs(polys, areas, np.full(len(near), n),
-                                           near).max() <= MAX_OVERLAP):
+            drawn.append(OrientedBox(cx, cy, w, h, theta, class_id=cls))
+        rows = boxes + [b for b in drawn if b is not None]
+        kept = {id(rows[k]) for k in _greedy(_columns(rows), MAX_OVERLAP)}
+        for cand in drawn:
+            if id(cand) in kept:
                 boxes.append(cand)
-                break
-        else:
+                misses = 0
+            else:
+                misses += 1
+        if misses >= MAX_PLACEMENT_TRIES:
             raise GenerationError(
-                f"could not place object {n + 1} of objects = {spec.objects} "
-                f"on a {canvas}² canvas within {MAX_PLACEMENT_TRIES} tries")
+                f"could not place object {len(boxes) + 1} of objects = "
+                f"{spec.objects} on a {canvas}² canvas within "
+                f"{MAX_PLACEMENT_TRIES} tries")
     return boxes
 
 

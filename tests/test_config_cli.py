@@ -476,6 +476,19 @@ class TestCli:
         assert err.startswith("error: [network] omega must be")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_boundary_exp_at_tiny_omega_reports_divergence(self, tmp_path,
+                                                           capsys):
+        # omega_ok accepts 1e-300; the run's overflow is reported as a
+        # divergence, with no numpy warning
+        path = tmp_path / "omega.ini"
+        path.write_text("[network]\nomega = 1e-300\n")
+        assert main(["--config", str(path), "boundary-exp",
+                     "--steps", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert "method=eaem_chord status=diverged" in out
+        assert "RuntimeWarning" not in err
+
     def test_angle_codec_encode_decode(self, capsys):
         assert main(["angle-codec", "--encode", "1.234"]) == 0
         out = capsys.readouterr().out

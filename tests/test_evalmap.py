@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rotdet.evalmap import _ap_from_pr, eval_map, eval_map_sweep
+from rotdet.evalmap import (_ap_from_pr, _match_tables, eval_map,
+                            eval_map_sweep)
 from rotdet.geometry import OrientedBox, iou_matrix
 from test_geometry import _reference_iou, decisive
 
@@ -168,6 +169,53 @@ def test_matches_scalar_reference(images, iou_thresh):
                     iou_thresh))
     assert eval_map(preds, truth, iou_thresh) == \
         _reference_eval_map(preds, truth, iou_thresh)
+
+
+def _reference_match_tables(preds, truth):
+    """The table builder _match_tables replaced, kept as its oracle: one
+    iou_matrix per image and class, records ordered by a Python sort key."""
+    classes = sorted({b.class_id for img in truth for b in img})
+    tables = {}
+    for cls in classes:
+        records = []  # (score, image index, IoU row, box)
+        widths = []  # per image: its class-cls truth count
+        for idx, (img_preds, img_truth) in enumerate(zip(preds, truth)):
+            cls_preds = [b for b in img_preds if b.class_id == cls]
+            cls_truth = [b for b in img_truth if b.class_id == cls]
+            widths.append(len(cls_truth))
+            rows = iou_matrix(cls_preds, cls_truth).tolist()
+            records += [(b.score, idx, row, b)
+                        for row, b in zip(rows, cls_preds)]
+        records.sort(key=lambda r: (-r[0], r[1], r[3].cx, r[3].cy))
+        order = [(idx, row) for _, idx, row, _ in records]
+        tables[cls] = (order, widths, sum(widths))
+    return tables
+
+
+# Few distinct centres, scores and sizes: ties in every sort key, boxes at
+# one centre with different IoU rows, and images with no predictions or
+# no truths of a class.
+_tied_box = st.builds(
+    OrientedBox, cx=st.sampled_from([0.0, 3.0, 8.0]),
+    cy=st.sampled_from([0.0, 3.0]), w=st.sampled_from([4.0, 6.0]),
+    h=st.sampled_from([2.0, 4.0]), theta=st.sampled_from([0.0, 0.5, 2.0]),
+    class_id=st.integers(0, 2), score=st.sampled_from([0.0, 0.5, 0.9]))
+_tied_images = st.lists(st.tuples(st.lists(_tied_box, max_size=8),
+                                  st.lists(_tied_box, max_size=5)),
+                        min_size=1, max_size=4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.one_of(_images, _tied_images))
+@example([([_box(0, cls=1, score=0.5), _box(0, cls=0), _box(3, cls=1)],
+           [_box(0, cls=1), _box(1, cls=0)]),
+          ([], [_box(0, cls=1)]), ([_box(0, cls=0)], [])])
+@settings(max_examples=200, deadline=None)
+def test_match_tables_equal_reference(images):
+    preds = [p for p, _ in images]
+    truth = [t for _, t in images]
+    assert _match_tables(preds, truth) == _reference_match_tables(preds,
+                                                                  truth)
 
 
 def _jittered_images():

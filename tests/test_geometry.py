@@ -900,6 +900,22 @@ class TestNmsWaves:
             blocks = len(calls)
         assert waves < blocks
 
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_no_kernel_call_on_an_empty_rest(self, n):
+        """A wave that takes the last rows leaves no later row to filter,
+        and makes no call for it: one wave of n <= NMS_BLOCK boxes makes
+        the one call within its block."""
+        boxes = _scattered_boxes()[:n]
+        calls = []
+
+        def counting(polys, areas, subj, clip):
+            calls.append(len(subj))
+            return iou_pairs(polys, areas, subj, clip)
+
+        with mock.patch.object(geometry, "iou_pairs", counting):
+            rotated_nms(boxes, 0.3)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("block", [1, 64])
     def test_touching_pair_with_no_box_overlap(self, block):
         """Bounding boxes that do not overlap do not make the kernel IoU

@@ -25,6 +25,12 @@ MATCH_SPEC = SceneSpec(objects=16, classes=_CFG.network.classes,
 # rejected and about one seed in six runs out of tries.
 CROWDED = SceneSpec(objects=6, min_size=20, max_size=60)
 CROWDED_TRIES = 25
+# At 64², about one try in ten draws a box whose circumscribed circle is
+# wider than the canvas, which then cannot fit; no seed below 200 fails.
+UNFIT = SceneSpec(objects=3, min_size=2, max_size=62)
+# At 64² with sizes 20-60, about one try in six cannot fit, and with
+# CROWDED_TRIES tries per object about two seeds in three fail.
+UNFIT_CROWDED = SceneSpec(objects=2, min_size=20, max_size=60)
 
 # gen_scene output the benchmarks and `eval` are fed: (spec, canvas, seed,
 # SHA-256 of the image bytes, SHA-256 of the boxes as float.hex lines).
@@ -115,7 +121,8 @@ def _placement(place, seed, spec, canvas):
 
 
 @pytest.mark.parametrize("spec,canvas", [
-    (SceneSpec(), 256), (MATCH_SPEC, 512), (CROWDED, 128)])
+    (SceneSpec(), 256), (MATCH_SPEC, 512), (CROWDED, 128), (UNFIT, 64),
+    (SceneSpec(objects=0), 256)])
 def test_placement_matches_reference(monkeypatch, spec, canvas):
     if spec is CROWDED:
         monkeypatch.setattr(scenes, "MAX_PLACEMENT_TRIES", CROWDED_TRIES)
@@ -125,6 +132,71 @@ def test_placement_matches_reference(monkeypatch, spec, canvas):
         assert got == _placement(_reference_place, seed, spec, canvas), seed
         failed.append(got[0] is None)
     assert any(failed) == (spec is CROWDED) and not all(failed)
+
+
+def test_placement_matches_reference_when_crowded_tries_cannot_fit(
+        monkeypatch):
+    monkeypatch.setattr(scenes, "MAX_PLACEMENT_TRIES", CROWDED_TRIES)
+    failed = []
+    for seed in range(100):
+        got = _placement(_place, seed, UNFIT_CROWDED, 64)
+        assert got == _placement(_reference_place, seed, UNFIT_CROWDED,
+                                 64), seed
+        failed.append(got[0] is None)
+    assert any(failed) and not all(failed)
+
+
+class _CountingRng:
+    """A generator that counts the tries drawn (each starts with a size
+    drawn from the spec's range) and the tries that fit (each ends with a
+    class draw), and fails a test that draws more than ``limit`` tries."""
+
+    def __init__(self, seed, spec, limit=math.inf):
+        self.rng = np.random.default_rng(seed)
+        self.size_range = (spec.min_size, spec.max_size)
+        self.limit = limit
+        self.tries = self.fits = 0
+
+    def uniform(self, low, high):
+        self.tries += (low, high) == self.size_range
+        assert self.tries <= self.limit, "too many tries drawn"
+        return self.rng.uniform(low, high)
+
+    def integers(self, low, high):
+        self.fits += 1
+        return self.rng.integers(low, high)
+
+
+@pytest.mark.parametrize("spec,canvas", [(UNFIT, 64), (UNFIT_CROWDED, 64)])
+def test_unfit_specs_draw_tries_that_cannot_fit(monkeypatch, spec, canvas):
+    monkeypatch.setattr(scenes, "MAX_PLACEMENT_TRIES", CROWDED_TRIES)
+    unfit = 0
+    for seed in range(20):
+        rng = _CountingRng(seed, spec)
+        try:
+            _reference_place(rng, spec, canvas)
+        except GenerationError:
+            pass
+        unfit += rng.tries - rng.fits
+    assert unfit > 0
+
+
+def test_placement_rounds_are_capped_by_the_try_budget():
+    # A round draws at most the tries left in the current object's budget,
+    # so a spec with far more objects than fit fails after the draws the
+    # one-by-one loop takes, instead of drawing 10**12 tries in one round.
+    spec = SceneSpec(objects=10**12, min_size=20, max_size=60)
+    want = _CountingRng(0, spec)
+    with pytest.raises(GenerationError):
+        _reference_place(want, spec, 64)
+    got = _CountingRng(0, spec, limit=want.tries)
+    message = f"could not place object .* of objects = {10**12} "
+    with pytest.raises(GenerationError, match=message) as err:
+        _place(got, spec, 64)
+    placed = int(str(err.value).split()[4]) - 1
+    assert got.tries == want.tries
+    assert got.tries <= (placed + 1) * scenes.MAX_PLACEMENT_TRIES
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
 
 def test_placement_reads_max_overlap(monkeypatch):
