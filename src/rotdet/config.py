@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 from .angle import OMEGA_RANGE, omega_ok
 from .errors import ConfigError
+from .mdcaa import WINDOW_RULES
 from .pyramid import MAX_CANVAS, NetworkConfig
 from .scenes import SceneSpec
 
@@ -68,12 +69,10 @@ def _validate(values: dict[str, dict]) -> None:
     ranges = {
         "network": {
             "omega": (omega_ok, OMEGA_RANGE),
-            "strip_len": (lambda v: v >= 3 and v % 2 == 1, "odd and >= 3"),
-            # an even window would shrink the attention map against its input
-            "pool_window": (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"),
+            **WINDOW_RULES,
             **{key: (positive, "positive") for key in (
-                "stem_channels", "branch_out", "backbone_channels", "anchors",
-                "classes", "anchor_scale")},
+                "stem_channels", "branch_out", "backbone_channels", "classes",
+                "anchor_scale")},
         },
         "data": {
             "canvas": (lambda v: 64 <= v <= MAX_CANVAS and v % 64 == 0,

@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .msk import ConvParams
+from .msk import ConvParams, _same_pad
 from .tensor import Tensor, WeightSet, avg_pool, concat_channels, mul, sigmoid
+
+WINDOW_RULES = {key: (lambda v, m=m: v >= m and v % 2 == 1, f"odd and >= {m}")
+                for key, m in (("strip_len", 3), ("pool_window", 1))}
 
 
 @dataclass
@@ -41,12 +44,10 @@ class MdcaaWeights(WeightSet):
     @staticmethod
     def create(rng: np.random.Generator, channels: int, strip_len: int = 11,
                pool_window: int = 7) -> "MdcaaWeights":
-        if strip_len < 3 or strip_len % 2 == 0:
-            raise ContractError(
-                f"strip_len must be odd and >= 3, got {strip_len}")
-        if pool_window < 1 or pool_window % 2 == 0:
-            raise ContractError(
-                f"pool_window must be odd and >= 1, got {pool_window}")
+        for key, size in zip(WINDOW_RULES, (strip_len, pool_window)):
+            test, what = WINDOW_RULES[key]
+            if not test(size):
+                raise ContractError(f"{key} must be {what}, got {size}")
         c, m = channels, strip_len
         w = MdcaaWeights(
             pool_window=pool_window,
@@ -68,7 +69,7 @@ class MdcaaWeights(WeightSet):
 def mdcaa_weights(f: Tensor, w: MdcaaWeights) -> Tensor:
     """Attention map with the same extents as ``f``, values in (0, 1)."""
     pw = w.pool_window
-    pooled = avg_pool(f, (pw, pw), padding=((pw - 1) // 2, (pw - 1) // 2))
+    pooled = avg_pool(f, (pw, pw), padding=_same_pad(pw, pw))
     pooled = w.pointwise(pooled)
     hv = w.seq_horizontal(w.seq_vertical(pooled))
     fused = w.fusion(concat_channels([w.diag_main(hv), w.diag_anti(hv),

@@ -14,8 +14,8 @@ of 64 and at most MAX_CANVAS:
 * fusion (all sources brought to the target stride by stride-2 3x3
   convolutions): [C3 | CP2] at stride 8, [C4 | CP3] at stride 16,
   [C5 | CP4 | N5] at stride 32;
-* head: per fused level, a 3x3 conv to anchors*classes logits and a 3x3
-  conv to anchors*6 box channels (dcx, dcy, dw, dh, angle x, angle y).
+* head: per fused level, a 3x3 conv to classes logits and a 3x3 conv to 6
+  box channels (dcx, dcy, dw, dh, angle x, angle y): one prediction per cell.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .msk import ConvParams, MskModuleWeights, msk_block_forward
 from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
 
 # bound on the extent deltas decode_boxes exponentiates, as mmrotate's
-# wh_ratio_clip: a decoded w or h lies within [16/1000, 1000/16] anchors
+# wh_ratio_clip: a decoded w or h lies within [16/1000, 1000/16] anchor sides
 MAX_LOG_RATIO = abs(math.log(16 / 1000))
 # strides of the three fused levels, the head outputs and their anchors
 STRIDES = (8, 16, 32)
@@ -45,8 +45,9 @@ MAX_CANVAS = 4096
 @dataclass(frozen=True)
 class NetworkConfig:
     """The ``[network]`` config keys: channel widths, MDCAA strip and pool
-    sizes, the angle codec's omega, and the head's anchors, classes and
-    anchor scale. ``strides`` are those of the fused levels."""
+    sizes, the angle codec's omega, and the head's classes logits and 6 box
+    channels per cell, decoded against one square anchor of side stride *
+    anchor_scale. ``strides`` are those of the fused levels."""
 
     stem_channels: int = 8
     branch_out: int = 8
@@ -54,7 +55,6 @@ class NetworkConfig:
     strip_len: int = 11
     pool_window: int = 7
     omega: float = 1.0
-    anchors: int = 1
     classes: int = 2
     anchor_scale: float = 4.0
 
@@ -65,7 +65,7 @@ class NetworkConfig:
 
 @dataclass
 class HeadOutputs:
-    """Per-level logits (A*K channels) and box regression (A*6 channels)."""
+    """Per-level classes logits and 6 box channels, one prediction per cell."""
 
     logits: list[Tensor]
     boxes: list[Tensor]
@@ -119,8 +119,8 @@ class NetworkWeights(WeightSet):
             name: ConvParams.create(rng, tc, tc, 3, 3, stride=(2, 2))
             for name in ("CP2", "CP3", "CP4", "N5")}
         # [C3 | CP2], [C4 | CP3], [C5 | CP4 | N5]
-        heads = [(ConvParams.create(rng, cfg.anchors * cfg.classes, fc, 3, 3),
-                  ConvParams.create(rng, cfg.anchors * 6, fc, 3, 3))
+        heads = [(ConvParams.create(rng, cfg.classes, fc, 3, 3),
+                  ConvParams.create(rng, 6, fc, 3, 3))
                  for fc in (bc + tc, bc + tc, bc + 2 * tc)]
         w = NetworkWeights(backbone, tower_stem, msk, *map(list, zip(*per_level)),
                            fusion_adjust, *map(list, zip(*heads)))
@@ -206,16 +206,12 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
     zero-weight network decodes every cell to its anchor.
     """
     out: list[OrientedBox] = []
-    a, k = config.anchors, config.classes
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
         scores = sigmoid(logits).data[image_index]
-        _, hh, ww = scores.shape
-        scores = scores.reshape(a, k, hh, ww)
-        cls_id = np.argmax(scores, axis=1)
-        score = scores.max(axis=1)
-        ai, r, c = np.nonzero(score >= score_threshold)
-        d = deltas.data[image_index].reshape(a, 6, hh, ww)
-        d = d[ai, :, r, c].astype(np.float64)
+        cls_id = np.argmax(scores, axis=0)
+        score = scores.max(axis=0)
+        r, c = np.nonzero(score >= score_threshold)
+        d = deltas.data[image_index][:, r, c].T.astype(np.float64)
         anchor_size = stride * config.anchor_scale
         # math.exp, not np.exp: the two differ in the last bit on a few
         # percent of inputs, and kept boxes must not move.
@@ -227,11 +223,10 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
                             [anchor_size * math.exp(v) for v in dh]])
         live = np.array([math.hypot(x, y) >= 1e-6
                          for x, y in d[:, 4:].tolist()], dtype=bool)
-        theta = np.zeros(len(ai))
+        theta = np.zeros(len(r))
         theta[live] = eaem.decode(eaem.normalize(d[live][:, 4:], config.omega))
         for *b, cid, sc in zip(*box.tolist(), theta.tolist(),
-                               cls_id[ai, r, c].tolist(),
-                               score[ai, r, c].tolist()):
+                               cls_id[r, c].tolist(), score[r, c].tolist()):
             try:
                 out.append(OrientedBox(*b, class_id=cid, score=sc))
             except ValueError:  # the center or an extent is out of range

@@ -3,7 +3,9 @@
 import argparse
 import configparser
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,8 +51,6 @@ BOUNDARIES = [
     # the period 2*pi/omega overflows below about 3.495e-308
     ("network", "omega", "5e-324", 2), ("network", "omega", "3.4e-308", 2),
     ("network", "omega", "4e-308", 0),
-    ("network", "anchors", "0", 2), ("network", "anchors", "1", 0),
-    ("network", "anchors", "2", 0),
     ("network", "classes", "0", 2), ("network", "classes", "1", 0),
     ("network", "anchor_scale", "-1", 2), ("network", "anchor_scale", "0", 2),
     ("network", "anchor_scale", "0.5", 0),
@@ -280,6 +280,24 @@ class TestConfig:
         path.write_text("[network]\nstrip_length = 5\n")
         with pytest.raises(ConfigError, match="strip_length"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["1", "1000000000000"])
+    def test_removed_anchors_key_exits_2(self, tmp_path, capsys, value):
+        # the head predicts once per cell: there is no anchor count to set
+        path = tmp_path / "c.ini"
+        path.write_text(SMALL.replace("[network]\n",
+                                      f"[network]\nanchors = {value}\n"))
+        assert main(["--config", str(path), "eval", "--mode", "model"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown key 'anchors' in section [network]\n"
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+        assert len(blocks) == 1 and "[network]" in blocks[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0])
+        load_config(str(path))  # a key the config rejects raises here
 
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "c.ini"

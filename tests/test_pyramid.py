@@ -359,46 +359,41 @@ class TestDecodeBoxes:
 def _reference_decode(head, config, score_threshold, image_index=0):
     """The per-cell loop decode_boxes replaced, kept as its oracle."""
     out = []
-    a, k = config.anchors, config.classes
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
         scores = sigmoid(logits).data[image_index]
         raw = deltas.data[image_index]
         _, hh, ww = scores.shape
         anchor_size = stride * config.anchor_scale
-        for ai in range(a):
-            cls_block = scores[ai * k:(ai + 1) * k]
-            box_block = raw[ai * 6:(ai + 1) * 6]
-            for r in range(hh):
-                for c in range(ww):
-                    cls_id = int(np.argmax(cls_block[:, r, c]))
-                    score = float(cls_block[cls_id, r, c])
-                    if score < score_threshold:
-                        continue
-                    dcx, dcy, dw, dh, ax, ay = (float(v)
-                                                for v in box_block[:, r, c])
-                    if math.hypot(ax, ay) < 1e-6:
-                        theta = 0.0
-                    else:
-                        theta = angle.decode(
-                            angle.normalize((ax, ay), config.omega))
-                    out.append(OrientedBox(
-                        (c + 0.5) * stride + dcx * anchor_size,
-                        (r + 0.5) * stride + dcy * anchor_size,
-                        anchor_size * math.exp(dw), anchor_size * math.exp(dh),
-                        theta, class_id=cls_id, score=score))
+        for r in range(hh):
+            for c in range(ww):
+                cls_id = int(np.argmax(scores[:, r, c]))
+                score = float(scores[cls_id, r, c])
+                if score < score_threshold:
+                    continue
+                dcx, dcy, dw, dh, ax, ay = (float(v) for v in raw[:, r, c])
+                if math.hypot(ax, ay) < 1e-6:
+                    theta = 0.0
+                else:
+                    theta = angle.decode(
+                        angle.normalize((ax, ay), config.omega))
+                out.append(OrientedBox(
+                    (c + 0.5) * stride + dcx * anchor_size,
+                    (r + 0.5) * stride + dcy * anchor_size,
+                    anchor_size * math.exp(dw), anchor_size * math.exp(dh),
+                    theta, class_id=cls_id, score=score))
     return out
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("omega", [1.0, 2.0])
 def test_decode_matches_per_cell_loop(dtype, omega):
-    cfg = NetworkConfig(anchors=2, classes=3, omega=omega)
+    cfg = NetworkConfig(classes=3, omega=omega)
     rng = np.random.default_rng(4)
     logits, boxes = [], []
     for cells in (8, 4, 2):
-        logits.append(Tensor(rng.normal(size=(2, 6, cells, cells)),
+        logits.append(Tensor(rng.normal(size=(2, 3, cells, cells)),
                              dtype=dtype))
-        deltas = rng.normal(scale=0.5, size=(2, 12, cells, cells))
+        deltas = rng.normal(scale=0.5, size=(2, 6, cells, cells))
         deltas[:, 4:6, 0, :] = 0.0  # degenerate angle vectors: prior angle
         boxes.append(Tensor(deltas, dtype=dtype))
     head = HeadOutputs(logits=logits, boxes=boxes)
@@ -415,18 +410,15 @@ def encoded_heads(draw):
     tensors that encode them: center and log-extent deltas against the
     cell's anchor, the unit-circle angle code, and logits high at the box's
     class and low everywhere else."""
-    cfg = NetworkConfig(anchors=draw(st.integers(1, 2)),
-                        classes=draw(st.integers(1, 3)),
+    cfg = NetworkConfig(classes=draw(st.integers(1, 3)),
                         omega=draw(st.sampled_from([0.5, 1.0, 2.0])),
                         anchor_scale=draw(st.floats(1.0, 8.0)))
-    a, k = cfg.anchors, cfg.classes
     sizes = [64 // stride for stride in cfg.strides]
-    logits = [np.full((1, a * k, n, n), -20.0) for n in sizes]
-    deltas = [np.zeros((1, a * 6, n, n)) for n in sizes]
+    logits = [np.full((1, cfg.classes, n, n), -20.0) for n in sizes]
+    deltas = [np.zeros((1, 6, n, n)) for n in sizes]
     boxes = {}
     for _ in range(draw(st.integers(1, 6))):
         level = draw(st.integers(0, 2))
-        ai = draw(st.integers(0, a - 1))
         r, c = (draw(st.integers(0, sizes[level] - 1)) for _ in range(2))
         stride = cfg.strides[level]
         anchor = stride * cfg.anchor_scale
@@ -436,20 +428,19 @@ def encoded_heads(draw):
                 for _ in range(2))
         theta = draw(st.floats(0.0, angle.period(cfg.omega),
                                exclude_max=True))
-        cls = draw(st.integers(0, k - 1))
+        cls = draw(st.integers(0, cfg.classes - 1))
         code = angle.encode(theta, cfg.omega)
         # a cell drawn twice keeps only its last box
-        logits[level][0, ai * k:(ai + 1) * k, r, c] = -20.0
-        logits[level][0, ai * k + cls, r, c] = 20.0
-        deltas[level][0, ai * 6:(ai + 1) * 6, r, c] = (
+        logits[level][0, :, r, c] = -20.0
+        logits[level][0, cls, r, c] = 20.0
+        deltas[level][0, :, r, c] = (
             (cx - (c + 0.5) * stride) / anchor,
             (cy - (r + 0.5) * stride) / anchor,
             math.log(w / anchor), math.log(h / anchor), code.x, code.y)
-        boxes[level, ai, r, c] = OrientedBox(cx, cy, w, h, theta,
-                                             class_id=cls)
+        boxes[level, r, c] = OrientedBox(cx, cy, w, h, theta, class_id=cls)
     head = HeadOutputs(logits=[Tensor(t) for t in logits],
                        boxes=[Tensor(t) for t in deltas])
-    # decode_boxes walks levels, then anchors, rows and columns
+    # decode_boxes walks levels, then rows and columns
     return cfg, head, [boxes[key] for key in sorted(boxes)]
 
 
@@ -474,13 +465,10 @@ def _fits_mask_decode(head, config, score_threshold):
     center and extent at most MAX_BOX_COORD in magnitude (so finite), and
     both extents positive."""
     out = []
-    a, k = config.anchors, config.classes
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
-        scores = sigmoid(logits).data[0]
-        _, hh, ww = scores.shape
-        score = scores.reshape(a, k, hh, ww).max(axis=1)
-        ai, r, c = np.nonzero(score >= score_threshold)
-        d = deltas.data[0].reshape(a, 6, hh, ww)[ai, :, r, c]
+        score = sigmoid(logits).data[0].max(axis=0)
+        r, c = np.nonzero(score >= score_threshold)
+        d = deltas.data[0][:, r, c].T
         anchor = stride * config.anchor_scale
         dw, dh = np.clip(d[:, 2:4], -MAX_LOG_RATIO, MAX_LOG_RATIO).T.tolist()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -491,7 +479,7 @@ def _fits_mask_decode(head, config, score_threshold):
         fits = (np.all(np.abs(box) <= MAX_BOX_COORD, axis=0)
                 & (np.minimum(box[2], box[3]) > 0))
         out += [(x, y, *sorted((w, h)), s) for x, y, w, h, s in
-                zip(*box[:, fits].tolist(), score[ai, r, c][fits].tolist())]
+                zip(*box[:, fits].tolist(), score[r, c][fits].tolist())]
     return out
 
 
@@ -503,17 +491,16 @@ HOSTILE_DELTAS = [0.0, 0.5, -0.5, 1e99, -1e99, 1e307, -1e307]
 def hostile_heads(draw):
     """An f64 head of a 64² image whose delta channels take hostile
     values, under an anchor scale that may underflow or overflow a box."""
-    cfg = NetworkConfig(anchors=draw(st.integers(1, 2)),
-                        classes=draw(st.integers(1, 2)),
+    cfg = NetworkConfig(classes=draw(st.integers(1, 2)),
                         anchor_scale=draw(st.sampled_from(
                             [4.0, 5e-324, 1e99, 1e308])))
     logits, boxes = [], []
     for n in (8, 4, 2):
         logits.append(Tensor(draw(hnp.arrays(
-            np.float64, (1, cfg.anchors * cfg.classes, n, n),
+            np.float64, (1, cfg.classes, n, n),
             elements=st.sampled_from([-20.0, 0.0, 20.0])))))
         boxes.append(Tensor(draw(hnp.arrays(
-            np.float64, (1, cfg.anchors * 6, n, n),
+            np.float64, (1, 6, n, n),
             elements=st.sampled_from(HOSTILE_DELTAS)))))
     return cfg, HeadOutputs(logits=logits, boxes=boxes)
 
