@@ -70,9 +70,9 @@ def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
 
 
 def cmd_param_count(cfg: Config, args) -> int:
-    c = cfg.network.stem_channels
+    c = cfg.network.branch_out
     report = count_params(c)
-    print(f"channels C = {c}")
+    print(f"depthwise strip channels C = branch_out = {c}, per module")
     print(f"{'m':>3} {'full':>12} {'separable':>12} {'ratio':>8}")
     for m, row in report.per_m.items():
         print(f"{m:>3} {row['full']:>12} {row['separable']:>12} "

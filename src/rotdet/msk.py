@@ -1,10 +1,14 @@
 """Multi-scale separable-kernel feature block.
 
 Each module runs five parallel branches over the same input: an identity
-branch (1x1 then 3x3) and four scale branches (1x1, then a 1xm strip,
-then an mx1 strip) for m in {5, 7, 9, 11}. The strip pair emulates an
-mxm receptive field at 2/m of the parameters of the full kernel. Branch
-outputs are concatenated along channels in the fixed order
+branch (1x1 then 3x3) and four scale branches for m in {5, 7, 9, 11}. A
+scale branch is a 1x1 conv to branch_out channels, then a depthwise 1xm
+strip, then a depthwise mx1 strip. The strip pair emulates a depthwise
+mxm receptive field at 2/m of that kernel's parameters. The depthwise
+form follows PKINet, whose multi-size kernels run depthwise between
+pointwise convs; it is a choice made for speed, as the source paper's
+abstract does not say which form its blocks use. Branch outputs are
+concatenated along channels in the fixed order
 [m=5, m=7, m=9, m=11, identity].
 
 A block stacks four modules; the first keeps resolution and the other
@@ -69,14 +73,14 @@ class MskModuleWeights(WeightSet):
     @staticmethod
     def create(rng: np.random.Generator, in_channels: int, branch_out: int,
                downsample: bool = False) -> "MskModuleWeights":
-        c = in_channels  # each branch keeps the input width until its last conv
+        c, b = in_channels, branch_out
         stride = (2, 2) if downsample else (1, 1)
         return MskModuleWeights(
             identity_reduce=ConvParams.create(rng, c, c, 1, 1, stride=stride),
-            identity_conv=ConvParams.create(rng, branch_out, c, 3, 3),
-            branches=[(ConvParams.create(rng, c, c, 1, 1, stride=stride),
-                       ConvParams.create(rng, c, c, 1, m),
-                       ConvParams.create(rng, branch_out, c, m, 1))
+            identity_conv=ConvParams.create(rng, b, c, 3, 3),
+            branches=[(ConvParams.create(rng, b, c, 1, 1, stride=stride),
+                       ConvParams.create(rng, b, b, 1, m, groups=b),
+                       ConvParams.create(rng, b, b, m, 1, groups=b))
                       for m in STRIP_SIZES])
 
 
@@ -124,9 +128,8 @@ class ParamCountReport:
 def count_params(channels: int, strip_sizes=STRIP_SIZES) -> ParamCountReport:
     """Exact kernel-parameter counts for full mxm vs strip-pair branches.
 
-    With C channels in, between and out, a full kernel has C^2 m^2
-    parameters and a strip pair (1xm then mx1) 2 C^2 m, a ratio of exactly
-    2/m.
+    Over C channels, a depthwise mxm kernel has C m^2 parameters and a
+    depthwise strip pair (1xm then mx1) 2 C m, a ratio of exactly 2/m.
     """
     if channels < 1:
         raise ContractError("channel counts must be positive")
@@ -134,8 +137,8 @@ def count_params(channels: int, strip_sizes=STRIP_SIZES) -> ParamCountReport:
     total_full = 0
     total_sep = 0
     for m in strip_sizes:
-        full = channels * channels * m * m
-        sep = 2 * channels * channels * m
+        full = channels * m * m
+        sep = 2 * channels * m
         per_m[m] = {"full": full, "separable": sep,
                     "ratio": Fraction(sep, full)}
         total_full += full

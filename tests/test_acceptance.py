@@ -59,17 +59,20 @@ def test_criterion_2_separable_fidelity(report):
     with report(2, "strip pair equals rank-1 full conv"):
         rng = np.random.default_rng(2024)
         worst = 0.0
-        for m in (5, 7, 9, 11):
-            pad = (m - 1) // 2
-            for _ in range(100):
-                row = Tensor(rng.standard_normal((1, 1, 1, m)))
-                col = Tensor(rng.standard_normal((1, 1, m, 1)))
-                full = Tensor(col.data * row.data)  # rank-1 outer product
-                x = Tensor(rng.standard_normal((1, 1, 16, 16)))
-                seq = conv2d(conv2d(x, row, padding=(0, pad)), col,
-                             padding=(pad, 0)).data
-                ref = conv2d(x, full, padding=(pad, pad)).data
-                worst = max(worst, float(np.max(np.abs(seq - ref))))
+        # one channel, then the network's depthwise pair over 4 channels:
+        # one rank-1 outer product per channel
+        for c, cases in ((1, 100), (4, 25)):
+            for m in (5, 7, 9, 11):
+                pad = (m - 1) // 2
+                for _ in range(cases):
+                    row = Tensor(rng.standard_normal((c, 1, 1, m)))
+                    col = Tensor(rng.standard_normal((c, 1, m, 1)))
+                    full = Tensor(col.data * row.data)
+                    x = Tensor(rng.standard_normal((1, c, 16, 16)))
+                    seq = conv2d(conv2d(x, row, padding=(0, pad), groups=c),
+                                 col, padding=(pad, 0), groups=c).data
+                    ref = conv2d(x, full, padding=(pad, pad), groups=c).data
+                    worst = max(worst, float(np.max(np.abs(seq - ref))))
         assert worst <= 1e-5
 
 

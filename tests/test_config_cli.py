@@ -475,6 +475,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ratios 2/5 2/7 2/9 2/11" in out
 
+    def test_param_count_counts_the_depthwise_strips(self, tmp_path, capsys):
+        path = tmp_path / "narrow.ini"
+        path.write_text("[network]\nstem_channels = 4\nbranch_out = 6\n")
+        assert main(["--config", str(path), "param-count"]) == 0
+        out = capsys.readouterr().out
+        # sums over m = 5, 7, 9, 11 of 6 m^2 and 2 * 6 m: one module's strips
+        assert "C = branch_out = 6" in out
+        assert "totals full=1656 separable=384 delta=-1272" in out
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[network]\nomega = 3.0\n")
@@ -626,7 +635,7 @@ class TestCli:
     def test_eval_model_default_config(self, capsys):
         assert main(["eval", "--mode", "model"]) == 0
         assert capsys.readouterr().out == (
-            "class 0: AP = 0.0000\nclass 1: AP = 0.0408\nmAP@0.5 = 0.0204\n")
+            "class 0: AP = 0.1111\nclass 1: AP = 0.0000\nmAP@0.5 = 0.0556\n")
 
     def test_eval_empty_zero(self, small_cfg, capsys):
         assert main(["--config", small_cfg, "eval", "--mode", "empty"]) == 0

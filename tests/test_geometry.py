@@ -844,12 +844,14 @@ class TestNmsBound:
 # The boxes rotated_nms keeps at 0.3 from the decoded boxes of the
 # benchmark's seed-1 `detect` scenes, recorded with OpenBLAS's SkylakeX
 # kernel at 2 threads. The head convs' bits move with the BLAS kernel and
-# thread count: against that record, the largest field drift was 2.6e-7
-# at 1 thread and 5.7e-6 under OPENBLAS_CORETYPE=Haswell, and the IoU of
-# a pair near the threshold moved by at most 8.8e-7. Fields are compared
-# within PIN_FIELD_TOL (px, rad and score), and no pair's IoU may lie
-# within PIN_IOU_MARGIN of the threshold, so a pin that passes holds
-# under any of those settings. The smallest margin recorded is 1.0e-5.
+# thread count: against that record, the largest field drift was 7.6e-7
+# at 1 thread and 1.8e-5 under OPENBLAS_CORETYPE=Haswell, and the IoU of
+# a pair near the threshold moved by at most 8.3e-7. Fields are compared
+# within PIN_FIELD_TOL (px, rad and score), and no pair that decides the
+# kept set may have an IoU within PIN_IOU_MARGIN of the threshold, so a
+# pin that passes holds under any of those settings. The smallest margin
+# of a deciding pair recorded is 1.8e-5; scene 100000 also has a pair at
+# 0.3 - 3.9e-6 whose box another kept box suppresses at IoU 0.54.
 PINNED_DETECT = Path(__file__).parent / "data" / "detect_kept.txt"
 PIN_FIELD_TOL = 1e-4
 PIN_IOU_MARGIN = 5e-6
@@ -859,6 +861,19 @@ def _pinned_detect() -> dict[int, np.ndarray]:
     rows = np.loadtxt(PINNED_DETECT)
     return {int(seed): rows[rows[:, 0] == seed, 1:]
             for seed in np.unique(rows[:, 0])}
+
+
+def _near_deciding_pairs(iou, later):
+    """The (box, kept box) pairs, as row and column indices of ``iou``
+    (boxes in score order by kept boxes), whose IoU lies within
+    PIN_IOU_MARGIN of 0.3 while no earlier kept box suppresses the box by
+    more than the margin. Taking the boxes in score order, a box suppressed
+    by more than the margin stays suppressed, and one with no pair within
+    the margin keeps its decision, so while no such pair exists every
+    IoU may move by less than the margin and NMS keeps the same set."""
+    suppressed = (later & (iou > 0.3 + PIN_IOU_MARGIN)).any(axis=1)
+    near = later & (abs(iou - 0.3) <= PIN_IOU_MARGIN)
+    return np.nonzero(near & ~suppressed[:, np.newaxis])
 
 
 class TestNmsWaves:
@@ -958,7 +973,7 @@ class TestNmsWaves:
             kept_rank = np.array([rank[id(b)] for b in kept])
             iou = iou_matrix(ordered, kept)
             later = np.arange(len(ordered))[:, np.newaxis] > kept_rank
-            near = np.nonzero(later & (abs(iou - 0.3) <= PIN_IOU_MARGIN))
+            near = _near_deciding_pairs(iou, later)
             assert not len(near[0]), (
                 f"scene {seed}: (box, kept box) pairs in score order "
                 f"{list(zip(near[0].tolist(), kept_rank[near[1]].tolist()))} "
@@ -976,6 +991,29 @@ class TestNmsWaves:
             assert not len(unmatched) and (close.sum(axis=0) == 1).all(), (
                 f"scene {seed}: pinned boxes {unmatched} do not match "
                 f"exactly one kept box within {PIN_FIELD_TOL}")
+
+    @pytest.mark.parametrize("n, kept_rank, pairs, flagged", [
+        # box 1 kept, or suppressed, by 3.9e-6: the pair decides
+        (2, [0, 1], {(1, 0): 0.3 - 3.9e-6}, [(1, 0)]),
+        (2, [0], {(1, 0): 0.3 + 3.9e-6}, [(1, 0)]),
+        # box 2 is suppressed by kept box 1 whatever its IoU with box 0
+        (3, [0, 1], {(2, 0): 0.3 - 3.9e-6, (2, 1): 0.3 + 2 * PIN_IOU_MARGIN},
+         []),
+        # ... but not at the margin itself
+        (3, [0, 1], {(2, 0): 0.3 - 3.9e-6, (2, 1): 0.3 + PIN_IOU_MARGIN},
+         [(2, 0), (2, 1)]),
+        # a kept box after box 1 suppresses nothing of it
+        (3, [0, 2], {(1, 0): 0.3 + 3.9e-6, (1, 1): 0.9}, [(1, 0)]),
+    ])
+    def test_near_pair_guard(self, n, kept_rank, pairs, flagged):
+        """The detect pin's guard flags a near pair exactly when it can
+        decide whether its box is kept."""
+        iou = np.zeros((n, len(kept_rank)))
+        for at, value in pairs.items():
+            iou[at] = value
+        later = np.arange(n)[:, np.newaxis] > np.array(kept_rank)
+        rows, cols = _near_deciding_pairs(iou, later)
+        assert list(zip(rows.tolist(), cols.tolist())) == flagged
 
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                         reason="OPENBLAS_CORETYPE=Haswell names an x86-64 "

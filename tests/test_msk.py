@@ -19,16 +19,17 @@ def _zero_biases(weights):
 
 
 def full_kernel_oracle(x, w):
-    """Each branch's strip pair collapsed into its equivalent mxm kernel."""
+    """Each branch's depthwise strip pair collapsed into its equivalent
+    grouped mxm conv."""
     parts = []
     for m, (reduce, row, col) in zip(STRIP_SIZES, w.branches):
         reduced = conv2d(x, reduce.kernel, stride=reduce.stride)
-        # K[o, c, i, j] = sum_mid col[o, mid, i, 0] * row[mid, c, 0, j]
-        full = np.einsum("omi,mcj->ocij",
-                         col.kernel.data[:, :, :, 0],
-                         row.kernel.data[:, :, 0, :])
+        # K[c, 0, i, j] = col[c, 0, i, 0] * row[c, 0, 0, j]
+        full = np.einsum("ci,cj->cij", col.kernel.data[:, 0, :, 0],
+                         row.kernel.data[:, 0, 0, :])[:, np.newaxis]
         pad = (m - 1) // 2
-        parts.append(conv2d(reduced, Tensor(full), padding=(pad, pad)).data)
+        parts.append(conv2d(reduced, Tensor(full), padding=(pad, pad),
+                            groups=len(full)).data)
     ident = conv2d(conv2d(x, w.identity_reduce.kernel,
                           stride=w.identity_reduce.stride),
                    w.identity_conv.kernel, padding=(1, 1)).data
@@ -57,11 +58,14 @@ class TestMskModule:
 
     def test_branch_kernel_sizes(self):
         rng = np.random.default_rng(2)
-        w = MskModuleWeights.create(rng, 4, 4)
+        w = MskModuleWeights.create(rng, 6, 3, downsample=True)
         sizes = [branch[1].kernel.shape[3] for branch in w.branches]
         assert sizes == [5, 7, 9, 11]
-        for branch in w.branches:
-            assert branch[2].kernel.shape[2] == branch[1].kernel.shape[3]
+        for m, (reduce, row, col) in zip(STRIP_SIZES, w.branches):
+            assert (reduce.kernel.shape, reduce.stride) == ((3, 6, 1, 1),
+                                                            (2, 2))
+            assert (row.kernel.shape, row.groups) == ((3, 1, 1, m), 3)
+            assert (col.kernel.shape, col.groups) == ((3, 1, m, 1), 3)
 
     def test_matches_full_kernel_oracle(self):
         rng = np.random.default_rng(3)
@@ -152,9 +156,16 @@ class TestParamCount:
     def test_c64_m5(self):
         report = count_params(64)
         row = report.per_m[5]
-        assert row["full"] == 102400
-        assert row["separable"] == 40960
+        assert row["full"] == 1600
+        assert row["separable"] == 640
         assert row["ratio"] == Fraction(2, 5)
+
+    @pytest.mark.parametrize("c, b", [(4, 3), (8, 8), (40, 8)])
+    def test_counts_the_module_strips(self, c, b):
+        w = MskModuleWeights.create(np.random.default_rng(13), c, b)
+        strips = sum(conv.kernel.data.size
+                     for _, row, col in w.branches for conv in (row, col))
+        assert strips == count_params(b).total_separable
 
     def test_unit_channel_m7(self):
         row = count_params(1).per_m[7]
