@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields
 from .angle import OMEGA_RANGE, omega_ok
 from .errors import ConfigError
 from .mdcaa import WINDOW_RULES
-from .pyramid import MAX_CANVAS, NetworkConfig
+from .geometry import MAX_BOX_COORD
+from .pyramid import SIDE_RULE, NetworkConfig
 from .scenes import SceneSpec
 
 # per section, each key's default; a value read for a key takes its
@@ -75,11 +76,11 @@ def _validate(values: dict[str, dict]) -> None:
                 "anchor_scale")},
         },
         "data": {
-            "canvas": (lambda v: 64 <= v <= MAX_CANVAS and v % 64 == 0,
-                       f"a multiple of 64 in [64, {MAX_CANVAS}]"),
+            "canvas": SIDE_RULE,
             "seed": (lambda v: v >= 0, ">= 0"),
-            **{key: (positive, "positive")
-               for key in ("images", "objects", "min_size")},
+            **{key: (positive, "positive") for key in ("images", "objects")},
+            "min_size": (lambda v: v >= 1 / MAX_BOX_COORD,  # a box's least side
+                         f"at least {1 / MAX_BOX_COORD:g}"),
         },
         "eval": {key: (lambda v: 0.0 <= v <= 1.0, "in [0, 1]") for key in (
             "iou_threshold", "nms_threshold", "score_threshold")},

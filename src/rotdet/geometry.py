@@ -2,13 +2,13 @@
 
 A box list is read into arrays once, by :func:`_columns`: one float64 row
 (cx, cy, w, h, cos theta, sin theta, score, class id) per box, from which
-:func:`_stack` derives the polygons, areas, centers and radii. The one
-exact IoU route, :func:`iou_pairs`, is a batched kernel that clips arrays
-of (subject, clipper) polygon pairs (Sutherland-Hodgman) and measures each
-intersection with the shoelace formula, in coordinates local to the pair.
-:func:`rotated_nms`, :func:`iou_matrix` (which AP matching uses), scene
-placement and the one-pair :func:`rotated_iou` run on it; they first drop
-pairs whose circumscribed circles do not overlap, whose IoU is exactly 0.
+:func:`_stack` derives the polygons (about their centers), areas, centers
+and radii. The one exact IoU route, :func:`iou_pairs`, is a batched kernel
+that clips arrays of (subject, clipper) polygon pairs (Sutherland-Hodgman)
+and measures each intersection with the shoelace formula, in the pair's
+own frame. :func:`rotated_nms`, :func:`iou_matrix` (which AP matching
+uses), scene placement and the one-pair :func:`rotated_iou` run on it;
+they first drop pairs whose circumscribed circles are apart (IoU 0).
 NMS (in score order) and scene placement (in draw order) share one greedy
 loop, :func:`_greedy`, which runs in waves over row indices. It needs only
 whether an IoU exceeds its threshold, so it also drops the pairs whose
@@ -29,8 +29,9 @@ import numpy as np
 
 from .angle import wrap
 
-# largest |cx|, |cy|, w or h a box may have: the clipping and shoelace
-# arithmetic squares coordinates, which overflows not far above 1e150
+# largest |cx|, |cy|, w or h a box may have, and 1 / it the least w or h:
+# the clipping and shoelace arithmetic squares coordinates, which overflows
+# not far above 1e150 and leaves w * h = 0 not far below 1e-150
 MAX_BOX_COORD = 1e100
 
 
@@ -60,8 +61,9 @@ class OrientedBox:
                 raise ValueError(
                     f"box {name} must be at most {MAX_BOX_COORD:g} in magnitude, "
                     f"got {value}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box extents must be positive: w={self.w}, h={self.h}")
+            if name in ("w", "h") and value < 1 / MAX_BOX_COORD:
+                raise ValueError(f"box {name} must be at least "
+                                 f"{1 / MAX_BOX_COORD:g}, got {value}")
         w, h, theta = self.w, self.h, self.theta
         if w < h:
             w, h = h, w
@@ -83,15 +85,15 @@ def _columns(boxes: list[OrientedBox]) -> np.ndarray:
 
 
 def box_polygons(cols: np.ndarray) -> np.ndarray:
-    """Four CCW vertices of each :func:`_columns` row, shape (N, 4, 2); a
-    row's polygon does not depend on the other rows."""
+    """Four CCW vertices of each :func:`_columns` row's box about its own
+    center, shape (N, 4, 2); a row's does not depend on the other rows."""
     local = np.empty((len(cols), 4, 2))
     local[..., 0] = 0.5 * cols[:, 2:3] * np.array([-1.0, 1.0, 1.0, -1.0])
     local[..., 1] = 0.5 * cols[:, 3:4] * np.array([-1.0, -1.0, 1.0, 1.0])
     rot_t = np.empty((len(cols), 2, 2))  # transposed rotation by theta
     rot_t[:, 0, 0], rot_t[:, 0, 1] = cols[:, 4], cols[:, 5]
     rot_t[:, 1, 0], rot_t[:, 1, 1] = -cols[:, 5], cols[:, 4]
-    return local @ rot_t + cols[:, np.newaxis, :2]
+    return local @ rot_t
 
 
 def _box_frame(px, py, b: OrientedBox):
@@ -144,7 +146,8 @@ def _row_spans(xs: np.ndarray, ys: np.ndarray, b: OrientedBox):
 def _raster_counts(a: OrientedBox, b: OrientedBox, grid: int):
     """Grid points in a, in b and in both, over a grid x grid lattice
     spanning both boxes' corners."""
-    corners = box_polygons(_columns([a, b])).reshape(8, 2)
+    cols = _columns([a, b])
+    corners = (box_polygons(cols) + cols[:, np.newaxis, :2]).reshape(8, 2)
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid)
@@ -248,22 +251,22 @@ def _shoelace(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return 0.5 * (s1 - s2)
 
 
-def iou_pairs(polys: np.ndarray, areas: np.ndarray, subj: np.ndarray,
-              clip: np.ndarray) -> np.ndarray:
+def iou_pairs(polys: np.ndarray, centers: np.ndarray, areas: np.ndarray,
+              subj: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Exact IoU of box pairs (subj[k], clip[k]), indices into the stacked
-    (N, 4, 2) CCW polygons ``polys`` with box areas ``areas`` (w * h).
+    (N, 4, 2) CCW polygons ``polys`` about ``centers``, with box areas
+    ``areas`` (w * h).
 
-    The subject polygon is clipped by the clipper's, both moved first
-    so that the clipper's first vertex is the origin: in absolute
-    coordinates a small box far from the origin would lose its area to
-    cancellation in the shoelace sum. Pairs are processed IOU_CHUNK at a
-    time.
+    As in detectron2's ``single_box_iou_rotated``, each pair is measured in
+    its own frame: the clipper about the origin, the subject about the
+    centers' difference, so no vertex is rounded at a far center's scale.
+    Pairs are processed IOU_CHUNK at a time.
     """
     out = np.empty(len(subj))
     for s in range(0, len(subj), IOU_CHUNK):
         si, ci = subj[s:s + IOU_CHUNK], clip[s:s + IOU_CHUNK]
-        origin = polys[ci, :1]
-        verts, counts = _clip_pairs(polys[si] - origin, polys[ci] - origin)
+        shift = (centers[si] - centers[ci])[:, np.newaxis]
+        verts, counts = _clip_pairs(polys[si] + shift, polys[ci])
         area = _shoelace(verts, counts)
         inter = np.where(counts >= 3, np.abs(area), 0.0)
         union = areas[si] + areas[ci] - inter
@@ -289,35 +292,25 @@ def _near_pairs(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray,
     return np.nonzero(d[..., 0] ** 2 + d[..., 1] ** 2 <= reach ** 2)
 
 
-def _overlap_caps(polys: np.ndarray):
-    """Per box: the corners lo and hi of its polygon's axis-aligned
-    bounding box, and the polygon's shoelace area taken from its first
-    vertex, as the kernel takes areas in coordinates local to a pair."""
-    own = _shoelace(polys - polys[:, :1], np.full(len(polys), polys.shape[1]))
-    return polys.min(axis=1), polys.max(axis=1), np.abs(own)
-
-
-def _may_exceed(caps, areas: np.ndarray, a: np.ndarray, b: np.ndarray,
-                threshold) -> np.ndarray:
+def _may_exceed(half: np.ndarray, centers: np.ndarray, areas: np.ndarray,
+                a: np.ndarray, b: np.ndarray, threshold) -> np.ndarray:
     """Which pairs (a[k], b[k]) an exact upper bound on their kernel IoU
     cannot rule out above the threshold, which is at most 1.
 
-    The intersection lies in both polygons and in the overlap of their
-    bounding boxes, so its area is at most m = min(P_a, P_b, overlap
-    area), and the IoU at most m / (A + B - m), A and B being the areas
-    (w * h) the kernel's union uses. A pair passes when the bound exceeds
-    the threshold less 1e-9, which covers the rounding in the kernel's
-    own intersection area. P_a and P_b are the stacked polygons' shoelace
-    areas, not w * h: far from the origin a small box's polygon is
-    rounded coarsely, and its area, which the kernel measures, can exceed
-    w * h by far more than 1e-9 of the IoU (by 8e-2 at 1e12).
+    The intersection lies in both boxes and in the overlap of their
+    bounds, min(ha + hb - |ca - cb|, 2 * min(ha, hb)) per axis from the
+    polygons' half-extents ``half``, so its area is at most m = min(A, B,
+    overlap area), and the IoU at most m / (A + B - m), A and B being the
+    areas (w * h) the kernel's union uses. A pair passes when the bound
+    exceeds the threshold less 1e-9, which covers the kernel's rounding.
     """
-    lo, hi, own = caps
-    side = np.maximum(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]), 0.0)
-    m = np.minimum(np.minimum(own[a], own[b]), side[:, 0] * side[:, 1])
+    ha, hb, area_a, area_b = half[a], half[b], areas[a], areas[b]
+    reach = ha + hb - np.abs(centers[a] - centers[b])
+    side = np.maximum(np.minimum(reach, 2.0 * np.minimum(ha, hb)), 0.0)
+    m = np.minimum(np.minimum(area_a, area_b), side[:, 0] * side[:, 1])
     # At threshold 0 a pair with m = 0 still passes: the kernel can rate
     # boxes that only touch above 0.
-    return m > (threshold - 1e-9) * (areas[a] + areas[b] - m)
+    return m > (threshold - 1e-9) * (area_a + area_b - m)
 
 
 def iou_matrix(subjects: list[OrientedBox],
@@ -329,7 +322,7 @@ def iou_matrix(subjects: list[OrientedBox],
     cols = np.arange(len(subjects), len(polys))
     i, j = _near_pairs(centers, radii, rows, cols)
     out = np.zeros((len(rows), len(cols)))
-    out[i, j] = iou_pairs(polys, areas, rows[i], cols[j])
+    out[i, j] = iou_pairs(polys, centers, areas, rows[i], cols[j])
     return out
 
 
@@ -350,11 +343,11 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
     cannot suppress (:func:`_near_pairs`, :func:`_may_exceed`) skip it.
     """
     polys, areas, centers, radii = _stack(cols)
-    caps = _overlap_caps(polys)
+    half = np.abs(polys).max(axis=1)
 
     def candidates(subj, clip):
         i, j = _near_pairs(centers, radii, subj, clip)
-        keep = _may_exceed(caps, areas, subj[i], clip[j], threshold)
+        keep = _may_exceed(half, centers, areas, subj[i], clip[j], threshold)
         return i[keep], j[keep]
 
     kept = []
@@ -364,7 +357,7 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
         i, j = candidates(block, block)
         later = i > j
         i, j = i[later], j[later]
-        over = iou_pairs(polys, areas, block[i], block[j]) > threshold
+        over = iou_pairs(polys, centers, areas, block[i], block[j]) > threshold
         hits = np.zeros((len(block), len(block)), dtype=bool)
         hits[i[over], j[over]] = True  # hits[l, c]: kept c would drop l
         dropped = np.zeros(len(block), dtype=bool)
@@ -375,7 +368,8 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
         kept.extend(survivors)
         if len(rest):
             i, j = candidates(rest, survivors)
-            over = iou_pairs(polys, areas, rest[i], survivors[j]) > threshold
+            over = iou_pairs(polys, centers, areas, rest[i],
+                             survivors[j]) > threshold
             rest = rest[np.bincount(i[over], minlength=len(rest)) == 0]
     return np.array(kept, dtype=np.intp)
 

@@ -1,7 +1,7 @@
 """Network assembly: stub backbone, feature tower, bottom-up path, head.
 
-Layout for an (N, 3, H, W) input, N >= 1, with H and W positive multiples
-of 64 and at most MAX_CANVAS:
+Layout for an (N, 3, H, W) input, N >= 1, with H and W each passing
+SIDE_RULE (a multiple of 64 in [64, MAX_CANVAS]):
 
 * stub backbone: stride-2 stem plus stride-2 stages giving C3 (stride 8),
   C4 (stride 16), C5 (stride 32);
@@ -40,6 +40,9 @@ STRIDES = (8, 16, 32)
 # the largest input side: forward memory grows with the pixel count, about
 # 0.3 GiB at 1024², so about 5 GB at 4096² and 20 GB at 8192²
 MAX_CANVAS = 4096
+# the one rule on an input side, (test, text), for [data] canvas too
+SIDE_RULE = (lambda s: 64 <= s <= MAX_CANVAS and s % 64 == 0,
+             f"a multiple of 64 in [64, {MAX_CANVAS}]")
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,9 @@ def assemble_forward(image: Tensor,
         raise ShapeError(f"expected an (N, 3, H, W) image with N >= 1, got "
                          f"shape {image.shape}")
     h, width = image.shape[2:]
-    if not all(0 < s <= MAX_CANVAS and s % 64 == 0 for s in (h, width)):
-        raise ShapeError(f"input extent {h}x{width} must be a positive "
-                         f"multiple of 64, at most {MAX_CANVAS} per side")
+    side_ok, side_text = SIDE_RULE
+    if not (side_ok(h) and side_ok(width)):
+        raise ShapeError(f"input extent {h}x{width} must be {side_text} per side")
 
     cur = image
     stages = []

@@ -93,7 +93,8 @@ def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
     """Set pixels whose centers lie in a box to its class intensity. Each
     box must overlap the canvas, as the boxes :func:`_place` places do."""
     h, w = canvas.shape
-    for box, poly in zip(boxes, box_polygons(_columns(boxes))):
+    cols = _columns(boxes)
+    for box, poly in zip(boxes, box_polygons(cols) + cols[:, np.newaxis, :2]):
         x0 = max(int(math.floor(poly[:, 0].min())), 0)
         x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
         y0 = max(int(math.floor(poly[:, 1].min())), 0)

@@ -1,6 +1,7 @@
 """Names other code binds to by string: the package's ``__all__`` and the
-module attributes ``benchmarks/tracer.py`` wraps; and that the package
-defines nothing, and no defaulted parameter, that only tests call or pass.
+module attributes ``benchmarks/tracer.py`` wraps; that the package defines
+nothing, and no defaulted parameter, that only tests call or pass; and
+that each benchmark workload still runs one op on the package as it is.
 
 The tracer replaces attributes like ``rotdet.scenes.rotated_iou`` by name,
 so a binding the package drops would otherwise surface only as an
@@ -14,24 +15,41 @@ import rotdet
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "benchmarks" / "tracer.py"
+WORKLOADS = ROOT / "benchmarks" / "workloads.py"
 PACKAGE = sorted((ROOT / "src" / "rotdet").glob("*.py"))
 BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
-def _tracer_namespace():
-    """The tracer module's globals, run from its source; nothing is
+def _source_namespace(path):
+    """A benchmark module's globals, run from its source; nothing is
     written under benchmarks/ (no bytecode cache)."""
-    namespace = {"__name__": "tracer"}
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    namespace = {"__name__": path.stem}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
     return namespace
 
 
 def test_tracer_hooks_resolve_to_callables():
-    hooks = _tracer_namespace()["HOOKS"]
+    hooks = _source_namespace(TRACER)["HOOKS"]
     assert hooks
     missing = [f"{module.__name__}.{attr}" for module, attr, _ in hooks
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_benchmark_workloads_run_one_op():
+    """Each workload of benchmarks/workloads.py through the steps
+    benchmarks/run.py takes, on seed 1 and op 0: set-up, the op, its check
+    and record, and finish, with no failure message. The train workload
+    has no gate of its own, so only this shows a product change that
+    breaks it."""
+    workloads = _source_namespace(WORKLOADS)["WORKLOADS"]
+    for name, workload in sorted(workloads.items()):
+        wl = workload()
+        wl.setup(1)
+        out = wl.op(0)
+        assert wl.check(0, out) == [], name
+        assert wl.record(0, out), name
+        assert wl.finish([out]) == [], name
 
 
 def test_public_names_resolve():

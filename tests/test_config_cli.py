@@ -65,6 +65,8 @@ BOUNDARIES = [
     ("data", "canvas", "100", 2), ("data", "canvas", "128", 0),
     ("data", "canvas", "4160", 2), ("data", "canvas", "1099511627776", 2),
     ("data", "min_size", "-1", 2), ("data", "min_size", "0", 2),
+    # OrientedBox's least w or h, 1 / MAX_BOX_COORD
+    ("data", "min_size", "1e-101", 2), ("data", "min_size", "1e-100", 0),
     ("data", "min_size", "0.5", 0), ("data", "min_size", "20", 0),
     ("data", "min_size", "20.5", 2), ("data", "min_size", "46", 2),
     ("data", "max_size", "9.5", 2), ("data", "max_size", "10", 0),
@@ -619,6 +621,16 @@ class TestCli:
 
     def test_eval_oracle_perfect(self, small_cfg, capsys):
         assert main(["--config", small_cfg, "eval", "--mode", "oracle"]) == 0
+        assert "mAP@0.5 = 1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", ["1e-16", "1e-100"])
+    def test_eval_oracle_tiny_boxes_perfect(self, tmp_path, capsys, size):
+        """Truth boxes far below their centers' ulp match themselves: the
+        IoU kernel measures each pair about the pair's own centers."""
+        path = tmp_path / "tiny.ini"
+        path.write_text(f"[data]\ncanvas = 64\nobjects = 1\n"
+                        f"min_size = {size}\nmax_size = {size}\n")
+        assert main(["--config", str(path), "eval", "--mode", "oracle"]) == 0
         assert "mAP@0.5 = 1.0000" in capsys.readouterr().out
 
     # Pinned stdout: a change in the kept boxes (NMS) or in the AP

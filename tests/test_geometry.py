@@ -49,8 +49,10 @@ def box_lists(draw, max_size=14):
 
 
 def polygons(boxes):
-    """box_polygons of the boxes' columns, shape (N, 4, 2)."""
-    return box_polygons(geometry._columns(boxes))
+    """Absolute corners of the boxes, shape (N, 4, 2): box_polygons of
+    their columns, about each center, moved to the center."""
+    cols = geometry._columns(boxes)
+    return box_polygons(cols) + cols[:, np.newaxis, :2]
 
 
 def stack(boxes):
@@ -138,13 +140,13 @@ def _blocked_nms(boxes, iou_threshold, bound=True):
     if iou_threshold < 0.0:
         return ordered[:1]
     polys, areas, centers, radii = stack(ordered)
-    caps = geometry._overlap_caps(polys)
+    half = np.abs(polys).max(axis=1)
 
     def candidates(rows, cols):
         i, j = geometry._near_pairs(centers, radii, rows, cols)
         if not bound:
             return i, j
-        keep = geometry._may_exceed(caps, areas, rows[i], cols[j],
+        keep = geometry._may_exceed(half, centers, areas, rows[i], cols[j],
                                     iou_threshold)
         return i[keep], j[keep]
 
@@ -152,14 +154,14 @@ def _blocked_nms(boxes, iou_threshold, bound=True):
     for start in range(0, len(ordered), geometry.NMS_BLOCK):
         block = np.arange(start, min(start + geometry.NMS_BLOCK, len(ordered)))
         i, j = candidates(block, kept)
-        over = geometry.iou_pairs(polys, areas, block[i], kept[j]) \
-            > iou_threshold
+        over = geometry.iou_pairs(polys, centers, areas, block[i],
+                                  kept[j]) > iou_threshold
         alive = block[np.bincount(i[over], minlength=len(block)) == 0]
         i, j = candidates(alive, alive)
         later = i > j
         i, j = i[later], j[later]
-        over = geometry.iou_pairs(polys, areas, alive[i], alive[j]) \
-            > iou_threshold
+        over = geometry.iou_pairs(polys, centers, areas, alive[i],
+                                  alive[j]) > iou_threshold
         hits = np.zeros((len(alive), len(alive)), dtype=bool)
         hits[i[over], j[over]] = True
         dropped = np.zeros(len(alive), dtype=bool)
@@ -254,6 +256,19 @@ class TestBoxToPolygon:
         kwargs[field] = sign * math.nextafter(geometry.MAX_BOX_COORD, math.inf)
         with pytest.raises(ValueError, match=f"box {field} must be at most"):
             OrientedBox(**kwargs)
+
+    @pytest.mark.parametrize("field", ["w", "h"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 5e-324, 1e-200,
+                                       math.nextafter(1e-100, 0.0)])
+    def test_extent_below_least_rejected(self, field, value):
+        """1 / MAX_BOX_COORD is the least w or h: below it w * h can
+        underflow to 0, and a box would rate 0 against itself."""
+        kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"box {field} must be at least"):
+            OrientedBox(**kwargs)
+        kwargs[field] = 1 / geometry.MAX_BOX_COORD
+        OrientedBox(**kwargs)
 
     def test_huge_box_at_bound_is_clean(self):
         # at the bound the squared coordinates stay finite: the scalar
@@ -506,8 +521,8 @@ def _all_pairs(boxes):
 
 
 def _kernel(boxes, subj, clip):
-    areas = np.array([b.w * b.h for b in boxes])
-    return iou_pairs(polygons(boxes), areas, subj, clip)
+    polys, areas, centers, _ = stack(boxes)
+    return iou_pairs(polys, centers, areas, subj, clip)
 
 
 class TestIouKernel:
@@ -558,8 +573,8 @@ class TestIouKernel:
     @settings(max_examples=100, deadline=None)
     def test_far_from_origin(self, a, b, t, sx, sy):
         """Moving a pair far from the origin keeps its IoU: the kernel
-        clips in coordinates local to the pair, so a small box's area does
-        not cancel away. NMS keeps one of two identical far boxes."""
+        clips each pair in its own frame, so a small box's area does not
+        cancel away. NMS keeps one of two identical far boxes."""
         def moved(box, score=1.0):
             return OrientedBox(box.cx + sx * t, box.cy + sy * t, box.w,
                                box.h, box.theta, score=score)
@@ -569,6 +584,39 @@ class TestIouKernel:
         far = moved(a)
         assert rotated_iou(far, far) == pytest.approx(1.0, abs=1e-6)
         assert rotated_nms([moved(a, 0.5), far], 0.5) == [far]
+
+    @given(box_st, box_st, st.sampled_from([1e4, 1e8, 1e12]),
+           st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_shift_keeps_bits(self, a, b, t, sx, sy):
+        """Centers that are integer multiples of ulp(t) move by t exactly
+        and keep their difference exactly, so the pair's IoU and NMS's
+        kept list are bit for bit those near the origin."""
+        u = math.ulp(t)
+
+        def snapped(box, dx=0.0, dy=0.0, score=1.0):
+            cx, cy = round(box.cx / u) * u, round(box.cy / u) * u
+            assert (cx + dx) - dx == cx and (cy + dy) - dy == cy
+            return OrientedBox(cx + dx, cy + dy, box.w, box.h, box.theta,
+                               score=score)
+
+        near = [snapped(a), snapped(b, score=0.5)]
+        far = [snapped(a, sx * t, sy * t), snapped(b, sx * t, sy * t, 0.5)]
+        assert np.array_equal(iou_matrix(far, far), iou_matrix(near, near))
+        for threshold in (0.0, 0.3, 0.7):
+            assert [far.index(k) for k in rotated_nms(far, threshold)] == \
+                [near.index(k) for k in rotated_nms(near, threshold)]
+
+    @pytest.mark.parametrize("center", [(10.0, 10.0), (1e6, -1e6)])
+    @pytest.mark.parametrize("size", [1e-15, 1e-30, 1e-50, 1e-100])
+    def test_tiny_box_against_itself(self, center, size):
+        """A box whose sides are far below its center's ulp rates 1
+        against itself, and NMS drops its duplicate: absolute corners
+        collapsed such a box to a point, which rated 0."""
+        box = OrientedBox(*center, 2 * size, size, 0.3)
+        twin = OrientedBox(*center, 2 * size, size, 0.3, score=0.5)
+        assert rotated_iou(box, box) == pytest.approx(1.0, abs=1e-12)
+        assert rotated_nms([twin, box], 0.5) == [box]
 
     def test_identical_and_disjoint(self):
         a = OrientedBox(2, 3, 4, 2, 0.5)
@@ -642,15 +690,12 @@ class TestBatchedNms:
     def test_threshold_above_one_keeps_everything(self, threshold):
         """No kernel IoU exceeds 1, so the ordered list returns without a
         kernel call."""
-        # 1e-200 boxes have areas that round to 0
-        boxes = [OrientedBox(0, 0, 2, 2, 0), OrientedBox(0.5, 0, 2, 2, 0),
-                 OrientedBox(9, 9, 1e-200, 1e-200, 0),
-                 OrientedBox(9, 9, 1e-200, 1e-200, 0, score=0.5)]
+        boxes = [OrientedBox(0, 0, 2, 2, 0), OrientedBox(0.5, 0, 2, 2, 0)]
         calls = []
 
-        def counting(polys, areas, subj, clip):
+        def counting(polys, centers, areas, subj, clip):
             calls.append(len(subj))
-            return iou_pairs(polys, areas, subj, clip)
+            return iou_pairs(polys, centers, areas, subj, clip)
 
         with mock.patch.object(geometry, "iou_pairs", counting):
             assert rotated_nms(boxes, threshold) == boxes
@@ -687,8 +732,9 @@ class TestBatchedNms:
             assert rotated_nms(boxes, -0.1) == ordered[:1]
 
 
-# Distances from the origin and box scales at which the stacked polygons
-# of small boxes are rounded coarsely: at 1e12 a coordinate's ulp is 1.2e-4.
+# Distances from the origin and box scales at which absolute corners of
+# small boxes would be rounded coarsely (at 1e12 a coordinate's ulp is
+# 1.2e-4); the kernel and the bound measure each pair in its own frame.
 FAR = st.sampled_from([1e4, 1e8, 1e12])
 SCALES = st.sampled_from([1e-3, 1e-2, 1.0, 10.0])
 SIGNS = st.sampled_from([-1.0, 1.0])
@@ -739,11 +785,11 @@ def _bound_holds(boxes, subj, clip):
     """Per pair with a nonzero kernel IoU: whether the NMS bound lets it
     through at the largest threshold below that IoU, which holds while
     the bound is at least the kernel IoU less 1e-9."""
-    polys, areas, _, _ = stack(boxes)
-    iou = iou_pairs(polys, areas, subj, clip)
+    polys, areas, centers, _ = stack(boxes)
+    iou = iou_pairs(polys, centers, areas, subj, clip)
     pos = iou > 0.0
     below = np.nextafter(iou[pos], -1.0)
-    return geometry._may_exceed(geometry._overlap_caps(polys), areas,
+    return geometry._may_exceed(np.abs(polys).max(axis=1), centers, areas,
                                 subj[pos], clip[pos], below)
 
 
@@ -775,21 +821,17 @@ class TestNmsBound:
         clip = np.concatenate([first + 1, first])
         assert _bound_holds(boxes, subj, clip).all()
 
-    def test_wh_areas_would_break_nms(self):
-        """With w * h in place of the polygon areas the bound falls below
-        the kernel IoU far from the origin, and NMS would keep a box the
-        kernel says to suppress."""
+    def test_far_pair_rated_exactly(self):
+        """Two 1e-3 boxes at 1e12 whose IoU is 5/6: absolute corners there
+        are rounded at 1.2e-4, which rated the pair 0.9446 and let NMS at
+        0.9 drop one box. In the pair's own frame it rates 5/6, the bound
+        covers it, and NMS keeps both."""
         a = OrientedBox(1e12, 0, 1e-3, 1e-3, 0.5)
         b = OrientedBox(1e12, 0, 1.2e-3, 1e-3, 0.5, score=0.5)
-        polys, areas, _, _ = stack([a, b])
-        lo, hi = polys.min(axis=1), polys.max(axis=1)
-        side = np.minimum(hi[0], hi[1]) - np.maximum(lo[0], lo[1])
-        m = min(areas[0], areas[1], side[0] * side[1])
-        wh_bound = m / (areas[0] + areas[1] - m)
-        iou = iou_pairs(polys, areas, np.array([1]), np.array([0]))[0]
-        assert wh_bound + 1e-9 < 0.9 < iou
-        assert _bound_holds([a, b], np.array([1]), np.array([0])).all()
-        assert rotated_nms([a, b], 0.9) == [a]
+        assert rotated_iou(b, a) == pytest.approx(5 / 6, rel=0, abs=1e-12)
+        assert rotated_iou(a, b) == pytest.approx(5 / 6, rel=0, abs=1e-12)
+        assert _bound_holds([a, b], np.array([1, 0]), np.array([0, 1])).all()
+        assert rotated_nms([a, b], 0.9) == [a, b]
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     @given(st.one_of(box_lists(), far_box_lists()),
@@ -804,8 +846,8 @@ class TestNmsBound:
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5])
     def test_matches_unpruned_far_seeded(self, threshold):
-        """Boxes of 1e-3 at 1e12 with narrowed copies, where a bound from
-        w * h would change the kept lists of some of these scenes."""
+        """Boxes of 1e-3 at 1e12 with narrowed copies: their bounds are
+        tight, and absolute corners there would be rounded at 1.2e-4."""
         rng = np.random.default_rng(5)
         for _ in range(150):
             boxes = [OrientedBox(rng.uniform(-8, 8), rng.uniform(-8, 8),
@@ -828,9 +870,9 @@ class TestNmsBound:
         boxes = _scattered_boxes()
         sent = []
 
-        def counting(polys, areas, subj, clip):
+        def counting(polys, centers, areas, subj, clip):
             sent.append(len(subj))
-            return iou_pairs(polys, areas, subj, clip)
+            return iou_pairs(polys, centers, areas, subj, clip)
 
         with mock.patch.object(geometry, "iou_pairs", counting):
             kept = rotated_nms(boxes, 0.3)
@@ -903,9 +945,9 @@ class TestNmsWaves:
         boxes = _scattered_boxes()
         calls = []
 
-        def counting(polys, areas, subj, clip):
+        def counting(polys, centers, areas, subj, clip):
             calls.append(len(subj))
-            return iou_pairs(polys, areas, subj, clip)
+            return iou_pairs(polys, centers, areas, subj, clip)
 
         with mock.patch.object(geometry, "iou_pairs", counting):
             kept = rotated_nms(boxes, 0.3)
@@ -923,9 +965,9 @@ class TestNmsWaves:
         boxes = _scattered_boxes()[:n]
         calls = []
 
-        def counting(polys, areas, subj, clip):
+        def counting(polys, centers, areas, subj, clip):
             calls.append(len(subj))
-            return iou_pairs(polys, areas, subj, clip)
+            return iou_pairs(polys, centers, areas, subj, clip)
 
         with mock.patch.object(geometry, "iou_pairs", counting):
             rotated_nms(boxes, 0.3)
@@ -933,27 +975,29 @@ class TestNmsWaves:
 
     @pytest.mark.parametrize("block", [1, 64])
     def test_touching_pair_with_no_box_overlap(self, block):
-        """Bounding boxes that do not overlap do not make the kernel IoU
-        0: this touching pair rates 5e-20 (0 in the other clip order), so
-        at threshold 0 the bound must pass it and NMS drops the
-        lower-scored box, whether the pair meets inside a wave (block 64)
-        or in a wave's filter (block 1)."""
+        """A pair whose bounding boxes do not overlap rates 0 in both clip
+        orders. Absolute corners rated this touching pair 5e-20 in one
+        order, and NMS at threshold 0 dropped a box for it. Now it keeps
+        both, whether the pair meets inside a wave (block 64) or in a
+        wave's filter (block 1); the bound still passes m = 0 pairs at
+        threshold 0."""
         a = OrientedBox(-28.12128217765281, -4.174785503512246,
                         12.434099597092574, 9.282443245683297, math.pi / 2,
                         score=0.5)
         b = OrientedBox(-33.513628247351335, -11.999210336674352,
                         16.727495476791763, 1.2471457941228206,
                         4.697129181944884)
-        polys, areas, _, _ = stack([a, b])
-        caps = geometry._overlap_caps(polys)
-        lo, hi, _ = caps
-        assert min(hi[0][0], hi[1][0]) <= max(lo[0][0], lo[1][0])
+        polys, areas, centers, _ = stack([a, b])
+        half = np.abs(polys).max(axis=1)
+        d = np.abs(centers[0] - centers[1])
+        assert half[0][0] + half[1][0] <= d[0]
         subj, clip = np.array([0]), np.array([1])
-        assert iou_pairs(polys, areas, subj, clip)[0] > 0.0
-        assert iou_pairs(polys, areas, clip, subj)[0] == 0.0
-        assert geometry._may_exceed(caps, areas, subj, clip, 0.0).all()
+        assert iou_pairs(polys, centers, areas, subj, clip)[0] == 0.0
+        assert iou_pairs(polys, centers, areas, clip, subj)[0] == 0.0
+        assert geometry._may_exceed(half, centers, areas, subj, clip,
+                                    0.0).all()
         with mock.patch.object(geometry, "NMS_BLOCK", block):
-            assert rotated_nms([a, b], 0.0) == [b]
+            assert rotated_nms([a, b], 0.0) == [b, a]
 
     def test_detect_kept_boxes_pinned(self):
         """The kept set of each pinned scene: its count, class ids and

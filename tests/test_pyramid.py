@@ -338,10 +338,11 @@ class TestDecodeBoxes:
         boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 3)), deltas), cfg)
         assert [(b.cx, b.cy) for b in boxes] == [(2.5 * 8, 0.5 * 8)]
 
-    @pytest.mark.parametrize("scale,dw", [(1e99, 1.0), (5e-324, -10.0)])
+    @pytest.mark.parametrize("scale,dw", [(1e99, 1.0), (1e-100, -10.0)])
     def test_out_of_range_extents_dropped(self, scale, dw):
         """An anchor of 8e99 grows past MAX_BOX_COORD at exp(1); one of
-        4e-323 shrinks to 0 at the clamp. Either drops the cell."""
+        8e-100 shrinks below 1 / MAX_BOX_COORD at the clamp. Either drops
+        the cell."""
         cfg = NetworkConfig(anchor_scale=scale)
         deltas = np.zeros((1, 6, 1, 2))
         deltas[0, 2, 0, 1] = dw
@@ -463,7 +464,7 @@ def _fits_mask_decode(head, config, score_threshold):
     """(cx, cy, smaller extent, larger extent, score) of each cell that
     decode_boxes kept when it filtered cells with a mask of its own: every
     center and extent at most MAX_BOX_COORD in magnitude (so finite), and
-    both extents positive."""
+    both extents at least 1 / MAX_BOX_COORD."""
     out = []
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
         score = sigmoid(logits).data[0].max(axis=0)
@@ -477,7 +478,7 @@ def _fits_mask_decode(head, config, score_threshold):
                             [anchor * math.exp(v) for v in dw],
                             [anchor * math.exp(v) for v in dh]])
         fits = (np.all(np.abs(box) <= MAX_BOX_COORD, axis=0)
-                & (np.minimum(box[2], box[3]) > 0))
+                & (np.minimum(box[2], box[3]) >= 1 / MAX_BOX_COORD))
         out += [(x, y, *sorted((w, h)), s) for x, y, w, h, s in
                 zip(*box[:, fits].tolist(), score[r, c][fits].tolist())]
     return out
@@ -542,10 +543,11 @@ PINNED_MDCAA = (
 # magnitude by 1.1e-6 of their values at f32, and every statistic by at most
 # 9.4e-16 at f64; at 1 thread nothing moved. Reading diag_main's taps
 # unreversed moves a statistic by 1.3e-5 at both dtypes. FORWARD_STAT_TOL
-# leaves a margin of at least 9x to the BLAS drift; the f32 pin catches
-# that misreading by 1.3x, the f64 pin by seven orders of magnitude.
+# leaves a margin of 2.7x to the BLAS drift at f32 and 1,000x at f64; the
+# f32 pin catches that misreading by 4.4x, the f64 pin by seven orders of
+# magnitude.
 PINNED_SMALL_FORWARD = Path(__file__).parent / "data" / "small_forward_stats.txt"
-FORWARD_STAT_TOL = {"f32": 1e-5, "f64": 1e-12}
+FORWARD_STAT_TOL = {"f32": 3e-6, "f64": 1e-12}
 
 
 def _sha(named):

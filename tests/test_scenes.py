@@ -237,7 +237,7 @@ def test_axis_aligned_box_renders_inside_polygon():
     canvas = np.zeros((64, 64))
     box = OrientedBox(32, 32, 20, 10, 0.0)
     _render_boxes(canvas, [box], spec)
-    poly = box_polygons(_columns([box]))[0]
+    poly = box_polygons(_columns([box]))[0] + (box.cx, box.cy)
     ys, xs = np.nonzero(canvas)
     assert len(xs) == pytest.approx(20 * 10, rel=0.1)
     assert xs.min() + 0.5 >= poly[:, 0].min()
@@ -249,7 +249,7 @@ def test_axis_aligned_box_renders_inside_polygon():
 def test_truth_boxes_lie_in_canvas():
     _, truth = gen_scene(7, SceneSpec(objects=4), canvas=256)
     for b in truth:
-        poly = box_polygons(_columns([b]))[0]
+        poly = box_polygons(_columns([b]))[0] + (b.cx, b.cy)
         assert poly.min() >= 0.0
         assert poly.max() <= 256.0
 
