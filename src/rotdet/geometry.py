@@ -3,12 +3,14 @@
 A box list is read into arrays once, by :func:`_columns`: one float64 row
 (cx, cy, w, h, cos theta, sin theta, score, class id) per box, from which
 :func:`_stack` derives the polygons (about their centers), areas, centers
-and radii. The one exact IoU route, :func:`iou_pairs`, is a batched kernel
-that clips arrays of (subject, clipper) polygon pairs (Sutherland-Hodgman)
-and measures each intersection with the shoelace formula, in the pair's
-own frame. :func:`rotated_nms`, :func:`iou_matrix` (which AP matching
-uses), scene placement and the one-pair :func:`rotated_iou` run on it;
-they first drop pairs whose circumscribed circles are apart (IoU 0).
+and radii. A :class:`BoxTable`, what decode gives, holds boxes as those
+rows from the start. The one exact IoU route, :func:`iou_pairs`, is a
+batched kernel that clips arrays of (subject, clipper) polygon pairs
+(Sutherland-Hodgman), on x and y arrays apart, and measures each
+intersection with the shoelace formula, in the pair's own frame.
+:func:`rotated_nms`, :func:`iou_matrix` (which AP matching uses), scene
+placement and the one-pair :func:`rotated_iou` run on it; they first drop
+pairs whose circumscribed circles are apart (IoU 0).
 NMS (in score order) and scene placement (in draw order) share one greedy
 loop, :func:`_greedy`, which runs in waves over row indices. It needs only
 whether an IoU exceeds its threshold, so it also drops the pairs whose
@@ -23,6 +25,7 @@ grid's points that lie in both boxes, counted row by row
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,7 @@ class OrientedBox:
     score: float = 1.0
 
     def __post_init__(self):
+        # BoxTable states these checks and this canonical form over arrays
         for name in ("cx", "cy", "w", "h", "theta", "score"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -75,10 +79,60 @@ class OrientedBox:
         object.__setattr__(self, "cy", float(self.cy))
 
 
-def _columns(boxes: list[OrientedBox]) -> np.ndarray:
-    """The one read of a box list into arrays: float64 rows (cx, cy, w, h,
-    cos theta, sin theta, score, class id), shape (N, 8). Class ids are
-    exact in float64 up to 2**53 in magnitude."""
+class BoxTable(Sequence):
+    """Read-only boxes as :func:`_columns` rows plus their angles.
+
+    Built from raw fields, it keeps the boxes ``OrientedBox`` accepts, in
+    order, canonicalized as ``OrientedBox`` does: where w < h, w and h swap
+    and theta gains pi/2, then :func:`rotdet.angle.wrap`. Its rows' cos and
+    sin are ``math.cos`` and ``math.sin`` of theta, as :func:`_columns`
+    takes them, so ``_columns(table)`` equals ``_columns(list(table))`` bit
+    for bit, and reads no box. Length, indexing and iteration build an
+    ``OrientedBox`` per row on demand, which leaves its fields as they are.
+    """
+
+    def __init__(self, cx, cy, w, h, theta, score, class_id):
+        fields = np.array([cx, cy, w, h, theta, score], dtype=np.float64)
+        # OrientedBox.__post_init__'s checks, stated over the arrays
+        fits = (np.isfinite(fields).all(axis=0)
+                & (np.abs(fields[:4]) <= MAX_BOX_COORD).all(axis=0)
+                & (np.minimum(fields[2], fields[3]) >= 1 / MAX_BOX_COORD))
+        cx, cy, w, h, theta, score = fields[:, fits]
+        swap = w < h
+        theta = wrap(np.where(swap, theta + 0.5 * math.pi, theta))
+        rows = np.empty((len(theta), 8))
+        rows[:, 0], rows[:, 1] = cx, cy
+        rows[:, 2], rows[:, 3] = np.where(swap, h, w), np.where(swap, w, h)
+        angles = theta.tolist()
+        rows[:, 4] = list(map(math.cos, angles))
+        rows[:, 5] = list(map(math.sin, angles))
+        rows[:, 6] = score
+        rows[:, 7] = np.asarray(class_id, dtype=np.float64)[fits]
+        rows.flags.writeable = False
+        self.rows, self._theta = rows, angles
+
+    def __len__(self) -> int:
+        return len(self._theta)
+
+    def __getitem__(self, k) -> OrientedBox:
+        cx, cy, w, h, _, _, score, cls = self.rows[k].tolist()
+        return OrientedBox(cx, cy, w, h, self._theta[k], class_id=int(cls),
+                           score=score)
+
+    def __iter__(self):
+        for (cx, cy, w, h, _, _, score, cls), theta in zip(
+                self.rows.tolist(), self._theta):
+            yield OrientedBox(cx, cy, w, h, theta, class_id=int(cls),
+                              score=score)
+
+
+def _columns(boxes: Sequence[OrientedBox]) -> np.ndarray:
+    """The one read of boxes into arrays: float64 rows (cx, cy, w, h,
+    cos theta, sin theta, score, class id), shape (N, 8); a
+    :class:`BoxTable`'s own rows. Class ids are exact in float64 up to
+    2**53 in magnitude."""
+    if isinstance(boxes, BoxTable):
+        return boxes.rows
     return np.array([(b.cx, b.cy, b.w, b.h, math.cos(b.theta),
                       math.sin(b.theta), b.score, b.class_id) for b in boxes],
                     dtype=np.float64).reshape(len(boxes), 8)
@@ -186,67 +240,74 @@ NMS_BLOCK = 64  # score-ordered candidates resolved per NMS wave
 
 
 def _ring(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per polygon row: which slots hold vertices, and each slot's next
-    vertex slot (the last vertex wraps to slot 0)."""
+    """Per polygon row of ``width`` slots: which slots hold vertices, and
+    the flat index (row * width + slot) of each slot's next vertex slot;
+    the last vertex wraps to slot 0."""
     slot = np.arange(width)
-    return (slot < counts[:, np.newaxis],
-            np.where(slot + 1 < counts[:, np.newaxis], slot + 1, 0))
+    held = counts[:, np.newaxis]
+    return (slot < held, np.where(slot + 1 < held, slot + 1, 0)
+            + width * np.arange(len(counts))[:, np.newaxis])
 
 
-def _clip_pairs(subject: np.ndarray, clipper: np.ndarray):
-    """Sutherland-Hodgman clip of each subject (P, 4, 2) by its clipper.
+def _clip_pairs(sx: np.ndarray, sy: np.ndarray, cx: np.ndarray,
+                cy: np.ndarray):
+    """Sutherland-Hodgman clip of each subject by its clipper, both given
+    as (P, 4) arrays of vertex x and of vertex y.
 
-    Returns (vertices, counts): slot j of row p is a vertex while
+    Returns (x, y, counts): slot j of row p is a vertex while
     j < counts[p]. Each clipper edge keeps the part of the subject on its
     left, points on the edge included, so touching boxes give zero-area
     intersections instead of degenerate geometry. One half-plane adds at
     most one vertex to a convex polygon, so rows stay within 8 slots; the
     width follows the largest count all the same, since rounding can
-    cross a near-collinear edge more than twice.
+    cross a near-collinear edge more than twice. Vertices are gathered and
+    placed by flat index.
     """
-    verts = subject
-    counts = np.full(len(subject), subject.shape[1])
-    rows = np.arange(len(subject))[:, np.newaxis]
-    for i in range(clipper.shape[1]):
-        a = clipper[:, i]
-        b = clipper[:, (i + 1) % clipper.shape[1]]
-        ex = (b[:, 0] - a[:, 0])[:, np.newaxis]
-        ey = (b[:, 1] - a[:, 1])[:, np.newaxis]
-        valid, nxt = _ring(counts, verts.shape[1])
-        dp = (ex * (verts[..., 1] - a[:, 1:2])
-              - ey * (verts[..., 0] - a[:, 0:1]))
-        dq = dp[rows, nxt]
+    x, y = sx, sy
+    counts = np.full(len(sx), sx.shape[1])
+    ex = np.roll(cx, -1, axis=1) - cx
+    ey = np.roll(cy, -1, axis=1) - cy
+    for i in range(cx.shape[1]):
+        width = x.shape[1]
+        valid, nxt = _ring(counts, width)
+        dp = (ex[:, i:i + 1] * (y - cy[:, i:i + 1])
+              - ey[:, i:i + 1] * (x - cx[:, i:i + 1]))
+        dq = dp.ravel()[nxt]
         p_in = dp >= 0.0
         emit_p = valid & p_in
         cross = valid & (p_in != (dq >= 0.0))
-        # dp and dq straddle zero where cross holds, so dp - dq != 0 there
-        t = dp / np.where(cross, dp - dq, 1.0)
-        hit = verts + t[..., np.newaxis] * (verts[rows, nxt] - verts)
         emitted = emit_p.astype(np.intp) + cross
         counts = emitted.sum(axis=1)
-        pos = np.cumsum(emitted, axis=1) - emitted
-        out = np.zeros((len(verts), int(counts.max(initial=0)), 2))
-        r, j = np.nonzero(emit_p)
-        out[r, pos[r, j]] = verts[r, j]
-        r, j = np.nonzero(cross)
-        out[r, pos[r, j] + emit_p[r, j]] = hit[r, j]
-        verts = out
-    return verts, counts
+        pos = (np.cumsum(emitted, axis=1) - emitted).ravel()
+        new_width = int(counts.max(initial=0))
+        fp, fc = np.flatnonzero(emit_p), np.flatnonzero(cross)
+        at_p = fp // width * new_width + pos[fp]
+        at_c = fc // width * new_width + pos[fc] + emit_p.ravel()[fc]
+        # dp and dq straddle zero where cross holds, so dp - dq != 0 there
+        dp, dq = dp.ravel()[fc], dq.ravel()[fc]
+        t = dp / (dp - dq)
+        nc = nxt.ravel()[fc]
+        out = []
+        for v in (x.ravel(), y.ravel()):
+            o = np.zeros(len(counts) * new_width)
+            o[at_p] = v[fp]
+            o[at_c] = v[fc] + t * (v[nc] - v[fc])
+            out.append(o.reshape(len(counts), new_width))
+        x, y = out
+    return x, y, counts
 
 
-def _shoelace(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _shoelace(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Signed shoelace area of each row's first counts[p] vertex slots.
 
     The formula's two sums are taken slot by slot, so a row's area does
-    not depend on the slot width of the array it sits in.
+    not depend on the slot width of the arrays it sits in.
     """
-    valid, nxt = _ring(counts, verts.shape[1])
-    x, y = verts[..., 0], verts[..., 1]
-    rows = np.arange(len(verts))[:, np.newaxis]
-    xy = np.where(valid, x * y[rows, nxt], 0.0)
-    yx = np.where(valid, y * x[rows, nxt], 0.0)
-    s1 = s2 = np.zeros(len(verts))
-    for j in range(verts.shape[1]):
+    valid, nxt = _ring(counts, x.shape[1])
+    xy = np.where(valid, x * y.ravel()[nxt], 0.0)
+    yx = np.where(valid, y * x.ravel()[nxt], 0.0)
+    s1 = s2 = np.zeros(len(x))
+    for j in range(x.shape[1]):
         s1, s2 = s1 + xy[:, j], s2 + yx[:, j]
     return 0.5 * (s1 - s2)
 
@@ -260,14 +321,17 @@ def iou_pairs(polys: np.ndarray, centers: np.ndarray, areas: np.ndarray,
     As in detectron2's ``single_box_iou_rotated``, each pair is measured in
     its own frame: the clipper about the origin, the subject about the
     centers' difference, so no vertex is rounded at a far center's scale.
-    Pairs are processed IOU_CHUNK at a time.
+    Pairs are processed IOU_CHUNK at a time, on x and y arrays apart.
     """
+    px, py = polys[..., 0], polys[..., 1]
+    cx, cy = centers[:, 0], centers[:, 1]
     out = np.empty(len(subj))
     for s in range(0, len(subj), IOU_CHUNK):
         si, ci = subj[s:s + IOU_CHUNK], clip[s:s + IOU_CHUNK]
-        shift = (centers[si] - centers[ci])[:, np.newaxis]
-        verts, counts = _clip_pairs(polys[si] + shift, polys[ci])
-        area = _shoelace(verts, counts)
+        x, y, counts = _clip_pairs(
+            px[si] + (cx[si] - cx[ci])[:, np.newaxis],
+            py[si] + (cy[si] - cy[ci])[:, np.newaxis], px[ci], py[ci])
+        area = _shoelace(x, y, counts)
         inter = np.where(counts >= 3, np.abs(area), 0.0)
         union = areas[si] + areas[ci] - inter
         pos = union > 0.0
@@ -287,9 +351,11 @@ def _near_pairs(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray,
                 cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) positions in ``rows`` x ``cols`` whose boxes' circumscribed
     circles overlap; every other pair has IoU exactly 0."""
-    d = centers[rows][:, np.newaxis] - centers[cols][np.newaxis]
-    reach = radii[rows][:, np.newaxis] + radii[cols][np.newaxis]
-    return np.nonzero(d[..., 0] ** 2 + d[..., 1] ** 2 <= reach ** 2)
+    cx, cy = centers[:, 0], centers[:, 1]
+    dx = cx[rows][:, np.newaxis] - cx[cols]
+    dy = cy[rows][:, np.newaxis] - cy[cols]
+    reach = radii[rows][:, np.newaxis] + radii[cols]
+    return np.nonzero(dx * dx + dy * dy <= reach * reach)
 
 
 def _may_exceed(half: np.ndarray, centers: np.ndarray, areas: np.ndarray,
@@ -304,10 +370,15 @@ def _may_exceed(half: np.ndarray, centers: np.ndarray, areas: np.ndarray,
     areas (w * h) the kernel's union uses. A pair passes when the bound
     exceeds the threshold less 1e-9, which covers the kernel's rounding.
     """
-    ha, hb, area_a, area_b = half[a], half[b], areas[a], areas[b]
-    reach = ha + hb - np.abs(centers[a] - centers[b])
-    side = np.maximum(np.minimum(reach, 2.0 * np.minimum(ha, hb)), 0.0)
-    m = np.minimum(np.minimum(area_a, area_b), side[:, 0] * side[:, 1])
+    side = []
+    for axis in (0, 1):
+        h, c = half[:, axis], centers[:, axis]
+        ha, hb = h[a], h[b]
+        reach = ha + hb - np.abs(c[a] - c[b])
+        side.append(np.maximum(np.minimum(reach, 2.0 * np.minimum(ha, hb)),
+                               0.0))
+    area_a, area_b = areas[a], areas[b]
+    m = np.minimum(np.minimum(area_a, area_b), side[0] * side[1])
     # At threshold 0 a pair with m = 0 still passes: the kernel can rate
     # boxes that only touch above 0.
     return m > (threshold - 1e-9) * (area_a + area_b - m)
@@ -374,16 +445,19 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def rotated_nms(boxes: list[OrientedBox], iou_threshold: float) -> list[OrientedBox]:
+def rotated_nms(boxes: Sequence[OrientedBox],
+                iou_threshold: float) -> list[OrientedBox]:
     """Greedy descending-score suppression with a stable tie-break.
 
-    The boxes are read once into :func:`_columns` rows and ordered by one
-    stable ``np.lexsort``: score desc, then class_id asc, cx asc, cy asc,
-    and input order among rows equal in all four, as ``sorted`` would
-    order them. Outside [0, 1) the order decides alone: every IoU, 0
-    included, exceeds a negative threshold, so only the first box stays,
-    and no kernel IoU exceeds 1 or more, or NaN, so every box does.
-    Otherwise the boxes go through :func:`_greedy` in that order.
+    The boxes, a list or a :class:`BoxTable`, are read once into
+    :func:`_columns` rows and ordered by one stable ``np.lexsort``: score
+    desc, then class_id asc, cx asc, cy asc, and input order among rows
+    equal in all four, as ``sorted`` would order them. Outside [0, 1) the
+    order decides alone: every IoU, 0 included, exceeds a negative
+    threshold, so only the first box stays, and no kernel IoU exceeds 1 or
+    more, or NaN, so every box does. Otherwise the boxes go through
+    :func:`_greedy` in that order. Only the kept boxes are taken from
+    ``boxes`` by index, so a table builds no other box.
     """
     cols = _columns(boxes)
     order = np.lexsort((cols[:, 1], cols[:, 0], cols[:, 7], -cols[:, 6]))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import angle as eaem
 from .errors import ShapeError
-from .geometry import OrientedBox
+from .geometry import BoxTable
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
 from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
@@ -197,18 +197,20 @@ def assemble_forward(image: Tensor,
 
 def decode_boxes(head: HeadOutputs, config: NetworkConfig,
                  score_threshold: float = 0.05,
-                 image_index: int = 0) -> list[OrientedBox]:
-    """Anchor-relative decode of head outputs into oriented boxes.
+                 image_index: int = 0) -> BoxTable:
+    """Anchor-relative decode of head outputs into a table of oriented
+    boxes, level by level, then row by row.
 
     Centers move by delta*anchor_size, extents scale by exp(delta) with
     delta clamped to +-MAX_LOG_RATIO. A cell gives no box, like a cell
-    under the score threshold, where ``OrientedBox`` rejects its center or
-    an extent; its angle and score are always finite. The angle comes from
-    the unit-circle decode of the normalized (x, y) channels. Degenerate
-    (near-zero) angle vectors fall back to the prior angle 0, so a
-    zero-weight network decodes every cell to its anchor.
+    under the score threshold, where :class:`BoxTable`, whose rule is
+    ``OrientedBox``'s, rejects its center or an extent; its angle and score
+    are always finite. The angle comes from the unit-circle decode of the
+    normalized (x, y) channels. Degenerate (near-zero) angle vectors fall
+    back to the prior angle 0, so a zero-weight network decodes every cell
+    to its anchor.
     """
-    out: list[OrientedBox] = []
+    levels = []
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
         scores = sigmoid(logits).data[image_index]
         cls_id = np.argmax(scores, axis=0)
@@ -228,10 +230,5 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
                          for x, y in d[:, 4:].tolist()], dtype=bool)
         theta = np.zeros(len(r))
         theta[live] = eaem.decode(eaem.normalize(d[live][:, 4:], config.omega))
-        for *b, cid, sc in zip(*box.tolist(), theta.tolist(),
-                               cls_id[r, c].tolist(), score[r, c].tolist()):
-            try:
-                out.append(OrientedBox(*b, class_id=cid, score=sc))
-            except ValueError:  # the center or an extent is out of range
-                pass
-    return out
+        levels.append(np.vstack([box, theta, score[r, c], cls_id[r, c]]))
+    return BoxTable(*np.concatenate(levels, axis=1))

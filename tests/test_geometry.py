@@ -177,6 +177,77 @@ def _unpruned_nms(boxes, iou_threshold):
     return _blocked_nms(boxes, iou_threshold, bound=False)
 
 
+def _pair_ring(counts, width):
+    """geometry._ring as it was before flat indices, for the oracles
+    below: per row, which slots hold vertices and each slot's next one."""
+    slot = np.arange(width)
+    return (slot < counts[:, np.newaxis],
+            np.where(slot + 1 < counts[:, np.newaxis], slot + 1, 0))
+
+
+def _pair_clip_pairs(subject, clipper):
+    """geometry._clip_pairs on interleaved (P, 4, 2) vertex arrays, as it
+    was before its x and y arrays, kept as its oracle."""
+    verts = subject
+    counts = np.full(len(subject), subject.shape[1])
+    rows = np.arange(len(subject))[:, np.newaxis]
+    for i in range(clipper.shape[1]):
+        a = clipper[:, i]
+        b = clipper[:, (i + 1) % clipper.shape[1]]
+        ex = (b[:, 0] - a[:, 0])[:, np.newaxis]
+        ey = (b[:, 1] - a[:, 1])[:, np.newaxis]
+        valid, nxt = _pair_ring(counts, verts.shape[1])
+        dp = (ex * (verts[..., 1] - a[:, 1:2])
+              - ey * (verts[..., 0] - a[:, 0:1]))
+        dq = dp[rows, nxt]
+        p_in = dp >= 0.0
+        emit_p = valid & p_in
+        cross = valid & (p_in != (dq >= 0.0))
+        t = dp / np.where(cross, dp - dq, 1.0)
+        hit = verts + t[..., np.newaxis] * (verts[rows, nxt] - verts)
+        emitted = emit_p.astype(np.intp) + cross
+        counts = emitted.sum(axis=1)
+        pos = np.cumsum(emitted, axis=1) - emitted
+        out = np.zeros((len(verts), int(counts.max(initial=0)), 2))
+        r, j = np.nonzero(emit_p)
+        out[r, pos[r, j]] = verts[r, j]
+        r, j = np.nonzero(cross)
+        out[r, pos[r, j] + emit_p[r, j]] = hit[r, j]
+        verts = out
+    return verts, counts
+
+
+def _pair_shoelace(verts, counts):
+    """geometry._shoelace on interleaved vertex arrays, kept as its
+    oracle."""
+    valid, nxt = _pair_ring(counts, verts.shape[1])
+    x, y = verts[..., 0], verts[..., 1]
+    rows = np.arange(len(verts))[:, np.newaxis]
+    xy = np.where(valid, x * y[rows, nxt], 0.0)
+    yx = np.where(valid, y * x[rows, nxt], 0.0)
+    s1 = s2 = np.zeros(len(verts))
+    for j in range(verts.shape[1]):
+        s1, s2 = s1 + xy[:, j], s2 + yx[:, j]
+    return 0.5 * (s1 - s2)
+
+
+def _pair_near_pairs(centers, radii, rows, cols):
+    """geometry._near_pairs on (N, 2) center pairs, kept as its oracle."""
+    d = centers[rows][:, np.newaxis] - centers[cols][np.newaxis]
+    reach = radii[rows][:, np.newaxis] + radii[cols][np.newaxis]
+    return np.nonzero(d[..., 0] ** 2 + d[..., 1] ** 2 <= reach ** 2)
+
+
+def _pair_may_exceed(half, centers, areas, a, b, threshold):
+    """geometry._may_exceed on (P, 2) half-extent and center pairs, kept as
+    its oracle."""
+    ha, hb, area_a, area_b = half[a], half[b], areas[a], areas[b]
+    reach = ha + hb - np.abs(centers[a] - centers[b])
+    side = np.maximum(np.minimum(reach, 2.0 * np.minimum(ha, hb)), 0.0)
+    m = np.minimum(np.minimum(area_a, area_b), side[:, 0] * side[:, 1])
+    return m > (threshold - 1e-9) * (area_a + area_b - m)
+
+
 def decisive(pairs, threshold):
     """True when rounding in the last bits cannot decide any pair: no pair
     touches with a zero-area (but >= 3 vertex) clip, and no nonzero IoU
@@ -1010,7 +1081,8 @@ class TestNmsWaves:
             with no_recording():
                 _, head = assemble_forward(
                     Tensor(image.data[np.newaxis], dtype=np.float32), weights)
-            boxes = decode_boxes(head, cfg.network, cfg.score_threshold)
+            boxes = list(decode_boxes(head, cfg.network,
+                                      cfg.score_threshold))
             kept = rotated_nms(boxes, 0.3)
             ordered = _score_order(boxes)
             rank = {id(b): k for k, b in enumerate(ordered)}
@@ -1082,3 +1154,126 @@ class TestNmsWaves:
             capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0 and "\n4 passed " in proc.stdout, \
             proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+class TestAxisLayouts:
+    """The candidate tests and the clip kernel compute on x and y arrays
+    apart, element for element as the pair layouts did: the same bytes."""
+
+    LISTS = st.one_of(box_lists(), far_box_lists(), raster_pairs().map(list))
+
+    @given(LISTS, st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_tests_match_pair_layout(self, boxes, threshold):
+        polys, areas, centers, radii = stack(boxes)
+        half = np.abs(polys).max(axis=1)
+        rows = np.arange(len(boxes))
+        for got, want in zip(
+                geometry._near_pairs(centers, radii, rows, rows[::-1]),
+                _pair_near_pairs(centers, radii, rows, rows[::-1])):
+            assert _same_bytes(got, want)
+        a, b = _all_pairs(boxes)
+        assert _same_bytes(
+            geometry._may_exceed(half, centers, areas, a, b, threshold),
+            _pair_may_exceed(half, centers, areas, a, b, threshold))
+
+    @given(LISTS)
+    @settings(max_examples=150, deadline=None)
+    def test_clip_and_shoelace_match_pair_layout(self, boxes):
+        polys, _, centers, _ = stack(boxes)
+        a, b = _all_pairs(boxes)
+        subject = polys[a] + (centers[a] - centers[b])[:, np.newaxis]
+        verts, counts = _pair_clip_pairs(subject, polys[b])
+        x, y, got_counts = geometry._clip_pairs(
+            subject[..., 0], subject[..., 1], polys[b][..., 0],
+            polys[b][..., 1])
+        assert _same_bytes(got_counts, counts)
+        assert _same_bytes(x, verts[..., 0]) and _same_bytes(y, verts[..., 1])
+        assert _same_bytes(geometry._shoelace(x, y, got_counts),
+                           _pair_shoelace(verts, counts))
+
+
+# Raw field values OrientedBox accepts or rejects: signed zeros, the least
+# and largest magnitudes and the floats just past them, far centers and
+# angles, and non-finite values.
+RAW_VALUES = st.sampled_from([
+    0.0, -0.0, 1e-100, math.nextafter(1e-100, 0.0), 1e100, -1e100,
+    math.nextafter(1e100, math.inf), 1e12, -1e-20, 2 * math.pi, 1e6,
+    math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def raw_rows(draw):
+    """Rows (cx, cy, w, h, theta, score, class id) of raw box fields, each
+    ordinary or drawn from RAW_VALUES; about half have w < h."""
+    value = st.one_of(st.floats(-10, 10), RAW_VALUES)
+    return [[draw(value) for _ in range(6)] + [draw(st.integers(0, 3))]
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+def _table(rows):
+    """A BoxTable of raw (cx, cy, w, h, theta, score, class id) rows."""
+    return geometry.BoxTable(*np.reshape(rows, (-1, 7)).astype(float).T)
+
+
+def _accepted(rows):
+    """The OrientedBox of each raw row that it accepts: the object path,
+    kept as the table's oracle."""
+    out = []
+    for cx, cy, w, h, theta, score, cls in rows:
+        try:
+            out.append(OrientedBox(cx, cy, w, h, theta, cls, score))
+        except ValueError:
+            pass
+    return out
+
+
+def _records(boxes):
+    """Every field of each box, floats as float.hex."""
+    return [(b.cx.hex(), b.cy.hex(), b.w.hex(), b.h.hex(), b.theta.hex(),
+             float(b.score).hex(), b.class_id) for b in boxes]
+
+
+class TestBoxTable:
+    @given(raw_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_and_canonicalizes_as_oriented_box(self, rows):
+        """The table keeps the rows OrientedBox accepts, in order, with its
+        canonical fields, and its rows are the boxes' _columns rows."""
+        table, want = _table(rows), _accepted(rows)
+        assert _records(table) == _records(want)
+        assert _same_bytes(geometry._columns(table), geometry._columns(want))
+
+    @given(box_lists(), st.sampled_from([0.0, 0.3, 0.5, 1.0, -0.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_nms_on_table_matches_list(self, boxes, threshold):
+        table = _table([(b.cx, b.cy, b.w, b.h, b.theta, b.score, b.class_id)
+                        for b in boxes])
+        assert list(table) == boxes
+        assert _records(rotated_nms(table, threshold)) == \
+            _records(rotated_nms(list(table), threshold))
+
+    def test_nms_on_detect_tables(self):
+        """On the pinned detect scenes NMS keeps the same records from the
+        decoded table as from its boxes, at 0.3, at 1 (every row) and below
+        0 (the first row); an empty table keeps nothing."""
+        cfg = load_config()
+        weights = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                                        cfg.network, dtype=np.float32)
+        for seed in _pinned_detect():
+            image, _ = gen_scene(seed, cfg.scene, cfg.canvas)
+            with no_recording():
+                _, head = assemble_forward(
+                    Tensor(image.data[np.newaxis], dtype=np.float32), weights)
+            table = decode_boxes(head, cfg.network, cfg.score_threshold)
+            for threshold in (0.3, 1.0, -0.1):
+                assert _records(rotated_nms(table, threshold)) == \
+                    _records(rotated_nms(list(table), threshold)), seed
+        empty = decode_boxes(head, cfg.network, 1.0)
+        assert len(empty) == 0 and rotated_nms(empty, 0.3) == []

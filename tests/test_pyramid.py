@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from rotdet import angle, mdcaa, msk
 from rotdet.config import load_config
 from rotdet.errors import ContractError, ShapeError
-from rotdet.geometry import MAX_BOX_COORD, OrientedBox
+from rotdet.geometry import MAX_BOX_COORD, OrientedBox, _columns
 from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
                             MAX_LOG_RATIO, assemble_forward, bottom_up,
@@ -148,7 +148,7 @@ class TestAssemble:
         # all-zero angle channels: every box at the prior angle
         assert {b.theta for b in boxes} == {0.0}
         # no level has a cell over the threshold
-        assert decode_boxes(head, cfg, score_threshold=1.0) == []
+        assert list(decode_boxes(head, cfg, score_threshold=1.0)) == []
 
 
 def test_parameter_walk_covers_network_graph():
@@ -311,7 +311,7 @@ class TestDecodeBoxes:
         cfg = NetworkConfig()
         logits = np.full((1, 2, 1, 1), -10.0)
         boxes = decode_boxes(self._head(logits, np.zeros((1, 6, 1, 1))), cfg)
-        assert boxes == []
+        assert list(boxes) == []
 
     @pytest.mark.parametrize("dw", [300.0, -300.0, 800.0, -800.0])
     def test_extent_deltas_clamped(self, dw):
@@ -358,7 +358,10 @@ class TestDecodeBoxes:
 
 
 def _reference_decode(head, config, score_threshold, image_index=0):
-    """The per-cell loop decode_boxes replaced, kept as its oracle."""
+    """The per-cell loop decode_boxes replaced, kept as its oracle: one
+    OrientedBox per cell over the threshold, from extent deltas clamped as
+    decode_boxes clamps them, and none where OrientedBox rejects the
+    cell's fields."""
     out = []
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
         scores = sigmoid(logits).data[image_index]
@@ -372,17 +375,28 @@ def _reference_decode(head, config, score_threshold, image_index=0):
                 if score < score_threshold:
                     continue
                 dcx, dcy, dw, dh, ax, ay = (float(v) for v in raw[:, r, c])
+                dw, dh = (min(max(v, -MAX_LOG_RATIO), MAX_LOG_RATIO)
+                          for v in (dw, dh))
                 if math.hypot(ax, ay) < 1e-6:
                     theta = 0.0
                 else:
                     theta = angle.decode(
                         angle.normalize((ax, ay), config.omega))
-                out.append(OrientedBox(
-                    (c + 0.5) * stride + dcx * anchor_size,
-                    (r + 0.5) * stride + dcy * anchor_size,
-                    anchor_size * math.exp(dw), anchor_size * math.exp(dh),
-                    theta, class_id=cls_id, score=score))
+                try:
+                    out.append(OrientedBox(
+                        (c + 0.5) * stride + dcx * anchor_size,
+                        (r + 0.5) * stride + dcy * anchor_size,
+                        anchor_size * math.exp(dw), anchor_size * math.exp(dh),
+                        theta, class_id=cls_id, score=score))
+                except ValueError:  # the center or an extent is out of range
+                    pass
     return out
+
+
+def _hex_rows(boxes):
+    """float.hex of each box's _columns row and of its theta."""
+    return [[v.hex() for v in row] + [b.theta.hex()]
+            for row, b in zip(_columns(boxes).tolist(), boxes)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -402,7 +416,7 @@ def test_decode_matches_per_cell_loop(dtype, omega):
         got = decode_boxes(head, cfg, 0.6, image_index=image)
         want = _reference_decode(head, cfg, 0.6, image_index=image)
         assert len(got) > 10
-        assert got == want
+        assert list(got) == want
 
 
 @st.composite
@@ -515,6 +529,40 @@ def test_decode_keeps_the_cells_the_fits_mask_kept(case):
     got = [(b.cx, b.cy, *sorted((b.w, b.h)), b.score)
            for b in decode_boxes(head, cfg)]
     assert got == _fits_mask_decode(head, cfg, 0.05)
+
+
+@st.composite
+def seeded_heads(draw):
+    """A head of two 64² images at f32 or f64, omega 1 or 2, with normal
+    deltas, degenerate angle vectors in each level's first row, and the
+    centers moved far from the origin or not; an image index and a
+    threshold that passes about a third of the cells."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    cfg = NetworkConfig(classes=3, omega=draw(st.sampled_from([1.0, 2.0])))
+    far = draw(st.sampled_from([0.0, 1e4, 1e8, 1e12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits, boxes = [], []
+    for cells in (8, 4, 2):
+        logits.append(Tensor(rng.normal(size=(2, 3, cells, cells)),
+                             dtype=dtype))
+        deltas = rng.normal(scale=0.5, size=(2, 6, cells, cells))
+        deltas[:, 4:6, 0, :] = 0.0
+        deltas[:, :2] += far * rng.choice([-1.0, 1.0], size=(2, 2, 1, 1))
+        boxes.append(Tensor(deltas, dtype=dtype))
+    return (cfg, HeadOutputs(logits=logits, boxes=boxes),
+            draw(st.sampled_from([0, 1])), 0.6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(seeded_heads(),
+                 hostile_heads().map(lambda case: (*case, 0, 0.05))))
+def test_table_rows_match_per_cell_loop(case):
+    """The table's own rows, and the boxes it builds on demand read back
+    through _columns, carry the per-cell oracle's bits, field by field."""
+    cfg, head, image, threshold = case
+    table = decode_boxes(head, cfg, threshold, image_index=image)
+    want = _reference_decode(head, cfg, threshold, image_index=image)
+    assert _hex_rows(table) == _hex_rows(list(table)) == _hex_rows(want)
 
 
 # -- seeded pins: the draw order of every weight and a small forward ----------
