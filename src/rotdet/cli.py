@@ -20,9 +20,9 @@ from .config import Config, load_config
 from .errors import (ConfigError, DegenerateInputError, FormatError,
                      GenerationError, ShapeError)
 from .evalmap import eval_map, eval_map_sweep
-from .geometry import rotated_nms, save_annotations
+from .geometry import save_annotations
 from .msk import STRIP_SIZES, count_params
-from .pyramid import NetworkWeights, assemble_forward, decode_boxes
+from .pyramid import NetworkWeights, assemble_forward, detect
 from .scenes import gen_scene, scene_boxes
 from .tensor import Tensor, no_recording
 from .tensorio import load_pgm, load_tensor, save_pgm, save_tensor
@@ -63,7 +63,7 @@ def _positive_float(text: str) -> float:
 
 def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
     """The seeded network of `forward` and `eval --mode model`. Those commands
-    keep no autodiff graph because their forward and decode run inside
+    keep no autodiff graph because `forward` and `pyramid.detect` run inside
     ``no_recording``, not because of anything in the weights."""
     return NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
                                  cfg.network, dtype=dtype)
@@ -203,10 +203,8 @@ def cmd_eval(cfg: Config, args) -> int:
         if args.mode == "model":
             image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
             batch = Tensor(image.data[np.newaxis], dtype=dtype)
-            with no_recording():
-                _, head = assemble_forward(batch, weights)
-                raw = decode_boxes(head, cfg.network, cfg.score_threshold)
-            preds.append(rotated_nms(raw, cfg.nms_threshold))
+            preds.extend(detect(batch, weights, cfg.network,
+                                cfg.score_threshold, cfg.nms_threshold))
         else:  # the oracle and empty predictions need no image
             truth = scene_boxes(rng_seed + i, cfg.scene, cfg.canvas)
             preds.append(list(truth) if args.mode == "oracle" else [])

@@ -87,7 +87,7 @@ class BoxTable(Sequence):
     and theta gains pi/2, then :func:`rotdet.angle.wrap`. Its rows' cos and
     sin are ``math.cos`` and ``math.sin`` of theta, as :func:`_columns`
     takes them, so ``_columns(table)`` equals ``_columns(list(table))`` bit
-    for bit, and reads no box. Length, indexing and iteration build an
+    for bit, and reads no box. Indexing, and so iteration, builds an
     ``OrientedBox`` per row on demand, which leaves its fields as they are.
     """
 
@@ -119,12 +119,6 @@ class BoxTable(Sequence):
         return OrientedBox(cx, cy, w, h, self._theta[k], class_id=int(cls),
                            score=score)
 
-    def __iter__(self):
-        for (cx, cy, w, h, _, _, score, cls), theta in zip(
-                self.rows.tolist(), self._theta):
-            yield OrientedBox(cx, cy, w, h, theta, class_id=int(cls),
-                              score=score)
-
 
 def _columns(boxes: Sequence[OrientedBox]) -> np.ndarray:
     """The one read of boxes into arrays: float64 rows (cx, cy, w, h,
@@ -150,21 +144,21 @@ def box_polygons(cols: np.ndarray) -> np.ndarray:
     return local @ rot_t
 
 
-def _box_frame(px, py, b: OrientedBox):
-    """Coordinates (u, v) of the points (px, py) along the box's w and h
-    axes, from its center."""
-    c, s = math.cos(b.theta), math.sin(b.theta)
-    dx, dy = px - b.cx, py - b.cy
+def _box_frame(px, py, row: np.ndarray):
+    """Coordinates (u, v) of the points (px, py) along the w and h axes of
+    a :func:`_columns` row's box, from its center."""
+    cx, cy, _, _, c, s = row[:6].tolist()
+    dx, dy = px - cx, py - cy
     return c * dx + s * dy, -s * dx + c * dy
 
 
-def points_in_box(px: np.ndarray, py: np.ndarray, b: OrientedBox) -> np.ndarray:
-    """Which points (px, py) lie in the box, edges included."""
-    u, v = _box_frame(px, py, b)
-    return (np.abs(u) <= 0.5 * b.w) & (np.abs(v) <= 0.5 * b.h)
+def points_in_box(px: np.ndarray, py: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Which points (px, py) lie in the row's box, edges included."""
+    u, v = _box_frame(px, py, row)
+    return (np.abs(u) <= 0.5 * row[2]) & (np.abs(v) <= 0.5 * row[3])
 
 
-def _row_spans(xs: np.ndarray, ys: np.ndarray, b: OrientedBox):
+def _row_spans(xs: np.ndarray, ys: np.ndarray, row: np.ndarray):
     """Per row y of the grid xs x ys (xs non-decreasing), the columns
     [start, stop) whose points :func:`points_in_box` counts as inside.
 
@@ -178,10 +172,9 @@ def _row_spans(xs: np.ndarray, ys: np.ndarray, b: OrientedBox):
     flips, evaluating _box_frame at single columns.
     """
     n = len(xs)
-    hw, hh = 0.5 * b.w, 0.5 * b.h
-    c, s = math.cos(b.theta), math.sin(b.theta)
+    _, _, w, h, c, s = row[:6].tolist()
     sign = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    half = np.array([[hw], [hw], [hh], [hh]])
+    half = 0.5 * np.array([[w], [w], [h], [h]])
     prefix = np.array([[c >= 0.0], [c < 0.0], [s <= 0.0], [s > 0.0]])
     # first[k, r]: how many leading columns of row r pass test k (a prefix
     # test) or fail it (a suffix test), found one bit at a time.
@@ -189,7 +182,7 @@ def _row_spans(xs: np.ndarray, ys: np.ndarray, b: OrientedBox):
     step = 1 << (n.bit_length() - 1)
     while step:
         probe = first + (step - 1)
-        u, v = _box_frame(xs[np.minimum(probe, n - 1)], ys, b)
+        u, v = _box_frame(xs[np.minimum(probe, n - 1)], ys, row)
         holds = sign * np.concatenate((u[:2], v[2:])) <= half
         first += step * ((holds == prefix) & (probe < n))
         step >>= 1
@@ -206,8 +199,8 @@ def _raster_counts(a: OrientedBox, b: OrientedBox, grid: int):
     hi = corners.max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid)
     ys = np.linspace(lo[1], hi[1], grid)
-    start_a, stop_a = _row_spans(xs, ys, a)
-    start_b, stop_b = _row_spans(xs, ys, b)
+    start_a, stop_a = _row_spans(xs, ys, cols[0])
+    start_b, stop_b = _row_spans(xs, ys, cols[1])
     both = np.minimum(stop_a, stop_b) - np.maximum(start_a, start_b)
     return (int(np.maximum(stop_a - start_a, 0).sum()),
             int(np.maximum(stop_b - start_b, 0).sum()),
@@ -332,11 +325,11 @@ def iou_pairs(polys: np.ndarray, centers: np.ndarray, areas: np.ndarray,
             px[si] + (cx[si] - cx[ci])[:, np.newaxis],
             py[si] + (cy[si] - cy[ci])[:, np.newaxis], px[ci], py[ci])
         area = _shoelace(x, y, counts)
-        inter = np.where(counts >= 3, np.abs(area), 0.0)
+        inter = np.abs(area)
         union = areas[si] + areas[ci] - inter
         pos = union > 0.0
         iou = np.where(pos, inter / np.where(pos, union, 1.0), 0.0)
-        out[s:s + IOU_CHUNK] = np.minimum(np.maximum(iou, 0.0), 1.0)
+        out[s:s + IOU_CHUNK] = np.minimum(iou, 1.0)
     return out
 
 

@@ -27,10 +27,11 @@ import numpy as np
 
 from . import angle as eaem
 from .errors import ShapeError
-from .geometry import BoxTable
+from .geometry import BoxTable, OrientedBox, rotated_nms
 from .mdcaa import MdcaaWeights, mdcaa_apply
 from .msk import ConvParams, MskModuleWeights, msk_block_forward
-from .tensor import Tensor, WeightSet, add, concat_channels, sigmoid
+from .tensor import (Tensor, WeightSet, add, concat_channels, no_recording,
+                     sigmoid)
 
 # bound on the extent deltas decode_boxes exponentiates, as mmrotate's
 # wh_ratio_clip: a decoded w or h lies within [16/1000, 1000/16] anchor sides
@@ -232,3 +233,16 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
         theta[live] = eaem.decode(eaem.normalize(d[live][:, 4:], config.omega))
         levels.append(np.vstack([box, theta, score[r, c], cls_id[r, c]]))
     return BoxTable(*np.concatenate(levels, axis=1))
+
+
+def detect(batch: Tensor, weights: NetworkWeights, config: NetworkConfig,
+           score_threshold: float,
+           nms_threshold: float) -> list[list[OrientedBox]]:
+    """Inference on an (N, 3, H, W) batch: the forward pass and each image's
+    :func:`decode_boxes` table, with recording off, then each table's
+    :func:`rotdet.geometry.rotated_nms`. Returns the kept boxes per image."""
+    with no_recording():
+        _, head = assemble_forward(batch, weights)
+        tables = [decode_boxes(head, config, score_threshold, i)
+                  for i in range(batch.shape[0])]
+    return [rotated_nms(table, nms_threshold) for table in tables]

@@ -94,15 +94,15 @@ def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
     box must overlap the canvas, as the boxes :func:`_place` places do."""
     h, w = canvas.shape
     cols = _columns(boxes)
-    for box, poly in zip(boxes, box_polygons(cols) + cols[:, np.newaxis, :2]):
+    for row, poly in zip(cols, box_polygons(cols) + cols[:, np.newaxis, :2]):
         x0 = max(int(math.floor(poly[:, 0].min())), 0)
         x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
         y0 = max(int(math.floor(poly[:, 1].min())), 0)
         y1 = min(int(math.ceil(poly[:, 1].max())) + 1, h)
         xs = np.arange(x0, x1) + 0.5
         ys = np.arange(y0, y1)[:, np.newaxis] + 0.5
-        inside = points_in_box(xs, ys, box)
-        canvas[y0:y1, x0:x1][inside] = spec.class_intensity(box.class_id)
+        inside = points_in_box(xs, ys, row)
+        canvas[y0:y1, x0:x1][inside] = spec.class_intensity(int(row[7]))
 
 
 def gen_scene(seed: int, spec: SceneSpec,

@@ -90,9 +90,6 @@ UNPASSED_KEPT = {
     "cli.py:main(argv)": "the entry point; tests call it with an argv",
     "msk.py:count_params(strip_sizes)": "acceptance criterion 1 audits "
                                         "other strip sizes through it",
-    "pyramid.py:decode_boxes(image_index)": "kept on purpose (ROADMAP "
-                                            "item 3): decodes any image of "
-                                            "a batch",
 }
 
 

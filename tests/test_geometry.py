@@ -30,6 +30,10 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 KERNEL_TOL = 1e-12  # kernel vs scalar IoU differ only in shoelace rounding
 
 SCORES = st.sampled_from([0.25, 0.5, 0.75, 1.0])  # few values: many ties
+# signed coordinates across magnitudes 1e-100 to 1e100
+MAGNITUDES = st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                       st.floats(1, 10, exclude_max=True),
+                       st.integers(-100, 99), st.sampled_from([-1.0, 1.0]))
 box_st = st.builds(
     OrientedBox,
     cx=st.floats(-8, 8), cy=st.floats(-8, 8),
@@ -414,8 +418,9 @@ def _reference_raster_counts(a, b, grid):
     xs = np.linspace(lo[0], hi[0], grid)
     ys = np.linspace(lo[1], hi[1], grid)
     px, py = np.meshgrid(xs, ys)
-    in_a = points_in_box(px, py, a)
-    in_b = points_in_box(px, py, b)
+    rows = geometry._columns([a, b])
+    in_a = points_in_box(px, py, rows[0])
+    in_b = points_in_box(px, py, rows[1])
     return (np.count_nonzero(in_a), np.count_nonzero(in_b),
             np.count_nonzero(in_a & in_b))
 
@@ -688,6 +693,46 @@ class TestIouKernel:
         twin = OrientedBox(*center, 2 * size, size, 0.3, score=0.5)
         assert rotated_iou(box, box) == pytest.approx(1.0, abs=1e-12)
         assert rotated_nms([twin, box], 0.5) == [box]
+
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.5, 100),
+           st.floats(0.5, 100), st.floats(0, 2 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_one_ulp_neighbours_rate_one(self, cx, cy, w, h, theta):
+        """A box rates at least 1 - 1e-9 against each box one ulp away, in
+        both orders: cx or cy moved by nextafter, theta by one ulp, w or h
+        scaled by 1 +- 2**-52. Their edges are near-parallel and all but
+        coincide, and a kernel that classifies each such edge in or out on
+        its own can count the shared boundary twice or not at all."""
+        box = OrientedBox(cx, cy, w, h, theta)
+        cx, cy, w, h, theta = box.cx, box.cy, box.w, box.h, box.theta
+        neighbours = []
+        for to in (-np.inf, np.inf):
+            neighbours += [
+                OrientedBox(float(np.nextafter(cx, to)), cy, w, h, theta),
+                OrientedBox(cx, float(np.nextafter(cy, to)), w, h, theta),
+                OrientedBox(cx, cy, w, h, float(np.nextafter(theta, to)))]
+        for scale in (1 - 2.0**-52, 1 + 2.0**-52):
+            neighbours += [OrientedBox(cx, cy, w * scale, h, theta),
+                           OrientedBox(cx, cy, w, h * scale, theta)]
+        for near in neighbours:
+            assert rotated_iou(box, near) >= 1 - 1e-9, near
+            assert rotated_iou(near, box) >= 1 - 1e-9, near
+
+    @given(st.integers(2, 8), st.lists(
+        st.tuples(st.integers(0, 2), st.lists(MAGNITUDES, min_size=4,
+                                              max_size=4)),
+        min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_shoelace_zero_below_three_vertices(self, width, rows):
+        """A row of 0, 1 or 2 vertices, its unused slots zero as
+        _clip_pairs leaves them, has area exactly 0: the formula's two
+        sums add the same products in swapped order. iou_pairs takes the
+        area of every row with no vertex-count guard."""
+        x, y = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+        for p, (count, v) in enumerate(rows):
+            x[p, :count], y[p, :count] = v[:count], v[2:2 + count]
+        counts = np.array([count for count, _ in rows])
+        assert geometry._shoelace(x, y, counts).tolist() == [0.0] * len(rows)
 
     def test_identical_and_disjoint(self):
         a = OrientedBox(2, 3, 4, 2, 0.5)

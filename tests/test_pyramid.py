@@ -14,11 +14,11 @@ from hypothesis.extra import numpy as hnp
 from rotdet import angle, mdcaa, msk
 from rotdet.config import load_config
 from rotdet.errors import ContractError, ShapeError
-from rotdet.geometry import MAX_BOX_COORD, OrientedBox, _columns
+from rotdet.geometry import MAX_BOX_COORD, OrientedBox, _columns, rotated_nms
 from rotdet.msk import ConvParams
 from rotdet.pyramid import (HeadOutputs, NetworkConfig, NetworkWeights,
                             MAX_LOG_RATIO, assemble_forward, bottom_up,
-                            decode_boxes)
+                            decode_boxes, detect)
 from rotdet.scenes import gen_scene
 from rotdet.tensor import (Tensor, add, backward, gradients, named_parameters,
                            sigmoid, smooth_l1, sum_all)
@@ -417,6 +417,39 @@ def test_decode_matches_per_cell_loop(dtype, omega):
         want = _reference_decode(head, cfg, 0.6, image_index=image)
         assert len(got) > 10
         assert list(got) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_detect_matches_the_three_calls(monkeypatch, dtype):
+    """On a two-image batch of seeded scenes, detect keeps for each image
+    what NMS keeps of its decoded table, the forward, decode and NMS
+    called apart, and none of its op outputs records a parent."""
+    cfg = load_config()
+    weights = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                                    cfg.network, dtype=dtype)
+    batch = Tensor(np.stack([gen_scene(seed, cfg.scene, cfg.canvas)[0].data
+                             for seed in (1, 2)]), dtype=dtype)
+    outputs = []
+    from_op = Tensor._from_op
+
+    def spy(data, parents, backward):
+        outputs.append(from_op(data, parents, backward))
+        return outputs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tensor, "_from_op", staticmethod(spy))
+        got = detect(batch, weights, cfg.network, cfg.score_threshold,
+                     cfg.nms_threshold)
+    assert outputs
+    assert all(t._parents == () and t._backward is None for t in outputs)
+    _, head = assemble_forward(batch, weights)
+    assert len(got) == 2
+    for i in (0, 1):
+        want = rotated_nms(decode_boxes(head, cfg.network,
+                                        cfg.score_threshold, i),
+                           cfg.nms_threshold)
+        assert want
+        assert _hex_rows(got[i]) == _hex_rows(want)
 
 
 @st.composite
