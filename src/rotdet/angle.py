@@ -64,7 +64,7 @@ class AngleCode:
         return np.stack([np.asarray(self.x), np.asarray(self.y)], axis=-1)
 
 
-def encode(theta, omega: float = 1.0) -> AngleCode:
+def encode(theta, omega: float) -> AngleCode:
     """Map angles in wrap's range [0, period(omega)) to unit-circle codes."""
     omega = _check_omega(omega)
     theta = np.asarray(theta, dtype=np.float64)
@@ -75,7 +75,7 @@ def encode(theta, omega: float = 1.0) -> AngleCode:
     return AngleCode(np.cos(phase), np.sin(phase), omega)
 
 
-def normalize(xy, omega: float = 1.0) -> AngleCode:
+def normalize(xy, omega: float) -> AngleCode:
     """Project a raw 2-vector (or (..., 2) array) onto the unit circle."""
     omega = _check_omega(omega)
     arr = np.asarray(xy, dtype=np.float64)
@@ -136,7 +136,7 @@ def code_distance(a: AngleCode, b: AngleCode):
                     np.asarray(a.y) - np.asarray(b.y))
 
 
-def circular_error(theta_a, theta_b, omega: float = 1.0):
+def circular_error(theta_a, theta_b, omega: float):
     """Shortest angular distance on the circle of period 2*pi/omega."""
     p = period(omega)
     d = np.abs(np.asarray(theta_a) - np.asarray(theta_b)) % p

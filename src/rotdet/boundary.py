@@ -27,7 +27,7 @@ LANDSCAPE_SAMPLES = 4096  # predicted angles per swept period
 
 
 def loss_landscape(method: str, target_theta: float,
-                   omega: float = 1.0) -> np.ndarray:
+                   omega: float) -> np.ndarray:
     """Loss over LANDSCAPE_SAMPLES predicted angles swept uniformly across
     one period."""
     p = eaem.period(omega)
@@ -47,7 +47,7 @@ def count_jumps(trace: np.ndarray) -> int:
     return int(np.count_nonzero(diffs > JUMP_THRESHOLD))
 
 
-def boundary_targets(omega: float = 1.0, seed: int = 0) -> np.ndarray:
+def boundary_targets(omega: float, seed: int) -> np.ndarray:
     """TARGET_COUNT angles within TARGET_DELTA of the wrap, half each side."""
     rng = np.random.default_rng(seed)
     p = eaem.period(omega)
@@ -75,9 +75,8 @@ def _initial_theta(seed: int, omega: float) -> float:
     return float(rng.uniform(0.0, eaem.period(omega)))
 
 
-def run_regression(method: str, targets: np.ndarray, steps: int = 500,
-                   lr: float = 0.1, seed: int = 7,
-                   omega: float = 1.0) -> MethodResult:
+def run_regression(method: str, targets: np.ndarray, steps: int, lr: float,
+                   seed: int, omega: float) -> MethodResult:
     """Full-batch gradient descent on the chosen loss, seed-pinned.
 
     Both methods start from the same seeded initial angle, so a zero-step
@@ -122,8 +121,8 @@ def run_regression(method: str, targets: np.ndarray, steps: int = 500,
     return MethodResult("ok", err, trace)
 
 
-def compare_methods(steps: int = 500, lr: float = 0.1, seed: int = 7,
-                    omega: float = 1.0) -> ExperimentReport:
+def compare_methods(seed: int, omega: float, steps: int = 500,
+                    lr: float = 0.1) -> ExperimentReport:
     targets = boundary_targets(omega, seed)
     report = ExperimentReport()
     for method in METHODS:

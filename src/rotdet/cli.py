@@ -61,14 +61,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _inference_weights(cfg: Config, args, dtype) -> NetworkWeights:
-    """The seeded network of `forward` and `eval --mode model`. Those commands
-    keep no autodiff graph because `forward` and `pyramid.detect` run inside
-    ``no_recording``, not because of anything in the weights."""
-    return NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
-                                 cfg.network, dtype=dtype)
-
-
 def cmd_param_count(cfg: Config, args) -> int:
     c = cfg.network.branch_out
     report = count_params(c)
@@ -98,7 +90,8 @@ def cmd_forward(cfg: Config, args) -> int:
         img = load_tensor(args.image).data
         if img.ndim == 3:
             img = img[np.newaxis]
-    weights = _inference_weights(cfg, args, dtype)
+    weights = NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
+                                    cfg.network, dtype)
     # every Tensor rejects a non-finite value, so numpy's overflow warnings
     # would only repeat the error below
     try:
@@ -198,7 +191,8 @@ def cmd_eval(cfg: Config, args) -> int:
     dtype = _dtype(args.dtype)
     weights = None
     if args.mode == "model":
-        weights = _inference_weights(cfg, args, dtype)
+        weights = NetworkWeights.create(
+            np.random.default_rng(_seed(cfg, args)), cfg.network, dtype)
     for i in range(cfg.images):
         if args.mode == "model":
             image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)

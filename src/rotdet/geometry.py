@@ -88,7 +88,8 @@ class BoxTable(Sequence):
     sin are ``math.cos`` and ``math.sin`` of theta, as :func:`_columns`
     takes them, so ``_columns(table)`` equals ``_columns(list(table))`` bit
     for bit, and reads no box. Indexing, and so iteration, builds an
-    ``OrientedBox`` per row on demand, which leaves its fields as they are.
+    ``OrientedBox`` per row on demand, which leaves its fields as they are;
+    a slice gives a list of them.
     """
 
     def __init__(self, cx, cy, w, h, theta, score, class_id):
@@ -114,7 +115,9 @@ class BoxTable(Sequence):
     def __len__(self) -> int:
         return len(self._theta)
 
-    def __getitem__(self, k) -> OrientedBox:
+    def __getitem__(self, k) -> OrientedBox | list[OrientedBox]:
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
         cx, cy, w, h, _, _, score, cls = self.rows[k].tolist()
         return OrientedBox(cx, cy, w, h, self._theta[k], class_id=int(cls),
                            score=score)
@@ -207,7 +210,7 @@ def _raster_counts(a: OrientedBox, b: OrientedBox, grid: int):
             int(np.maximum(both, 0).sum()))
 
 
-def raster_iou_oracle(a: OrientedBox, b: OrientedBox, grid: int = 1024) -> float:
+def raster_iou_oracle(a: OrientedBox, b: OrientedBox, grid: int) -> float:
     """Brute-force IoU over a uniform grid covering both boxes' extent: the
     share of the grid points in either box that lie in both. The points
     are counted per grid row (:func:`_row_spans`), with the counts of

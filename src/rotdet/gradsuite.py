@@ -28,7 +28,7 @@ def _rand(rng, shape):
     return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
-def per_op_checks(seed: int = 0) -> list[CheckResult]:
+def per_op_checks(seed: int) -> list[CheckResult]:
     """Gradcheck every differentiable op in 64-bit."""
     rng = np.random.default_rng(seed)
     rng.standard_normal((1, 2, 6, 6))  # draws no check reads: see below
@@ -84,7 +84,7 @@ def per_op_checks(seed: int = 0) -> list[CheckResult]:
     return [CheckResult(name, err, bound) for name, err, bound in results]
 
 
-def block_checks(seed: int = 0) -> list[CheckResult]:
+def block_checks(seed: int) -> list[CheckResult]:
     """Gradcheck the feature modules end to end on tiny inputs."""
     rng = np.random.default_rng(seed)
     msk_w = MskModuleWeights.create(rng, 4, 2)
@@ -101,7 +101,7 @@ def block_checks(seed: int = 0) -> list[CheckResult]:
             CheckResult("mdcaa_apply", att_err, 1e-5)]
 
 
-def assembly_check(seed: int = 0) -> CheckResult:
+def assembly_check(seed: int) -> CheckResult:
     """Finite differences through the whole network on a 64x64 input."""
     rng = np.random.default_rng(seed)
     cfg = NetworkConfig(stem_channels=4, branch_out=2, backbone_channels=4,
@@ -121,5 +121,5 @@ def assembly_check(seed: int = 0) -> CheckResult:
     return CheckResult("full_assembly", err, 1e-4)
 
 
-def full_suite(seed: int = 0) -> list[CheckResult]:
+def full_suite(seed: int) -> list[CheckResult]:
     return per_op_checks(seed) + block_checks(seed) + [assembly_check(seed)]

@@ -42,8 +42,8 @@ class MdcaaWeights(WeightSet):
     fusion: ConvParams = field(repr=False)
 
     @staticmethod
-    def create(rng: np.random.Generator, channels: int, strip_len: int = 11,
-               pool_window: int = 7) -> "MdcaaWeights":
+    def create(rng: np.random.Generator, channels: int, strip_len: int,
+               pool_window: int) -> "MdcaaWeights":
         for key, size in zip(WINDOW_RULES, (strip_len, pool_window)):
             test, what = WINDOW_RULES[key]
             if not test(size):

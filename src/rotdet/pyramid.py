@@ -96,7 +96,7 @@ class NetworkWeights(WeightSet):
 
     @staticmethod
     def create(rng: np.random.Generator, config: NetworkConfig,
-               dtype=np.float32) -> "NetworkWeights":
+               dtype) -> "NetworkWeights":
         """The seeded network at ``dtype``. The draw order is the seeded
         contract: backbone, tower stem, the four MSK modules; mdcaa,
         bottom_up_down and bottom_up_fuse per level; fusion_adjust CP2, CP3,
@@ -197,10 +197,10 @@ def assemble_forward(image: Tensor,
 
 
 def decode_boxes(head: HeadOutputs, config: NetworkConfig,
-                 score_threshold: float = 0.05,
-                 image_index: int = 0) -> BoxTable:
-    """Anchor-relative decode of head outputs into a table of oriented
-    boxes, level by level, then row by row.
+                 score_threshold: float, image_index: int = 0) -> BoxTable:
+    """Anchor-relative decode of image ``image_index`` of the head outputs
+    into a table of oriented boxes, level by level, then row by row; no
+    other image of the batch is read.
 
     Centers move by delta*anchor_size, extents scale by exp(delta) with
     delta clamped to +-MAX_LOG_RATIO. A cell gives no box, like a cell
@@ -213,7 +213,7 @@ def decode_boxes(head: HeadOutputs, config: NetworkConfig,
     """
     levels = []
     for stride, logits, deltas in zip(config.strides, head.logits, head.boxes):
-        scores = sigmoid(logits).data[image_index]
+        scores = sigmoid(Tensor(logits.data[image_index])).data
         cls_id = np.argmax(scores, axis=0)
         score = scores.max(axis=0)
         r, c = np.nonzero(score >= score_threshold)

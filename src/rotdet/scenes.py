@@ -106,7 +106,7 @@ def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
 
 
 def gen_scene(seed: int, spec: SceneSpec,
-              canvas: int = 256) -> tuple[Tensor, list[OrientedBox]]:
+              canvas: int) -> tuple[Tensor, list[OrientedBox]]:
     """Render a seeded scene; identical seeds give bit-identical output.
 
     Returns a (3, H, W) float32 image tensor (grayscale replicated across
@@ -126,7 +126,7 @@ def gen_scene(seed: int, spec: SceneSpec,
 
 
 def scene_boxes(seed: int, spec: SceneSpec,
-                canvas: int = 256) -> list[OrientedBox]:
+                canvas: int) -> list[OrientedBox]:
     """The boxes of ``gen_scene(seed, spec, canvas)``, with no image drawn:
     the generator skips the noise draw's canvas² outputs."""
     rng = np.random.default_rng(seed)

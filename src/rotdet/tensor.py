@@ -10,15 +10,12 @@ least 1-D, checked finite, and recorded only while recording is on.
 finite-difference forwards run inside it, compute the same values and keep no
 graph. The op set is what the feature blocks need: conv2d (with groups and
 stride), average pooling, sigmoid, channel concat, and elementwise arithmetic.
-Quarter rotations (``rot90``) are no longer used by the feature blocks; they
-stay for the rotation contracts of acceptance criterion 7 and the gradcheck
-battery.
+Quarter rotations (``rot90``) serve the rotation contracts of acceptance
+criterion 7 and the gradcheck battery.
 
 A convolution is one ``np.matmul`` per direction: every window of the
-padded input is one 7-D strided view, copied once into a (groups,
-Cg*kH*kW, N*oH*oW) patch buffer, or used as it is when it already lies in
-that order (a 1x1 stride-1 kernel over one image, whose patches are the
-input itself, copies nothing); the kernel multiplies it in the forward
+padded input is one 7-D strided view, copied once into a new (groups,
+Cg*kH*kW, N*oH*oW) patch buffer; the kernel multiplies it in the forward
 pass, and the backward pass multiplies by its transpose and adds the patch
 gradients back into place, one kernel tap at a time since windows overlap.
 The optional bias is added in the same node. Padding is a zero buffer with
@@ -328,10 +325,9 @@ def rot90(x: Tensor, direction: str) -> Tensor:
     k = 1 if direction == "ccw" else -1
 
     def bwd(g):
-        x._accumulate(np.ascontiguousarray(np.rot90(g, k=-k, axes=(2, 3))))
+        x._accumulate(np.rot90(g, k=-k, axes=(2, 3)))
 
-    return Tensor._from_op(
-        np.ascontiguousarray(np.rot90(x.data, k=k, axes=(2, 3))), (x,), bwd)
+    return Tensor._from_op(np.rot90(x.data, k=k, axes=(2, 3)), (x,), bwd)
 
 
 # -- convolution and pooling --------------------------------------------------
@@ -357,12 +353,8 @@ def _windows(kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
 
 def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
             oh: int, ow: int) -> np.ndarray:
-    """Patches of ``xp`` laid out as (G, Cg*kh*kw, N*oh*ow) for matmul.
-
-    When the windows already lie in that order (a 1x1 stride-1 kernel over
-    one image, say) the result is a view of ``xp`` itself, not a copy;
-    callers only read it.
-    """
+    """Patches of ``xp`` laid out as (G, Cg*kh*kw, N*oh*ow) for matmul, in
+    a new buffer."""
     xp = np.ascontiguousarray(xp)  # the view below assumes C order
     n, c = xp.shape[:2]
     cg = c // groups
@@ -373,11 +365,9 @@ def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
     windows = np.ndarray(shape, xp.dtype, buffer=xp, offset=0,
                          strides=(cg * s_c, s_c, s_h, s_w, s_n, sh * s_h,
                                   sw * s_w))
-    if not windows.flags.c_contiguous:
-        cols = np.empty(shape, dtype=xp.dtype)
-        np.copyto(cols, windows)
-        windows = cols
-    return windows.reshape(groups, cg * kh * kw, n * oh * ow)
+    cols = np.empty(shape, dtype=xp.dtype)
+    np.copyto(cols, windows)
+    return cols.reshape(groups, cg * kh * kw, n * oh * ow)
 
 
 def _col2im(gcols: np.ndarray, xp_shape, groups, kh, kw, sh, sw, oh,
@@ -428,7 +418,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
     wr = kernel.data.reshape(groups, oc // groups, cg * kh * kw)
     # (G, OCg, K) @ (G, K, N*oh*ow) -> (N, OC, oh, ow)
     out = np.matmul(wr, cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
-    out = np.ascontiguousarray(out)
     parents = (x, kernel)
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
@@ -451,7 +440,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride=(1, 1), padding=(0, 0),
     return Tensor._from_op(out, parents, bwd)
 
 
-def avg_pool(x: Tensor, window, padding=(0, 0)) -> Tensor:
+def avg_pool(x: Tensor, window, padding) -> Tensor:
     """Mean pooling at stride 1 with zero padding over (h, w) ``window`` and
     ``padding`` pairs; the divisor always counts padded cells.
 

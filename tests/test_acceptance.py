@@ -112,7 +112,8 @@ def test_criterion_4_boundary_continuity(report):
 
 def test_criterion_5_toy_regression(report):
     with report(5, "circular loss beats raw-angle loss"):
-        outcome = boundary.compare_methods(steps=500, lr=0.1, seed=7)
+        outcome = boundary.compare_methods(steps=500, lr=0.1, seed=7,
+                                           omega=1.0)
         direct = outcome.results["direct_smoothl1"]
         chord = outcome.results["eaem_chord"]
         assert direct.status == "ok" and chord.status == "ok"
@@ -182,7 +183,8 @@ def test_criterion_9_pipeline_shapes(report):
         image = Tensor(rng.standard_normal((1, 3, 256, 256)).astype(np.float32))
 
         def run():
-            w = NetworkWeights.create(np.random.default_rng(99), cfg)
+            w = NetworkWeights.create(np.random.default_rng(99), cfg,
+                                      np.float32)
             feats, head = assemble_forward(image, w)
             return {**feats, **head.named()}
 

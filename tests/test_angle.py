@@ -88,40 +88,41 @@ class TestEncode:
 
 class TestNormalize:
     def test_three_four_five(self):
-        code = angle.normalize((3.0, 4.0))
+        code = angle.normalize((3.0, 4.0), 1.0)
         assert (code.x, code.y) == (0.6, 0.8)
 
     def test_fixed_point(self):
-        code = angle.normalize((1.0, 0.0))
+        code = angle.normalize((1.0, 0.0), 1.0)
         assert (code.x, code.y) == (1.0, 0.0)
 
     def test_near_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            angle.normalize((1e-13, 0.0))
+            angle.normalize((1e-13, 0.0), 1.0)
 
     @pytest.mark.parametrize("xy", [1.0, (1.0,), (1.0, 2.0, 3.0),
                                     np.ones((2, 3))])
     def test_wrong_trailing_extent_rejected(self, xy):
         with pytest.raises(ContractError, match="trailing extent 2"):
-            angle.normalize(xy)
+            angle.normalize(xy, 1.0)
 
     @pytest.mark.parametrize("xy", [(math.inf, 1.0), (math.nan, 0.0),
                                     (1.0, -math.inf), (math.inf, math.inf)])
     def test_non_finite_rejected(self, xy):
         with pytest.raises(DegenerateInputError):
-            angle.normalize(xy)
+            angle.normalize(xy, 1.0)
         with pytest.raises(DegenerateInputError):
-            angle.normalize(np.array([(3.0, 4.0), xy]))
+            angle.normalize(np.array([(3.0, 4.0), xy]), 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_components_do_not_overflow(self):
-        code = angle.normalize((1e308, 1e308))
+        code = angle.normalize((1e308, 1e308), 1.0)
         assert code.x == code.y == pytest.approx(math.sqrt(0.5), abs=1e-15)
         assert angle.decode(code) == pytest.approx(math.pi / 4, abs=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rescale_leaves_finite_rows_alone(self):
-        code = angle.normalize(np.array([[3.0, 4.0], [-1e308, 1e200]]))
+        code = angle.normalize(np.array([[3.0, 4.0], [-1e308, 1e200]]),
+                               1.0)
         assert (code.x[0], code.y[0]) == (0.6, 0.8)
         assert (code.x[1], code.y[1]) == pytest.approx((-1.0, 0.0), abs=1e-15)
 

@@ -1,7 +1,8 @@
 """Names other code binds to by string: the package's ``__all__`` and the
 module attributes ``benchmarks/tracer.py`` wraps; that the package defines
-nothing, and no defaulted parameter, that only tests call or pass; and
-that each benchmark workload still runs one op on the package as it is.
+nothing, and no defaulted parameter, that only tests call or pass, and no
+default that only tests take; and that each benchmark workload still runs
+one op on the package as it is.
 
 The tracer replaces attributes like ``rotdet.scenes.rotated_iou`` by name,
 so a binding the package drops would otherwise surface only as an
@@ -91,34 +92,54 @@ UNPASSED_KEPT = {
     "msk.py:count_params(strip_sizes)": "acceptance criterion 1 audits "
                                         "other strip sizes through it",
 }
+# Defaulted parameters that every package or benchmark call passes, kept on
+# purpose: "file:function(parameter)" -> why.
+UNTAKEN_KEPT = {}
 
 
-def _unpassed_parameters() -> list[str]:
+def _defaulted_parameter_calls() -> dict[str, list[bool]]:
     """``file:function(parameter)`` of each defaulted parameter of a package
-    function that no package or benchmark call passes. A call passes it by
-    naming it as a keyword, by reaching its position, or by any ``*`` or
-    ``**`` argument. Calls are matched to functions by name, as in
-    ``_uncalled_definitions``; a class name calls its ``__init__``, and the
+    function, with one entry per package or benchmark call of that function:
+    whether the call passes it, by naming it as a keyword, by reaching its
+    position, or by any ``*`` or ``**`` argument.
+
+    Calls are matched to functions by name, as in ``_uncalled_definitions``,
+    except that ``Cls.f(...)`` with ``Cls`` a package class is matched only
+    to that class's ``f``, and a call on a literal, such as
+    ``"...".encode()``, to none. A class name calls its ``__init__``, and the
     ``self`` of a method that is not static takes no call position."""
+    trees = [(path, ast.parse(path.read_text(), str(path)))
+             for path in PACKAGE + BENCHMARKS]
+    classes = {node.name for path, tree in trees if path in PACKAGE
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     defined, calls = [], {}
-    for path in PACKAGE + BENCHMARKS:
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in trees:
         owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                  for f in c.body if isinstance(f, ast.FunctionDef)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(
-                    f, "attr", None)
+                if isinstance(f, ast.Name):
+                    name, cls = ((f.id, None) if f.id not in classes
+                                 else ("__init__", f.id))
+                elif (not isinstance(f, ast.Attribute) or f.attr == "__init__"
+                      or isinstance(f.value, (ast.Constant,
+                                              ast.JoinedStr))):
+                    continue  # no name, a base class's __init__, a literal's
+                else:
+                    receiver = getattr(f.value, "id",
+                                       getattr(f.value, "attr", None))
+                    name = f.attr
+                    cls = receiver if receiver in classes else None
                 spread = any(isinstance(a, ast.Starred) for a in node.args) \
                     or any(k.arg is None for k in node.keywords)
                 calls.setdefault(name, []).append(
-                    (len(node.args), {k.arg for k in node.keywords}, spread))
+                    (cls, len(node.args), {k.arg for k in node.keywords},
+                     spread))
             elif isinstance(node, ast.FunctionDef) and path in PACKAGE:
                 defined.append((path.name, node, owner.get(id(node))))
-    unpassed = []
+    found = {}
     for file, f, cls in defined:
-        name = cls.name if cls and f.name == "__init__" else f.name
         static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                      for d in f.decorator_list)
         positional = [a.arg for a in f.args.posonlyargs + f.args.args]
@@ -126,14 +147,26 @@ def _unpassed_parameters() -> list[str]:
         defaulted = positional[len(positional) - len(f.args.defaults):] + [
             a.arg for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
             if d is not None]
+        matched = [call[1:] for call in calls.get(f.name, [])
+                   if call[0] in (None, cls and cls.name)]
         for param in defaulted:
             index = positional.index(param) if param in positional else None
-            if not any(spread or param in keywords
-                       or (index is not None and n > index)
-                       for n, keywords, spread in calls.get(name, [])):
-                unpassed.append(f"{file}:{f.name}({param})")
-    return sorted(unpassed)
+            found[f"{file}:{f.name}({param})"] = [
+                spread or param in keywords
+                or (index is not None and n > index)
+                for n, keywords, spread in matched]
+    return found
 
 
 def test_every_defaulted_parameter_is_passed():
-    assert _unpassed_parameters() == sorted(UNPASSED_KEPT)
+    unpassed = [key for key, passes in _defaulted_parameter_calls().items()
+                if not any(passes)]
+    assert sorted(unpassed) == sorted(UNPASSED_KEPT)
+
+
+def test_every_default_is_taken():
+    """A default that every call overrides restates a value whose home is
+    elsewhere (a config key, say), and only tests see it."""
+    untaken = [key for key, passes in _defaulted_parameter_calls().items()
+               if all(passes)]
+    assert sorted(untaken) == sorted(UNTAKEN_KEPT)

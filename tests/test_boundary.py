@@ -48,7 +48,7 @@ class TestLandscape:
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            loss_landscape("huber", 0.0)
+            loss_landscape("huber", 0.0, 1.0)
 
 
 def test_count_jumps_wraps_around():
@@ -68,12 +68,14 @@ def test_targets_hug_the_boundary():
 class TestRegression:
     def test_zero_steps_identical_error(self):
         targets = boundary_targets(1.0, 3)
-        a = run_regression("direct_smoothl1", targets, steps=0, seed=3)
-        b = run_regression("eaem_chord", targets, steps=0, seed=3)
+        a = run_regression("direct_smoothl1", targets, steps=0, lr=0.1,
+                           seed=3, omega=1.0)
+        b = run_regression("eaem_chord", targets, steps=0, lr=0.1, seed=3,
+                           omega=1.0)
         assert a.final_error == b.final_error
 
     def test_chord_beats_direct_on_boundary_targets(self):
-        report = compare_methods(steps=500, lr=0.1, seed=7)
+        report = compare_methods(steps=500, lr=0.1, seed=7, omega=1.0)
         direct = report.results["direct_smoothl1"]
         chord = report.results["eaem_chord"]
         assert direct.status == chord.status == "ok"
@@ -81,13 +83,13 @@ class TestRegression:
         assert chord.final_error < 0.1
 
     def test_chord_trace_settles(self):
-        report = compare_methods(steps=200, lr=0.1, seed=7)
+        report = compare_methods(steps=200, lr=0.1, seed=7, omega=1.0)
         trace = np.array(report.results["eaem_chord"].loss_trace)
         assert np.all(np.diff(trace[10:]) <= 1e-12)
 
     def test_report_reproducible(self):
-        a = compare_methods(steps=50, lr=0.1, seed=11)
-        b = compare_methods(steps=50, lr=0.1, seed=11)
+        a = compare_methods(steps=50, lr=0.1, seed=11, omega=1.0)
+        b = compare_methods(steps=50, lr=0.1, seed=11, omega=1.0)
         for m in a.results:
             assert a.results[m].final_error == b.results[m].final_error
             assert a.results[m].loss_trace == b.results[m].loss_trace
@@ -97,9 +99,9 @@ class TestRegression:
         diverged, not as ok with a NaN error."""
         with np.errstate(over="ignore", invalid="ignore"):
             result = run_regression("eaem_chord", boundary_targets(1.0, 42),
-                                    steps=1, lr=1e308, seed=42)
+                                    steps=1, lr=1e308, seed=42, omega=1.0)
         assert result.status == "diverged"
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            run_regression("huber", np.array([0.1]))
+            run_regression("huber", np.array([0.1]), 500, 0.1, 7, 1.0)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotdet.cli import _inference_weights, build_parser, main
+from rotdet.cli import build_parser, main
 from rotdet.config import _DEFAULTS, load_config
 from rotdet.errors import ConfigError
 from rotdet.pyramid import NetworkWeights, assemble_forward
@@ -421,8 +421,9 @@ class TestInferenceWeights:
         return {**feats, **head.named()}
 
     def _weights(self):
-        return _inference_weights(load_config(None),
-                                  argparse.Namespace(seed=None), np.float32)
+        cfg = load_config(None)
+        return NetworkWeights.create(np.random.default_rng(cfg.data_seed),
+                                     cfg.network, np.float32)
 
     def test_forward_builds_no_graph(self):
         weights = self._weights()

@@ -1304,6 +1304,16 @@ class TestBoxTable:
         assert _records(rotated_nms(table, threshold)) == \
             _records(rotated_nms(list(table), threshold))
 
+    @given(raw_rows(), st.none() | st.integers(-10, 10),
+           st.none() | st.integers(-10, 10),
+           st.none() | st.integers(-4, 4).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_as_its_list(self, rows, start, stop, step):
+        table = _table(rows)
+        got = table[start:stop:step]
+        assert isinstance(got, list)
+        assert _records(got) == _records(list(table)[start:stop:step])
+
     def test_nms_on_detect_tables(self):
         """On the pinned detect scenes NMS keeps the same records from the
         decoded table as from its boxes, at 0.3, at 1 (every row) and below

@@ -91,10 +91,10 @@ class TestAttentionMap:
         for m in (4, 1):
             msg = f"strip_len must be odd and >= 3, got {m}$"
             with pytest.raises(ContractError, match=msg):
-                MdcaaWeights.create(rng, 3, strip_len=m)
+                MdcaaWeights.create(rng, 3, strip_len=m, pool_window=7)
         for pw in (4, 0, -1):
             with pytest.raises(ContractError, match="pool_window"):
-                MdcaaWeights.create(rng, 3, pool_window=pw)
+                MdcaaWeights.create(rng, 3, strip_len=11, pool_window=pw)
 
 
 def _sandwich_create(rng, channels, strip_len=11, pool_window=7):
@@ -191,7 +191,7 @@ class TestSandwichOracle:
         # when H*W is not a multiple of its vector width; sides that are
         # multiples of 4, as on every pyramid level, leave no tail.
         h, wd = 4 * h4, 4 * w4
-        w = MdcaaWeights.create(np.random.default_rng(seed), c, m)
+        w = MdcaaWeights.create(np.random.default_rng(seed), c, m, 7)
         old = _sandwich_create(np.random.default_rng(seed), c, m)
         rng = np.random.default_rng([seed, 1])
         w.diag_anti.bias.data[:] = old.diag_anti.bias.data[:] = (

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rotdet import angle, mdcaa, msk
+from rotdet import angle, mdcaa, msk, pyramid
 from rotdet.config import load_config
 from rotdet.errors import ContractError, ShapeError
 from rotdet.geometry import MAX_BOX_COORD, OrientedBox, _columns, rotated_nms
@@ -87,7 +87,7 @@ class TestAssemble:
     def test_documented_shapes(self):
         cfg = NetworkConfig()
         rng = np.random.default_rng(4)
-        w = NetworkWeights.create(rng, cfg)
+        w = NetworkWeights.create(rng, cfg, np.float32)
         image = Tensor(rng.standard_normal((1, 3, 128, 128)).astype(np.float32))
         feats, head = assemble_forward(image, w)
         shapes = {k: v.shape for k, v in feats.items()}
@@ -109,7 +109,7 @@ class TestAssemble:
         """The whole input rule is checked before any conv: an empty batch,
         a zero side or one past MAX_CANVAS (4160) raises too."""
         cfg = NetworkConfig()
-        w = NetworkWeights.create(np.random.default_rng(5), cfg)
+        w = NetworkWeights.create(np.random.default_rng(5), cfg, np.float32)
         for shape in ((1, 3, 96, 96), (1, 4, 64, 64), (3, 64, 64),
                       (0, 3, 64, 64), (1, 3, 0, 64), (1, 3, 64, 0),
                       (1, 3, 64, 4160), (1, 3, 4160, 64)):
@@ -121,8 +121,8 @@ class TestAssemble:
 
     def test_seeded_weights_deterministic(self):
         cfg = NetworkConfig()
-        wa = NetworkWeights.create(np.random.default_rng(6), cfg)
-        wb = NetworkWeights.create(np.random.default_rng(6), cfg)
+        wa = NetworkWeights.create(np.random.default_rng(6), cfg, np.float32)
+        wb = NetworkWeights.create(np.random.default_rng(6), cfg, np.float32)
         x = Tensor(np.random.default_rng(7).standard_normal(
             (1, 3, 64, 64)).astype(np.float32))
         _, ha = assemble_forward(x, wa)
@@ -132,13 +132,13 @@ class TestAssemble:
 
     def test_zero_weights_decode_to_priors(self):
         cfg = NetworkConfig()
-        w = NetworkWeights.create(np.random.default_rng(8), cfg)
+        w = NetworkWeights.create(np.random.default_rng(8), cfg, np.float32)
         for p in w.parameters():
             p.data[:] = 0.0
         _, head = assemble_forward(Tensor(np.zeros((1, 3, 64, 64))), w)
         for lg in head.logits:
             np.testing.assert_array_equal(lg.data, 0.0)
-        boxes = decode_boxes(head, cfg)
+        boxes = decode_boxes(head, cfg, 0.05)
         # every cell survives at sigmoid(0) = 0.5 and decodes to its anchor
         assert len(boxes) == 8 * 8 + 4 * 4 + 2 * 2
         b = boxes[0]
@@ -152,7 +152,8 @@ class TestAssemble:
 
 
 def test_parameter_walk_covers_network_graph():
-    w = NetworkWeights.create(np.random.default_rng(9), NetworkConfig())
+    w = NetworkWeights.create(np.random.default_rng(9), NetworkConfig(),
+                              np.float32)
     image = Tensor(np.random.default_rng(10).standard_normal((1, 3, 64, 64)))
     _, head = assemble_forward(image, w)
     assert_walk_covers_graph(w, image, head.logits + head.boxes, 204)
@@ -296,7 +297,7 @@ class TestDecodeBoxes:
         logits[0, 1, 0, 0] = 4.0
         deltas = np.zeros((1, 6, 1, 1))
         deltas[0, :, 0, 0] = [0.25, -0.25, math.log(2.0), 0.0, code.x, code.y]
-        boxes = decode_boxes(self._head(logits, deltas), cfg)
+        boxes = decode_boxes(self._head(logits, deltas), cfg, 0.05)
         assert len(boxes) == 1
         b = boxes[0]
         assert b.class_id == 1
@@ -310,7 +311,8 @@ class TestDecodeBoxes:
     def test_score_threshold_filters(self):
         cfg = NetworkConfig()
         logits = np.full((1, 2, 1, 1), -10.0)
-        boxes = decode_boxes(self._head(logits, np.zeros((1, 6, 1, 1))), cfg)
+        boxes = decode_boxes(self._head(logits, np.zeros((1, 6, 1, 1))), cfg,
+                             0.05)
         assert list(boxes) == []
 
     @pytest.mark.parametrize("dw", [300.0, -300.0, 800.0, -800.0])
@@ -320,7 +322,8 @@ class TestDecodeBoxes:
         cfg = NetworkConfig()
         deltas = np.zeros((1, 6, 1, 1))
         deltas[0, 2:4, 0, 0] = dw, -dw
-        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 1)), deltas), cfg)
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 1)), deltas), cfg,
+                             0.05)
         anchor = 8 * cfg.anchor_scale
         clip = math.copysign(MAX_LOG_RATIO, dw)
         assert len(boxes) == 1
@@ -335,7 +338,8 @@ class TestDecodeBoxes:
         deltas = np.zeros((1, 6, 1, 3))
         deltas[0, 0, 0, 0] = delta
         deltas[0, 1, 0, 1] = delta
-        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 3)), deltas), cfg)
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 3)), deltas), cfg,
+                             0.05)
         assert [(b.cx, b.cy) for b in boxes] == [(2.5 * 8, 0.5 * 8)]
 
     @pytest.mark.parametrize("scale,dw", [(1e99, 1.0), (1e-100, -10.0)])
@@ -346,14 +350,16 @@ class TestDecodeBoxes:
         cfg = NetworkConfig(anchor_scale=scale)
         deltas = np.zeros((1, 6, 1, 2))
         deltas[0, 2, 0, 1] = dw
-        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 2)), deltas), cfg)
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 2)), deltas), cfg,
+                             0.05)
         assert [(b.cx, b.w) for b in boxes] == [(0.5 * 8, 8 * scale)]
 
     def test_degenerate_angle_vector_falls_back(self):
         cfg = NetworkConfig()
         deltas = np.zeros((1, 6, 1, 1))
         deltas[0, 4:, 0, 0] = 1e-9
-        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 1)), deltas), cfg)
+        boxes = decode_boxes(self._head(np.zeros((1, 2, 1, 1)), deltas), cfg,
+                             0.05)
         assert boxes[0].theta == 0.0
 
 
@@ -450,6 +456,25 @@ def test_detect_matches_the_three_calls(monkeypatch, dtype):
                            cfg.nms_threshold)
         assert want
         assert _hex_rows(got[i]) == _hex_rows(want)
+
+
+def test_detect_squashes_each_image_once(monkeypatch):
+    """decode_boxes takes the sigmoid of its own image's logits only: a
+    two-image detect takes one per level and image, each over one image."""
+    cfg = NetworkConfig()
+    weights = NetworkWeights.create(np.random.default_rng(3), cfg, np.float32)
+    batch = Tensor(np.random.default_rng(4).random((2, 3, 64, 64)),
+                   dtype=np.float32)
+    shapes = []
+
+    def spy(x):
+        shapes.append(x.shape)
+        return sigmoid(x)
+
+    monkeypatch.setattr(pyramid, "sigmoid", spy)
+    detect(batch, weights, cfg, 0.05, 0.1)
+    assert shapes == [(cfg.classes, 64 // s, 64 // s)
+                      for _ in range(2) for s in cfg.strides]
 
 
 @st.composite
@@ -560,7 +585,7 @@ def test_decode_keeps_the_cells_the_fits_mask_kept(case):
     decoded centers and extents dropped."""
     cfg, head = case
     got = [(b.cx, b.cy, *sorted((b.w, b.h)), b.score)
-           for b in decode_boxes(head, cfg)]
+           for b in decode_boxes(head, cfg, 0.05)]
     assert got == _fits_mask_decode(head, cfg, 0.05)
 
 

@@ -96,22 +96,6 @@ def _looped_im2col(xp, groups, kh, kw, sh, sw, oh, ow):
     return cols.reshape(groups, cg * kh * kw, n * oh * ow)
 
 
-def _copying_im2col(xp, groups, kh, kw, sh, sw, oh, ow):
-    """``_im2col`` as it was when it copied the strided view of every
-    window into a new buffer, even when the view was already in order."""
-    xp = np.ascontiguousarray(xp)
-    n, c = xp.shape[:2]
-    cg = c // groups
-    s_n, s_c, s_h, s_w = xp.strides
-    shape = (groups, cg, kh, kw, n, oh, ow)
-    windows = np.ndarray(shape, xp.dtype, buffer=xp, offset=0,
-                         strides=(cg * s_c, s_c, s_h, s_w, s_n, sh * s_h,
-                                  sw * s_w))
-    cols = np.empty(shape, dtype=xp.dtype)
-    np.copyto(cols, windows)
-    return cols.reshape(groups, cg * kh * kw, n * oh * ow)
-
-
 def _clipped_sigmoid(v):
     """sigmoid as it was when it computed its bounds on every call and
     clipped with ``np.clip``."""
@@ -329,16 +313,17 @@ class TestAvgPool:
     def test_window_1_identity(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        np.testing.assert_array_equal(avg_pool(x, (1, 1)).data, x.data)
+        out = avg_pool(x, (1, 1), (0, 0))
+        np.testing.assert_array_equal(out.data, x.data)
 
     def test_constant_field(self):
         x = Tensor(np.full((1, 1, 6, 6), 3.5))
-        out = avg_pool(x, (3, 3))
+        out = avg_pool(x, (3, 3), (0, 0))
         np.testing.assert_allclose(out.data, 3.5)
 
     def test_direct_mean(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        out = avg_pool(x, (2, 2))
+        out = avg_pool(x, (2, 2), (0, 0))
         np.testing.assert_allclose(out.data, [[[[2.5]]]])
 
     def test_count_include_pad(self):
@@ -349,7 +334,7 @@ class TestAvgPool:
 
     def test_empty_output_rejected(self):
         with pytest.raises(ShapeError):
-            avg_pool(Tensor(np.zeros((1, 1, 2, 2))), (5, 5))
+            avg_pool(Tensor(np.zeros((1, 1, 2, 2))), (5, 5), (0, 0))
 
 
 # f64 differs from the einsum path only in summation order; f32 likewise,
@@ -509,6 +494,21 @@ NON_CONTIGUOUS = {
 }
 
 
+# (n, c, groups, h, w, kh, kw, sh, sw, dtype) of patch copies that must land
+# in a fresh buffer: first 1x1 stride-1 kernels over one image, whose windows
+# already lie in patch order, then other layouts
+FRESH_BUFFER_CASES = [
+    pytest.param(1, c, groups, h, w, 1, 1, 1, 1, dtype,
+                 id=f"{c}-{groups}-{h}-{w}-{dtype.__name__}")
+    for c, groups, h, w in [(1, 1, 1, 1), (3, 1, 5, 7), (4, 2, 8, 8),
+                            (6, 6, 4, 9), (40, 1, 64, 64)]
+    for dtype in (np.float32, np.float64)] + [
+    pytest.param(n, 3, 1, 6, 6, kh, kw, sh, sw, np.float64,
+                 id=f"{n}-{kh}-{kw}-{sh}-{sw}")
+    for n, kh, kw, sh, sw in [(2, 1, 1, 1, 1), (1, 1, 1, 2, 1),
+                              (1, 3, 3, 1, 1), (1, 1, 3, 1, 1)]]
+
+
 class TestIm2col:
     """The one-copy strided view against the per-tap loop it replaced."""
 
@@ -541,44 +541,18 @@ class TestIm2col:
         want = conv2d(Tensor(np.ascontiguousarray(x.data)), k)
         assert got.data.tobytes() == want.data.tobytes()
 
-    @given(conv_cases())
-    @settings(max_examples=150, deadline=None)
-    def test_bit_equal_to_copying(self, case):
-        (n, c, h, w, _, groups, kh, kw, (sh, sw), (ph, pw), dtype, _,
-         seed) = case
-        x = np.random.default_rng(seed).standard_normal((n, c, h, w))
-        xp = _padded(x.astype(dtype), ph, pw)
-        oh = (xp.shape[2] - kh) // sh + 1
-        ow = (xp.shape[3] - kw) // sw + 1
-        got = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
-        want = _copying_im2col(xp, groups, kh, kw, sh, sw, oh, ow)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c,groups,h,w", [
-        (1, 1, 1, 1), (3, 1, 5, 7), (4, 2, 8, 8), (6, 6, 4, 9),
-        (40, 1, 64, 64)])
-    def test_pointwise_single_image_copies_nothing(self, dtype, c, groups, h,
-                                                   w):
-        # a 1x1 stride-1 kernel over one image reads the input in place
-        xp = np.random.default_rng(23).standard_normal((1, c, h, w)).astype(
+    @pytest.mark.parametrize("n,c,groups,h,w,kh,kw,sh,sw,dtype",
+                             FRESH_BUFFER_CASES)
+    def test_other_layouts_copy(self, n, c, groups, h, w, kh, kw, sh, sw,
+                                dtype):
+        xp = np.random.default_rng(24).standard_normal((n, c, h, w)).astype(
             dtype)
-        got = _im2col(xp, groups, 1, 1, 1, 1, h, w)
-        want = _copying_im2col(xp, groups, 1, 1, 1, 1, h, w)
+        oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+        got = _im2col(xp, groups, kh, kw, sh, sw, oh, ow)
+        assert not np.shares_memory(got, xp)
+        want = _looped_im2col(xp, groups, kh, kw, sh, sw, oh, ow)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(got, xp)
-
-    @pytest.mark.parametrize("n,kh,kw,sh,sw", [
-        (2, 1, 1, 1, 1), (1, 1, 1, 2, 1), (1, 3, 3, 1, 1), (1, 1, 3, 1, 1)])
-    def test_other_layouts_copy(self, n, kh, kw, sh, sw):
-        xp = np.random.default_rng(24).standard_normal((n, 3, 6, 6))
-        oh, ow = (6 - kh) // sh + 1, (6 - kw) // sw + 1
-        got = _im2col(xp, 1, kh, kw, sh, sw, oh, ow)
-        assert not np.shares_memory(got, xp)
-        assert got.tobytes() == _copying_im2col(
-            xp, 1, kh, kw, sh, sw, oh, ow).tobytes()
 
     def test_allocates_only_its_buffer(self):
         # a 40-channel 1x11 strip at 64x64, padded to 64x74 beforehand: the
