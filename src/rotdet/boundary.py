@@ -24,6 +24,7 @@ JUMP_THRESHOLD = 0.5
 TARGET_COUNT = 32
 TARGET_DELTA = 0.05
 LANDSCAPE_SAMPLES = 4096  # predicted angles per swept period
+STEPS, LR = 500, 0.1  # the experiment's descent steps and rate
 
 
 def loss_landscape(method: str, target_theta: float,
@@ -121,8 +122,8 @@ def run_regression(method: str, targets: np.ndarray, steps: int, lr: float,
     return MethodResult("ok", err, trace)
 
 
-def compare_methods(seed: int, omega: float, steps: int = 500,
-                    lr: float = 0.1) -> ExperimentReport:
+def compare_methods(seed: int, omega: float, steps: int = STEPS,
+                    lr: float = LR) -> ExperimentReport:
     targets = boundary_targets(omega, seed)
     report = ExperimentReport()
     for method in METHODS:

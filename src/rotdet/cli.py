@@ -158,8 +158,7 @@ def cmd_boundary_exp(cfg: Config, args) -> int:
     omega = cfg.network.omega
     seed = _seed(cfg, args)
     with np.errstate(over="ignore", invalid="ignore"):  # tiny omega diverges
-        report = boundary.compare_methods(steps=args.steps, lr=args.lr,
-                                          seed=seed, omega=omega)
+        report = boundary.compare_methods(seed, omega, args.steps, args.lr)
         print(f"seed={seed} omega={omega} steps={args.steps} "
               f"lr={args.lr} targets={boundary.TARGET_COUNT}")
         for target in (0.01, np.pi / omega):
@@ -192,7 +191,7 @@ def cmd_eval(cfg: Config, args) -> int:
     weights = None
     if args.mode == "model":
         weights = NetworkWeights.create(
-            np.random.default_rng(_seed(cfg, args)), cfg.network, dtype)
+            np.random.default_rng(rng_seed), cfg.network, dtype)
     for i in range(cfg.images):
         if args.mode == "model":
             image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
@@ -269,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary-exp", help="periodic-boundary loss experiment")
     p.set_defaults(run=cmd_boundary_exp)
-    p.add_argument("--steps", type=_non_negative_int, default=500)
-    p.add_argument("--lr", type=_positive_float, default=0.1)
+    p.add_argument("--steps", type=_non_negative_int, default=boundary.STEPS)
+    p.add_argument("--lr", type=_positive_float, default=boundary.LR)
     p.add_argument("--csv", help="directory for per-step loss traces")
 
     p = sub.add_parser("eval", help="synthetic-scene detection evaluation")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from .angle import OMEGA_RANGE, omega_ok
 from .errors import ConfigError
 from .mdcaa import WINDOW_RULES
-from .geometry import MAX_BOX_COORD
+from .geometry import LEAST_SIDE_RULE
 from .pyramid import SIDE_RULE, NetworkConfig
 from .scenes import SceneSpec
 
@@ -79,8 +79,7 @@ def _validate(values: dict[str, dict]) -> None:
             "canvas": SIDE_RULE,
             "seed": (lambda v: v >= 0, ">= 0"),
             **{key: (positive, "positive") for key in ("images", "objects")},
-            "min_size": (lambda v: v >= 1 / MAX_BOX_COORD,  # a box's least side
-                         f"at least {1 / MAX_BOX_COORD:g}"),
+            "min_size": LEAST_SIDE_RULE,  # a box's least side
         },
         "eval": {key: (lambda v: 0.0 <= v <= 1.0, "in [0, 1]") for key in (
             "iou_threshold", "nms_threshold", "score_threshold")},

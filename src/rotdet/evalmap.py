@@ -42,9 +42,9 @@ def _match_tables(preds: list[list[OrientedBox]],
                   truth: list[list[OrientedBox]]) -> dict[int, tuple]:
     """Per truth class: its predictions in matching order as (image index,
     IoU row) pairs, each row a list of the prediction's IoU with the
-    image's truths of the class; the truth count per image; and the total
-    truth count. Each image's pred x truth matrix is sliced by class id:
-    the kernel rates each pair apart from its batch.
+    image's truths of the class; and the truth count per image. Each
+    image's pred x truth matrix is sliced by class id: the kernel rates
+    each pair apart from its batch.
     """
     if len(preds) != len(truth):
         raise ValueError("preds and truth must cover the same images")
@@ -62,11 +62,11 @@ def _match_tables(preds: list[list[OrientedBox]],
                            ious[idx][np.ix_(r, c)].tolist())
         keys = [(b.cy, b.cx, idx, -b.score) for b, idx, _ in records]
         order = np.lexsort(np.array(keys).reshape(-1, 4).T).tolist()
-        tables[cls] = ([records[k][1:] for k in order], widths, sum(widths))
+        tables[cls] = ([records[k][1:] for k in order], widths)
     return tables
 
 
-def _match_ap(order, widths, n_truth: int, iou_thresh: float) -> float:
+def _match_ap(order, widths, iou_thresh: float) -> float:
     """AP of one class: greedy matching of ``order`` at ``iou_thresh``.
 
     Each prediction takes the first unclaimed truth of highest IoU, if
@@ -84,7 +84,7 @@ def _match_ap(order, widths, n_truth: int, iou_thresh: float) -> float:
         if best_j >= 0 and best >= iou_thresh:
             is_free[best_j] = False
             flags[i] = 1
-    return _ap_from_pr(flags, n_truth)
+    return _ap_from_pr(flags, sum(widths))
 
 
 def _map_at(tables: dict[int, tuple],

@@ -36,15 +36,34 @@ from .angle import wrap
 # the clipping and shoelace arithmetic squares coordinates, which overflows
 # not far above 1e150 and leaves w * h = 0 not far below 1e-150
 MAX_BOX_COORD = 1e100
+# (test, what the value must be) rules of a box field, each test taking a
+# float or an array; 1.0 * v overflows for an int past float range
+LEAST_SIDE_RULE = (lambda v: v >= 1 / MAX_BOX_COORD,
+                   f"at least {1 / MAX_BOX_COORD:g}")
+_FINITE = (lambda v: abs(1.0 * v) < math.inf, "finite")
+_BOUNDED = (lambda v: abs(v) <= MAX_BOX_COORD,
+            f"at most {MAX_BOX_COORD:g} in magnitude")
+BOX_RULES = {"cx": (_FINITE, _BOUNDED), "cy": (_FINITE, _BOUNDED),
+             "w": (_FINITE, _BOUNDED, LEAST_SIDE_RULE),
+             "h": (_FINITE, _BOUNDED, LEAST_SIDE_RULE),
+             "theta": (_FINITE,), "score": (_FINITE,)}  # per field, in order
+
+
+def _canonical(w, h, theta):
+    """The same rectangle with w >= h: where w < h, w and h swap and theta
+    gains pi/2; then :func:`rotdet.angle.wrap`. Floats or arrays alike."""
+    swap = w < h
+    return ((w >= h) * w + swap * h, swap * w + (w >= h) * h,
+            wrap(theta + swap * (0.5 * math.pi)))
 
 
 @dataclass(frozen=True)
 class OrientedBox:
     """Rotated rectangle (cx, cy, w, h, theta) with class id and score.
 
-    Construction canonicalizes: :func:`rotdet.angle.wrap` reduces theta into
-    [0, 2*pi) and the (w, h, theta) <-> (h, w, theta + pi/2) ambiguity is
-    resolved by preferring w >= h. Both raw forms describe the same polygon.
+    Construction raises ``ValueError`` on the first field, in order, that
+    fails a :data:`BOX_RULES` rule, and canonicalizes by :func:`_canonical`:
+    theta in [0, 2*pi) and w >= h. Both raw forms describe the same polygon.
     """
 
     cx: float
@@ -56,59 +75,40 @@ class OrientedBox:
     score: float = 1.0
 
     def __post_init__(self):
-        # BoxTable states these checks and this canonical form over arrays
-        for name in ("cx", "cy", "w", "h", "theta", "score"):
+        for name, rules in BOX_RULES.items():
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"box {name} must be finite, got {value}")
-            if name not in ("theta", "score") and abs(value) > MAX_BOX_COORD:
-                raise ValueError(
-                    f"box {name} must be at most {MAX_BOX_COORD:g} in magnitude, "
-                    f"got {value}")
-            if name in ("w", "h") and value < 1 / MAX_BOX_COORD:
-                raise ValueError(f"box {name} must be at least "
-                                 f"{1 / MAX_BOX_COORD:g}, got {value}")
-        w, h, theta = self.w, self.h, self.theta
-        if w < h:
-            w, h = h, w
-            theta += 0.5 * math.pi
-        object.__setattr__(self, "w", float(w))
-        object.__setattr__(self, "h", float(h))
-        object.__setattr__(self, "theta", float(wrap(theta)))
-        object.__setattr__(self, "cx", float(self.cx))
-        object.__setattr__(self, "cy", float(self.cy))
+            for test, what in rules:
+                if not test(value):
+                    raise ValueError(f"box {name} must be {what}, got {value}")
+        w, h, theta = _canonical(self.w, self.h, self.theta)
+        self.__dict__.update(cx=float(self.cx), cy=float(self.cy), w=float(w),
+                             h=float(h), theta=float(theta))  # past frozen
 
 
 class BoxTable(Sequence):
     """Read-only boxes as :func:`_columns` rows plus their angles.
 
-    Built from raw fields, it keeps the boxes ``OrientedBox`` accepts, in
-    order, canonicalized as ``OrientedBox`` does: where w < h, w and h swap
-    and theta gains pi/2, then :func:`rotdet.angle.wrap`. Its rows' cos and
-    sin are ``math.cos`` and ``math.sin`` of theta, as :func:`_columns`
-    takes them, so ``_columns(table)`` equals ``_columns(list(table))`` bit
-    for bit, and reads no box. Indexing, and so iteration, builds an
-    ``OrientedBox`` per row on demand, which leaves its fields as they are;
-    a slice gives a list of them.
+    Built from raw fields, it keeps the boxes that pass every
+    :data:`BOX_RULES` rule, in order, canonicalized by :func:`_canonical`.
+    Its rows' cos and sin are ``math.cos`` and ``math.sin`` of theta, as
+    :func:`_columns` takes them, so ``_columns(table)`` equals
+    ``_columns(list(table))`` bit for bit, and reads no box. Indexing, and
+    so iteration, builds an ``OrientedBox`` per row on demand, which leaves
+    its fields as they are; a slice gives a list of them.
     """
 
     def __init__(self, cx, cy, w, h, theta, score, class_id):
         fields = np.array([cx, cy, w, h, theta, score], dtype=np.float64)
-        # OrientedBox.__post_init__'s checks, stated over the arrays
-        fits = (np.isfinite(fields).all(axis=0)
-                & (np.abs(fields[:4]) <= MAX_BOX_COORD).all(axis=0)
-                & (np.minimum(fields[2], fields[3]) >= 1 / MAX_BOX_COORD))
+        fits = np.all([test(v) for v, rules in zip(fields, BOX_RULES.values())
+                       for test, _ in rules], axis=0)
         cx, cy, w, h, theta, score = fields[:, fits]
-        swap = w < h
-        theta = wrap(np.where(swap, theta + 0.5 * math.pi, theta))
+        w, h, theta = _canonical(w, h, theta)
         rows = np.empty((len(theta), 8))
-        rows[:, 0], rows[:, 1] = cx, cy
-        rows[:, 2], rows[:, 3] = np.where(swap, h, w), np.where(swap, w, h)
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = cx, cy, w, h
         angles = theta.tolist()
         rows[:, 4] = list(map(math.cos, angles))
         rows[:, 5] = list(map(math.sin, angles))
-        rows[:, 6] = score
-        rows[:, 7] = np.asarray(class_id, dtype=np.float64)[fits]
+        rows[:, 6], rows[:, 7] = score, np.asarray(class_id, np.float64)[fits]
         rows.flags.writeable = False
         self.rows, self._theta = rows, angles
 

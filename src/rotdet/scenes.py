@@ -94,7 +94,8 @@ def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
     box must overlap the canvas, as the boxes :func:`_place` places do."""
     h, w = canvas.shape
     cols = _columns(boxes)
-    for row, poly in zip(cols, box_polygons(cols) + cols[:, np.newaxis, :2]):
+    corners = box_polygons(cols) + cols[:, np.newaxis, :2]
+    for box, row, poly in zip(boxes, cols, corners):
         x0 = max(int(math.floor(poly[:, 0].min())), 0)
         x1 = min(int(math.ceil(poly[:, 0].max())) + 1, w)
         y0 = max(int(math.floor(poly[:, 1].min())), 0)
@@ -102,7 +103,7 @@ def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
         xs = np.arange(x0, x1) + 0.5
         ys = np.arange(y0, y1)[:, np.newaxis] + 0.5
         inside = points_in_box(xs, ys, row)
-        canvas[y0:y1, x0:x1][inside] = spec.class_intensity(int(row[7]))
+        canvas[y0:y1, x0:x1][inside] = spec.class_intensity(box.class_id)
 
 
 def gen_scene(seed: int, spec: SceneSpec,

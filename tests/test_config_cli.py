@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotdet.boundary import compare_methods
 from rotdet.cli import build_parser, main
 from rotdet.config import _DEFAULTS, load_config
 from rotdet.errors import ConfigError
@@ -65,7 +66,7 @@ BOUNDARIES = [
     ("data", "canvas", "100", 2), ("data", "canvas", "128", 0),
     ("data", "canvas", "4160", 2), ("data", "canvas", "1099511627776", 2),
     ("data", "min_size", "-1", 2), ("data", "min_size", "0", 2),
-    # OrientedBox's least w or h, 1 / MAX_BOX_COORD
+    # a box's least w or h, geometry.LEAST_SIDE_RULE
     ("data", "min_size", "1e-101", 2), ("data", "min_size", "1e-100", 0),
     ("data", "min_size", "0.5", 0), ("data", "min_size", "20", 0),
     ("data", "min_size", "20.5", 2), ("data", "min_size", "46", 2),
@@ -695,3 +696,15 @@ class TestCli:
         trace = (csv / "eaem_chord_trace.csv").read_text().splitlines()
         assert trace[0] == "step,loss"
         assert len(trace) == 301
+
+    def test_boundary_exp_defaults_are_compare_methods(self, tmp_path):
+        """With no flags, boundary-exp runs compare_methods(seed, omega),
+        at the function's own steps and lr: the same loss traces."""
+        csv = tmp_path / "traces"
+        assert main(["boundary-exp", "--csv", str(csv)]) == 0
+        cfg = load_config()
+        report = compare_methods(cfg.data_seed, cfg.network.omega)
+        for method, result in report.results.items():
+            trace = (csv / f"{method}_trace.csv").read_text().splitlines()
+            assert trace[1:] == [f"{i},{v:.12g}" for i, v
+                                 in enumerate(result.loss_trace)], method

@@ -188,7 +188,7 @@ def _reference_match_tables(preds, truth):
                         for row, b in zip(rows, cls_preds)]
         records.sort(key=lambda r: (-r[0], r[1], r[3].cx, r[3].cy))
         order = [(idx, row) for _, idx, row, _ in records]
-        tables[cls] = (order, widths, sum(widths))
+        tables[cls] = (order, widths)
     return tables
 
 

@@ -8,14 +8,15 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rotdet import geometry
+from rotdet import angle, geometry
 from rotdet.config import load_config
 from rotdet.geometry import (OrientedBox, box_polygons, iou_matrix,
                              iou_pairs, points_in_box, raster_iou_oracle,
@@ -1249,7 +1250,7 @@ class TestAxisLayouts:
 # angles, and non-finite values.
 RAW_VALUES = st.sampled_from([
     0.0, -0.0, 1e-100, math.nextafter(1e-100, 0.0), 1e100, -1e100,
-    math.nextafter(1e100, math.inf), 1e12, -1e-20, 2 * math.pi, 1e6,
+    math.nextafter(1e100, math.inf), -1.5e100, 1e12, -1e-20, 2 * math.pi, 1e6,
     math.inf, -math.inf, math.nan])
 
 
@@ -1267,13 +1268,36 @@ def _table(rows):
     return geometry.BoxTable(*np.reshape(rows, (-1, 7)).astype(float).T)
 
 
+def _reference_box(cx, cy, w, h, theta, score, class_id):
+    """The box rule and canonical form as OrientedBox.__post_init__ stated
+    them before geometry.BOX_RULES and _canonical, kept as their oracle:
+    the canonical fields, or the ValueError naming the first failing field
+    in field order."""
+    bound = geometry.MAX_BOX_COORD
+    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h),
+                        ("theta", theta), ("score", score)):
+        if not math.isfinite(value):
+            raise ValueError(f"box {name} must be finite, got {value}")
+        if name not in ("theta", "score") and abs(value) > bound:
+            raise ValueError(f"box {name} must be at most {bound:g} in "
+                             f"magnitude, got {value}")
+        if name in ("w", "h") and value < 1 / bound:
+            raise ValueError(f"box {name} must be at least {1 / bound:g}, "
+                             f"got {value}")
+    if w < h:
+        w, h = h, w
+        theta += 0.5 * math.pi
+    return SimpleNamespace(cx=float(cx), cy=float(cy), w=float(w),
+                           h=float(h), theta=float(angle.wrap(theta)),
+                           class_id=class_id, score=score)
+
+
 def _accepted(rows):
-    """The OrientedBox of each raw row that it accepts: the object path,
-    kept as the table's oracle."""
+    """The reference box of each raw row that the reference accepts."""
     out = []
-    for cx, cy, w, h, theta, score, cls in rows:
+    for row in rows:
         try:
-            out.append(OrientedBox(cx, cy, w, h, theta, cls, score))
+            out.append(_reference_box(*row))
         except ValueError:
             pass
     return out
@@ -1285,12 +1309,49 @@ def _records(boxes):
              float(b.score).hex(), b.class_id) for b in boxes]
 
 
+class TestBoxRules:
+    @given(raw_rows())
+    @example([[math.nan, 1e101, -1.0, math.inf, math.nan, math.inf, 0],
+              [0.0, -1e101, 0.0, 5e-324, 1e6, math.nan, 1],
+              [1.0, 2.0, 1e-200, -math.inf, 0.5, 0.5, 2],
+              [1.0, 2.0, 3.0, 4.0, -1e-20, math.inf, 3],
+              [1.0, 2.0, -1.5e100, -1.5e100, 0.0, 0.5, 0]])
+    @settings(max_examples=300, deadline=None)
+    def test_oriented_box_matches_reference(self, rows):
+        """OrientedBox keeps exactly the raw rows the reference keeps, with
+        its fields bit for bit, and rejects the others with its message,
+        however many of their fields are bad."""
+        for cx, cy, w, h, theta, score, cls in rows:
+            try:
+                want = _reference_box(cx, cy, w, h, theta, score, cls)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    OrientedBox(cx, cy, w, h, theta, cls, score)
+                assert str(got.value) == str(exc)
+            else:
+                assert _records([OrientedBox(cx, cy, w, h, theta, cls,
+                                             score)]) == _records([want])
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "theta", "score"])
+    def test_int_past_float_range_overflows(self, field):
+        """An int field no float holds raises OverflowError, as the
+        reference's math.isfinite does, instead of passing as finite."""
+        kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0, score=1.0,
+                      class_id=0)
+        kwargs[field] = 10 ** 400
+        with pytest.raises(OverflowError):
+            _reference_box(**kwargs)
+        with pytest.raises(OverflowError):
+            OrientedBox(**kwargs)
+
+
 class TestBoxTable:
     @given(raw_rows())
     @settings(max_examples=300, deadline=None)
     def test_keeps_and_canonicalizes_as_oriented_box(self, rows):
-        """The table keeps the rows OrientedBox accepts, in order, with its
-        canonical fields, and its rows are the boxes' _columns rows."""
+        """The table keeps the rows the reference box rule accepts, in
+        order, with its canonical fields, and its rows are those boxes'
+        _columns rows."""
         table, want = _table(rows), _accepted(rows)
         assert _records(table) == _records(want)
         assert _same_bytes(geometry._columns(table), geometry._columns(want))
