@@ -33,10 +33,9 @@ def omega_ok(omega: float) -> bool:
 
 
 def _check_omega(omega: float) -> float:
-    omega = float(omega)
-    if not omega_ok(omega):
+    if not omega_ok(omega):  # before float(), which overflows on a huge int
         raise ContractError(f"omega must be {OMEGA_RANGE}, got {omega}")
-    return omega
+    return float(omega)
 
 
 def period(omega: float) -> float:
@@ -58,7 +57,7 @@ class AngleCode:
 
     x: float | np.ndarray
     y: float | np.ndarray
-    omega: float = 1.0
+    omega: float
 
     def as_array(self) -> np.ndarray:
         return np.stack([np.asarray(self.x), np.asarray(self.y)], axis=-1)

@@ -61,14 +61,14 @@ def boundary_targets(omega: float, seed: int) -> np.ndarray:
 class MethodResult:
     status: str  # "ok" or "diverged"
     final_error: float
-    loss_trace: list[float] = field(repr=False, default_factory=list)
+    loss_trace: list[float] = field(repr=False)
 
 
 @dataclass
 class ExperimentReport:
     """Side-by-side regression outcome, keyed by method."""
 
-    results: dict[str, MethodResult] = field(default_factory=dict)
+    results: dict[str, MethodResult]
 
 
 def _initial_theta(seed: int, omega: float) -> float:
@@ -125,8 +125,6 @@ def run_regression(method: str, targets: np.ndarray, steps: int, lr: float,
 def compare_methods(seed: int, omega: float, steps: int = STEPS,
                     lr: float = LR) -> ExperimentReport:
     targets = boundary_targets(omega, seed)
-    report = ExperimentReport()
-    for method in METHODS:
-        report.results[method] = run_regression(method, targets, steps, lr,
-                                                seed, omega)
-    return report
+    return ExperimentReport({
+        method: run_regression(method, targets, steps, lr, seed, omega)
+        for method in METHODS})

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -16,11 +15,11 @@ import numpy as np
 
 from . import angle as eaem
 from . import boundary, gradsuite
-from .config import Config, load_config
+from .config import NON_NEGATIVE, Config, load_config
 from .errors import (ConfigError, DegenerateInputError, FormatError,
                      GenerationError, ShapeError)
 from .evalmap import eval_map, eval_map_sweep
-from .geometry import save_annotations
+from .geometry import FINITE_RULE, save_annotations
 from .msk import STRIP_SIZES, count_params
 from .pyramid import NetworkWeights, assemble_forward, detect
 from .scenes import gen_scene, scene_boxes
@@ -32,33 +31,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _dtype(name: str):
-    return np.float32 if name == "f32" else np.float64
+DTYPES = {"f32": np.float32, "f64": np.float64}  # --dtype: name -> type
 
 
 def _seed(cfg: Config, args) -> int:
     return args.seed if args.seed is not None else cfg.data_seed
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _ruled(parse, *rules):
+    """An argparse type: ``parse`` the text, then reject it on the first
+    (test, what) rule, in order, that the value fails. It bears ``parse``'s
+    name, which argparse shows for a text ``parse`` rejects."""
+    def convert(text: str):
+        value = parse(text)
+        for test, what in rules:
+            if not test(value):
+                raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
 
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def cmd_param_count(cfg: Config, args) -> int:
@@ -80,7 +72,7 @@ def cmd_param_count(cfg: Config, args) -> int:
 def cmd_forward(cfg: Config, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dtype = _dtype(args.dtype)
+    dtype = DTYPES[args.dtype]
     if not args.image:
         img = np.zeros((1, 3, cfg.canvas, cfg.canvas))
     elif Path(args.image).suffix == ".pgm":
@@ -187,7 +179,7 @@ def cmd_eval(cfg: Config, args) -> int:
     rng_seed = _seed(cfg, args)
     truths = []
     preds = []
-    dtype = _dtype(args.dtype)
+    dtype = DTYPES[args.dtype]
     weights = None
     if args.mode == "model":
         weights = NetworkWeights.create(
@@ -241,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oriented-detection building blocks: audits, forwards, "
                     "checks, codec tools, synthetic evaluation.")
     parser.add_argument("--config", help="path to a config file")
-    parser.add_argument("--seed", type=_non_negative_int, default=None,
+    parser.add_argument("--seed", type=_ruled(int, NON_NEGATIVE), default=None,
                         help="master seed (default: the config's data seed)")
-    parser.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    parser.add_argument("--dtype", choices=DTYPES, default="f32")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("param-count", help="separable vs full parameter audit")
@@ -260,16 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("angle-codec", help="encode/decode orientations")
     p.set_defaults(run=cmd_angle_codec)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--encode", type=_finite_float, help="angle in radians")
-    mode.add_argument("--decode", type=_finite_float, nargs=2,
-                      metavar=("X", "Y"))
+    finite = _ruled(float, FINITE_RULE)
+    mode.add_argument("--encode", type=finite, help="angle in radians")
+    mode.add_argument("--decode", type=finite, nargs=2, metavar=("X", "Y"))
     mode.add_argument("--input", help="RMKT tensor of angles")
     p.add_argument("--out", help="RMKT file for the codes; needs --input")
 
     p = sub.add_parser("boundary-exp", help="periodic-boundary loss experiment")
     p.set_defaults(run=cmd_boundary_exp)
-    p.add_argument("--steps", type=_non_negative_int, default=boundary.STEPS)
-    p.add_argument("--lr", type=_positive_float, default=boundary.LR)
+    p.add_argument("--steps", type=_ruled(int, NON_NEGATIVE),
+                   default=boundary.STEPS)
+    p.add_argument("--lr", type=_ruled(float, FINITE_RULE,
+                                       (lambda v: v > 0.0, "> 0")),
+                   default=boundary.LR)
     p.add_argument("--csv", help="directory for per-step loss traces")
 
     p = sub.add_parser("eval", help="synthetic-scene detection evaluation")

@@ -28,6 +28,8 @@ _DEFAULTS = {
     "eval": {"iou_threshold": 0.5, "nms_threshold": 0.3,
              "score_threshold": 0.05, "coco_sweep": False},
 }
+# (test, what) of [data] seed, which the --seed and --steps flags share
+NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def _validate(values: dict[str, dict]) -> None:
         },
         "data": {
             "canvas": SIDE_RULE,
-            "seed": (lambda v: v >= 0, ">= 0"),
+            "seed": NON_NEGATIVE,
             **{key: (positive, "positive") for key in ("images", "objects")},
             "min_size": LEAST_SIDE_RULE,  # a box's least side
         },

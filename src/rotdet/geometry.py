@@ -25,6 +25,7 @@ grid's points that lie in both boxes, counted row by row
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,17 +37,19 @@ from .angle import wrap
 # the clipping and shoelace arithmetic squares coordinates, which overflows
 # not far above 1e150 and leaves w * h = 0 not far below 1e-150
 MAX_BOX_COORD = 1e100
-# (test, what the value must be) rules of a box field, each test taking a
-# float or an array; 1.0 * v overflows for an int past float range
+# (test, what the value must be) rules of a box field, each test taking an
+# int, a float or an array; FINITE_RULE compares without converting, so an
+# int past float range fails it
 LEAST_SIDE_RULE = (lambda v: v >= 1 / MAX_BOX_COORD,
                    f"at least {1 / MAX_BOX_COORD:g}")
-_FINITE = (lambda v: abs(1.0 * v) < math.inf, "finite")
+FINITE_RULE = (lambda v: abs(v) <= sys.float_info.max, "finite")
 _BOUNDED = (lambda v: abs(v) <= MAX_BOX_COORD,
             f"at most {MAX_BOX_COORD:g} in magnitude")
-BOX_RULES = {"cx": (_FINITE, _BOUNDED), "cy": (_FINITE, _BOUNDED),
-             "w": (_FINITE, _BOUNDED, LEAST_SIDE_RULE),
-             "h": (_FINITE, _BOUNDED, LEAST_SIDE_RULE),
-             "theta": (_FINITE,), "score": (_FINITE,)}  # per field, in order
+BOX_RULES = {  # per field, in order
+    "cx": (FINITE_RULE, _BOUNDED), "cy": (FINITE_RULE, _BOUNDED),
+    "w": (FINITE_RULE, _BOUNDED, LEAST_SIDE_RULE),
+    "h": (FINITE_RULE, _BOUNDED, LEAST_SIDE_RULE),
+    "theta": (FINITE_RULE,), "score": (FINITE_RULE,)}
 
 
 def _canonical(w, h, theta):

@@ -45,13 +45,14 @@ def per_op_checks(seed: int) -> list[CheckResult]:
             lambda a, b: sum_all(sigmoid(conv2d(a, b, padding=(0, 1), groups=2))),
             [_rand(rng, (1, 2, 5, 5)), kd]), 1e-6),
         ("rot90", gradcheck(
-            lambda a: sum_all(sigmoid(rot90(a, "ccw"))), _rand(rng, (1, 2, 4, 5))),
+            lambda a: sum_all(sigmoid(rot90(a, "ccw"))),
+            [_rand(rng, (1, 2, 4, 5))]),
          1e-6),
         ("avg_pool", gradcheck(
             lambda a: sum_all(sigmoid(avg_pool(a, (2, 2), padding=(1, 1)))),
-            _rand(rng, (1, 2, 5, 5))), 1e-6),
+            [_rand(rng, (1, 2, 5, 5))]), 1e-6),
         ("sigmoid", gradcheck(
-            lambda a: sum_all(sigmoid(a)), _rand(rng, (2, 3))), 1e-6),
+            lambda a: sum_all(sigmoid(a)), [_rand(rng, (2, 3))]), 1e-6),
         ("concat_channels", gradcheck(
             lambda a, b: sum_all(sigmoid(concat_channels([a, b]))),
             [_rand(rng, (1, 2, 3, 3)), _rand(rng, (1, 3, 3, 3))]), 1e-6),
@@ -71,15 +72,15 @@ def per_op_checks(seed: int) -> list[CheckResult]:
             lambda a, b: sum_all(sigmoid(conv2d(a, eye, bias=b))),
             [_rand(rng, (1, 3, 2, 2)), _rand(rng, (3,))]), 1e-6),
         ("smooth_l1", gradcheck(
-            lambda a: sum_all(smooth_l1(a)), _rand(rng, (8,))), 1e-6),
+            lambda a: sum_all(smooth_l1(a)), [_rand(rng, (8,))]), 1e-6),
         ("normalize_vec", gradcheck(
             lambda a: sum_all(mul(normalize_vec(a), normalize_vec(a))),
-            _rand(rng, (2,))), 1e-6),
+            [_rand(rng, (2,))]), 1e-6),
         # sum_all is linear, so a central difference has no truncation
         # error at any step; a large step shrinks its rounding error below
         # the tight bound.
         ("sum_linear", gradcheck(
-            lambda a: sum_all(a), _rand(rng, (3, 3)), eps=1e-2), 1e-10),
+            lambda a: sum_all(a), [_rand(rng, (3, 3))], eps=1e-2), 1e-10),
     ]
     return [CheckResult(name, err, bound) for name, err, bound in results]
 
@@ -90,12 +91,12 @@ def block_checks(seed: int) -> list[CheckResult]:
     msk_w = MskModuleWeights.create(rng, 4, 2)
     x = _rand(rng, (1, 4, 8, 8))
     msk_err = gradcheck(
-        lambda a: sum_all(sigmoid(msk_module_forward(a, msk_w))), x,
+        lambda a: sum_all(sigmoid(msk_module_forward(a, msk_w))), [x],
         coord_limit=64, seed=seed)
 
     att_w = MdcaaWeights.create(rng, 4, strip_len=3, pool_window=3)
     f = _rand(rng, (1, 4, 8, 8))
-    att_err = gradcheck(lambda a: sum_all(mdcaa_apply(a, att_w)), f,
+    att_err = gradcheck(lambda a: sum_all(mdcaa_apply(a, att_w)), [f],
                         coord_limit=64, seed=seed)
     return [CheckResult("msk_module", msk_err, 1e-5),
             CheckResult("mdcaa_apply", att_err, 1e-5)]
@@ -117,7 +118,7 @@ def assembly_check(seed: int) -> CheckResult:
         return total
 
     img = _rand(rng, (1, 3, 64, 64))
-    err = gradcheck(fn, img, eps=1e-5, coord_limit=24, seed=seed)
+    err = gradcheck(fn, [img], eps=1e-5, coord_limit=24, seed=seed)
     return CheckResult("full_assembly", err, 1e-4)
 
 

@@ -39,8 +39,8 @@ class ConvParams(WeightSet):
 
     kernel: Tensor
     bias: Tensor
-    stride: tuple[int, int] = (1, 1)
-    groups: int = 1
+    stride: tuple[int, int]
+    groups: int
 
     @staticmethod
     def create(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,

@@ -484,18 +484,16 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
               seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``fn`` maps the given tensors to a scalar tensor. Every coordinate of
-    every input is perturbed by ±eps (or a seeded subset of ``coord_limit``
-    coordinates when the input is large). The error at one coordinate is
-    |analytic - numeric| / max(1, |analytic|). A non-finite analytic
-    gradient anywhere gives ``inf``. The analytic pass records its graph;
-    the finite-difference forwards run with recording off. The inputs keep
-    their values and their ``.grad``, also when ``fn`` raises.
+    ``fn`` maps the tensors of the list ``inputs`` to a scalar tensor. Every
+    coordinate of every input is perturbed by ±eps (or a seeded subset of
+    ``coord_limit`` coordinates when the input is large). The error at one
+    coordinate is |analytic - numeric| / max(1, |analytic|). A non-finite
+    analytic gradient anywhere gives ``inf``. The analytic pass records its
+    graph; the finite-difference forwards run with recording off. The inputs
+    keep their values and their ``.grad``, also when ``fn`` raises.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError(f"eps must be finite and positive, got {eps}")
-    if isinstance(inputs, Tensor):
-        inputs = [inputs]
     out = fn(*inputs)
     if out.data.size != 1:
         raise ContractError("gradcheck target must return a scalar")

@@ -20,7 +20,7 @@ from .tensor import Tensor
 MAGIC = b"RMKT"
 VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_CODE_DTYPES = {c: d.newbyteorder("<") for d, c in _DTYPE_CODES.items()}
 
 
 def save_tensor(path, t: Tensor) -> None:

@@ -73,6 +73,18 @@ class TestEncode:
             with pytest.raises(ContractError, match="finite period"):
                 use()
 
+    def test_int_past_float_range_omega(self):
+        """An int omega that overflows a float fails omega's rule, which
+        names omega, in every use, and not with float()'s OverflowError."""
+        big = 10 ** 400
+        for use in (lambda: angle.period(big),
+                    lambda: angle.wrap(1.0, big),
+                    lambda: angle.encode(1.0, big),
+                    lambda: angle.normalize((1.0, 0.0), big),
+                    lambda: angle.decode(angle.AngleCode(1.0, 0.0, big))):
+            with pytest.raises(ContractError, match="^omega must be in"):
+                use()
+
     def test_theta_out_of_range(self):
         with pytest.raises(ContractError):
             angle.encode(-0.1, 1.0)

@@ -1,8 +1,9 @@
 """Names other code binds to by string: the package's ``__all__`` and the
 module attributes ``benchmarks/tracer.py`` wraps; that the package defines
-nothing, and no defaulted parameter, that only tests call or pass, and no
-default that only tests take; and that each benchmark workload still runs
-one op on the package as it is.
+nothing, and no defaulted parameter or dataclass field, that only tests
+call or pass, and no default, of a parameter or of a field, that only tests
+take; and that each benchmark workload still runs one op on the package as
+it is.
 
 The tracer replaces attributes like ``rotdet.scenes.rotated_iou`` by name,
 so a binding the package drops would otherwise surface only as an
@@ -86,7 +87,8 @@ def test_every_definition_has_a_product_caller():
 
 
 # Defaulted parameters that no package or benchmark call passes, kept on
-# purpose: "file:function(parameter)" -> why.
+# purpose: "file:function(parameter)" -> why. A dataclass field is keyed
+# "file:Cls(field)".
 UNPASSED_KEPT = {
     "cli.py:main(argv)": "the entry point; tests call it with an argv",
     "msk.py:count_params(strip_sizes)": "acceptance criterion 1 audits "
@@ -97,22 +99,48 @@ UNPASSED_KEPT = {
 UNTAKEN_KEPT = {}
 
 
+def _decorators(node) -> set:
+    """The names of a definition's decorators, called or not."""
+    return {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+            for d in node.decorator_list}
+
+
+def _field_has_default(stmt: ast.AnnAssign) -> bool:
+    """Whether a dataclass field is given a default, as a value or as a
+    ``field(...)`` with ``default`` or ``default_factory``."""
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return value is not None
+
+
 def _defaulted_parameter_calls() -> dict[str, list[bool]]:
     """``file:function(parameter)`` of each defaulted parameter of a package
-    function, with one entry per package or benchmark call of that function:
-    whether the call passes it, by naming it as a keyword, by reaching its
-    position, or by any ``*`` or ``**`` argument.
+    function, and ``file:Cls(field)`` of each defaulted field of a package
+    ``@dataclass``, with one entry per package or benchmark call of that
+    function or class: whether the call passes it, by naming it as a
+    keyword, by reaching its position, or by any ``*`` or ``**`` argument.
 
     Calls are matched to functions by name, as in ``_uncalled_definitions``,
     except that ``Cls.f(...)`` with ``Cls`` a package class is matched only
     to that class's ``f``, and a call on a literal, such as
     ``"...".encode()``, to none. A class name calls its ``__init__``, and the
-    ``self`` of a method that is not static takes no call position."""
+    ``self`` of a method that is not static takes no call position. A
+    dataclass's fields are its ``__init__``'s parameters, in order (no
+    package dataclass inherits fields), save for a class that some code
+    passes to ``fields(...)``: that code reads its defaults by name (config
+    takes its keys' defaults from them), so they have a reader."""
     trees = [(path, ast.parse(path.read_text(), str(path)))
              for path in PACKAGE + BENCHMARKS]
     classes = {node.name for path, tree in trees if path in PACKAGE
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    defined, calls = [], {}
+    read_by_fields = {a.id for _, tree in trees for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "fields"
+                      for a in node.args if isinstance(a, ast.Name)}
+    # (key prefix, name calls use, class, positional names, defaulted names)
+    signatures, calls = [], {}
     for path, tree in trees:
         owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                  for f in c.body if isinstance(f, ast.FunctionDef)}
@@ -136,22 +164,36 @@ def _defaulted_parameter_calls() -> dict[str, list[bool]]:
                 calls.setdefault(name, []).append(
                     (cls, len(node.args), {k.arg for k in node.keywords},
                      spread))
-            elif isinstance(node, ast.FunctionDef) and path in PACKAGE:
-                defined.append((path.name, node, owner.get(id(node))))
+            elif path not in PACKAGE:
+                continue
+            elif isinstance(node, ast.FunctionDef):
+                cls = owner.get(id(node))
+                positional = [a.arg for a in node.args.posonlyargs
+                              + node.args.args]
+                if cls and "staticmethod" not in _decorators(node):
+                    positional = positional[1:]
+                defaulted = positional[len(positional)
+                                       - len(node.args.defaults):] + [
+                    a.arg for a, d in zip(node.args.kwonlyargs,
+                                          node.args.kw_defaults)
+                    if d is not None]
+                signatures.append((f"{path.name}:{node.name}", node.name,
+                                   cls and cls.name, positional, defaulted))
+            elif (isinstance(node, ast.ClassDef)
+                  and "dataclass" in _decorators(node)
+                  and node.name not in read_by_fields):
+                body = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                signatures.append((
+                    f"{path.name}:{node.name}", "__init__", node.name,
+                    [s.target.id for s in body],
+                    [s.target.id for s in body if _field_has_default(s)]))
     found = {}
-    for file, f, cls in defined:
-        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                     for d in f.decorator_list)
-        positional = [a.arg for a in f.args.posonlyargs + f.args.args]
-        positional = positional[1:] if cls and not static else positional
-        defaulted = positional[len(positional) - len(f.args.defaults):] + [
-            a.arg for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
-            if d is not None]
-        matched = [call[1:] for call in calls.get(f.name, [])
-                   if call[0] in (None, cls and cls.name)]
+    for key, name, cls, positional, defaulted in signatures:
+        matched = [call[1:] for call in calls.get(name, [])
+                   if call[0] in (None, cls)]
         for param in defaulted:
             index = positional.index(param) if param in positional else None
-            found[f"{file}:{f.name}({param})"] = [
+            found[f"{key}({param})"] = [
                 spread or param in keywords
                 or (index is not None and n > index)
                 for n, keywords, spread in matched]

@@ -2,6 +2,7 @@
 
 import argparse
 import configparser
+import itertools
 import math
 import re
 import tracemalloc
@@ -10,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotdet import cli
 from rotdet.boundary import compare_methods
 from rotdet.cli import build_parser, main
-from rotdet.config import _DEFAULTS, load_config
+from rotdet.config import _DEFAULTS, NON_NEGATIVE, load_config
 from rotdet.errors import ConfigError
 from rotdet.pyramid import NetworkWeights, assemble_forward
 from rotdet.tensor import Tensor, no_recording
@@ -179,6 +181,52 @@ FLAGS = [
     ("gen-data", "--out", "--config {cfg} gen-data --out {new}", 0, None),
     ("gen-data", "--out", "--config {cfg} gen-data --out {file}", 2,
      "{file}"),
+]
+
+
+# Texts every numeric flag meets at the parse layer: signs and zeros, a
+# fraction, no number, the empty string, non-finite floats, the edges of
+# float range and an int of 401 digits, which no float holds.
+NUMERIC_TEXTS = ["-1", "-0", "0", "1.5", "x", "", "nan", "inf", "-inf",
+                 "1e308", "1e309", "1e-320", "1" + "0" * 400]
+
+
+def _finite_float(v):
+    return isinstance(v, float) and math.isfinite(v)
+
+
+# Each numeric flag: (argv for a text, what a parsed value must satisfy,
+# the value's attribute on the parsed namespace).
+NUMERIC_FLAGS = {
+    "--seed": (lambda t: [f"--seed={t}", "param-count"],
+               lambda v: type(v) is int and v >= 0, "seed"),
+    "--steps": (lambda t: ["boundary-exp", f"--steps={t}"],
+                lambda v: type(v) is int and v >= 0, "steps"),
+    "--lr": (lambda t: ["boundary-exp", f"--lr={t}"],
+             lambda v: _finite_float(v) and v > 0, "lr"),
+    "--encode": (lambda t: ["angle-codec", f"--encode={t}"], _finite_float,
+                 "encode"),
+    # both values at once: every pair of texts
+    "--decode": (lambda t: ["angle-codec", "--decode", *t],
+                 lambda v: len(v) == 2 and all(map(_finite_float, v)),
+                 "decode"),
+}
+
+# Rule failures on stderr, byte for byte: (argv, stderr's last line).
+RULE_FAILURES = [
+    ("--seed -1 param-count",
+     "rotdet: error: argument --seed: must be >= 0, got -1"),
+    ("boundary-exp --lr 0",
+     "rotdet boundary-exp: error: argument --lr: must be > 0, got 0"),
+    ("boundary-exp --lr inf",
+     "rotdet boundary-exp: error: argument --lr: must be finite, got inf"),
+    # finite is checked before > 0
+    ("boundary-exp --lr=-inf",
+     "rotdet boundary-exp: error: argument --lr: must be finite, got -inf"),
+    ("angle-codec --encode nan",
+     "rotdet angle-codec: error: argument --encode: must be finite, got nan"),
+    ("--seed x param-count",
+     "rotdet: error: argument --seed: invalid int value: 'x'"),
 ]
 
 
@@ -403,6 +451,49 @@ class TestFlags:
             # argparse's own usage error, or main's one error line
             assert err.startswith(("usage: ", "error: "))
             assert named.format(**flag_paths) in err
+
+    @pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+    def test_numeric_flag_parses_or_exits_2(self, capsys, flag):
+        """Parsing alone, with no command run: each text gives a value
+        within the flag's rules, or exit 2 naming the flag."""
+        argv, holds, dest = NUMERIC_FLAGS[flag]
+        texts = (list(itertools.product(NUMERIC_TEXTS, repeat=2))
+                 if flag == "--decode" else NUMERIC_TEXTS)
+        for text in texts:
+            try:
+                args = build_parser().parse_args(argv(text))
+            except SystemExit as exc:
+                err = capsys.readouterr().err
+                assert exc.code == 2, text
+                assert f"argument {flag}: " in err, text
+                assert "Traceback" not in err, text
+            else:
+                assert holds(getattr(args, dest)), text
+
+    @pytest.mark.parametrize("argv,line", RULE_FAILURES,
+                             ids=[argv for argv, _ in RULE_FAILURES])
+    def test_rule_failure_message(self, capsys, argv, line):
+        assert _exit_code(argv.split()) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
+    def test_counts_share_the_config_seed_rule(self, monkeypatch):
+        """--seed, --steps and [data] seed check one rule object: replaced
+        where the config states it, each rejects a value it took."""
+        assert cli.NON_NEGATIVE is NON_NEGATIVE
+        never = (lambda v: False, "never")
+        monkeypatch.setattr("rotdet.cli.NON_NEGATIVE", never)
+        monkeypatch.setattr("rotdet.config.NON_NEGATIVE", never)
+        for argv in (["--seed", "0", "param-count"],
+                     ["boundary-exp", "--steps", "0"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        with pytest.raises(ConfigError, match=r"^\[data\] seed must be never"):
+            load_config()
+
+    def test_dtype_names_and_types_are_one_table(self):
+        (dtype,) = [a for a in build_parser()._actions
+                    if a.option_strings == ["--dtype"]]
+        assert dtype.choices is cli.DTYPES
 
     def test_every_command_has_a_handler(self):
         (sub,) = [a for a in build_parser()._actions

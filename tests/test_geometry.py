@@ -318,7 +318,10 @@ class TestBoxToPolygon:
 
     # a NaN score would make rotated_nms's kept list depend on input order
     @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "theta", "score"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="int-past-float-range"),
+        pytest.param(-10 ** 400, id="negative-int-past-float-range")])
     def test_non_finite_field_rejected(self, field, value):
         kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0)
         kwargs[field] = value
@@ -1247,18 +1250,20 @@ class TestAxisLayouts:
 
 # Raw field values OrientedBox accepts or rejects: signed zeros, the least
 # and largest magnitudes and the floats just past them, far centers and
-# angles, and non-finite values.
-RAW_VALUES = st.sampled_from([
+# angles, and non-finite values; RAW_VALUES adds ints no float holds, which
+# a BoxTable, built from float arrays, never meets.
+RAW_FLOATS = st.sampled_from([
     0.0, -0.0, 1e-100, math.nextafter(1e-100, 0.0), 1e100, -1e100,
     math.nextafter(1e100, math.inf), -1.5e100, 1e12, -1e-20, 2 * math.pi, 1e6,
     math.inf, -math.inf, math.nan])
+RAW_VALUES = RAW_FLOATS | st.sampled_from([10 ** 400, -10 ** 400])
 
 
 @st.composite
-def raw_rows(draw):
+def raw_rows(draw, raw=RAW_VALUES):
     """Rows (cx, cy, w, h, theta, score, class id) of raw box fields, each
-    ordinary or drawn from RAW_VALUES; about half have w < h."""
-    value = st.one_of(st.floats(-10, 10), RAW_VALUES)
+    ordinary or drawn from ``raw``; about half have w < h."""
+    value = st.one_of(st.floats(-10, 10), raw)
     return [[draw(value) for _ in range(6)] + [draw(st.integers(0, 3))]
             for _ in range(draw(st.integers(0, 8)))]
 
@@ -1268,15 +1273,22 @@ def _table(rows):
     return geometry.BoxTable(*np.reshape(rows, (-1, 7)).astype(float).T)
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int no float holds
+        return False
+
+
 def _reference_box(cx, cy, w, h, theta, score, class_id):
     """The box rule and canonical form as OrientedBox.__post_init__ stated
     them before geometry.BOX_RULES and _canonical, kept as their oracle:
     the canonical fields, or the ValueError naming the first failing field
-    in field order."""
+    in field order. An int past float range is not finite."""
     bound = geometry.MAX_BOX_COORD
     for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h),
                         ("theta", theta), ("score", score)):
-        if not math.isfinite(value):
+        if not _finite(value):
             raise ValueError(f"box {name} must be finite, got {value}")
         if name not in ("theta", "score") and abs(value) > bound:
             raise ValueError(f"box {name} must be at most {bound:g} in "
@@ -1334,19 +1346,26 @@ class TestBoxRules:
 
     @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "theta", "score"])
     def test_int_past_float_range_overflows(self, field):
-        """An int field no float holds raises OverflowError, as the
-        reference's math.isfinite does, instead of passing as finite."""
+        """An int field that overflows a float fails the finite rule with
+        the reference's ValueError, which names the field, and not with
+        float()'s bare OverflowError. An int too long for Python to print
+        ends in a ValueError too."""
         kwargs = dict(cx=0.0, cy=0.0, w=2.0, h=1.0, theta=0.0, score=1.0,
                       class_id=0)
         kwargs[field] = 10 ** 400
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError) as want:
             _reference_box(**kwargs)
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError) as got:
+            OrientedBox(**kwargs)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"box {field} must be finite, got ")
+        kwargs[field] = -10 ** 5000
+        with pytest.raises(ValueError):
             OrientedBox(**kwargs)
 
 
 class TestBoxTable:
-    @given(raw_rows())
+    @given(raw_rows(RAW_FLOATS))
     @settings(max_examples=300, deadline=None)
     def test_keeps_and_canonicalizes_as_oriented_box(self, rows):
         """The table keeps the rows the reference box rule accepts, in
@@ -1365,7 +1384,7 @@ class TestBoxTable:
         assert _records(rotated_nms(table, threshold)) == \
             _records(rotated_nms(list(table), threshold))
 
-    @given(raw_rows(), st.none() | st.integers(-10, 10),
+    @given(raw_rows(RAW_FLOATS), st.none() | st.integers(-10, 10),
            st.none() | st.integers(-10, 10),
            st.none() | st.integers(-4, 4).filter(bool))
     @settings(max_examples=200, deadline=None)

@@ -739,7 +739,7 @@ class TestGradcheck:
     def test_linear_fn_tight(self):
         x = Tensor(np.random.default_rng(16).standard_normal((3, 3)),
                    dtype=np.float64)
-        assert gradcheck(lambda a: sum_all(a), x) <= 1e-10
+        assert gradcheck(lambda a: sum_all(a), [x]) <= 1e-10
 
     def test_conv_sigmoid_chain(self):
         rng = np.random.default_rng(17)
@@ -763,12 +763,12 @@ class TestGradcheck:
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ContractError):
-            gradcheck(lambda a: sum_all(a), Tensor(np.ones(2)), eps=0.0)
+            gradcheck(lambda a: sum_all(a), [Tensor(np.ones(2))], eps=0.0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ContractError, match="eps"):
-            gradcheck(lambda a: sum_all(a), Tensor(np.ones(2)), eps=eps)
+            gradcheck(lambda a: sum_all(a), [Tensor(np.ones(2))], eps=eps)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf])
     @pytest.mark.parametrize("coord_limit", [None, 1])
@@ -782,7 +782,7 @@ class TestGradcheck:
                 out._backward = lambda g: correct(g * np.array([1.0, factor]))
             return out
 
-        err = gradcheck(skewed_sum, Tensor(np.ones(2)),
+        err = gradcheck(skewed_sum, [Tensor(np.ones(2))],
                         coord_limit=coord_limit)
         assert err == math.inf
 
@@ -799,7 +799,7 @@ class TestGradcheck:
             return out
 
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        assert gradcheck(fn, x) <= 1e-6
+        assert gradcheck(fn, [x]) <= 1e-6
         assert len(outs) == 1 + 2 * x.data.size
         assert outs[0]._parents and outs[0]._backward is not None
         assert all(o._parents == () and o._backward is None
@@ -956,7 +956,7 @@ class TestNoRecording:
 
         x = Tensor(np.ones(2))
         with pytest.raises(ShapeError, match="perturbed"):
-            gradcheck(fn, x)
+            gradcheck(fn, [x])
         assert add(x, x)._parents == (x, x)
         # and the perturbed coordinate is put back
         assert x.data.tolist() == [1.0, 1.0]
