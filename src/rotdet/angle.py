@@ -4,10 +4,9 @@ An orientation theta is stored as the point (cos(omega*theta),
 sin(omega*theta)) on the unit circle. Because the representation is
 periodic, regression targets that sit on opposite sides of the angular
 wrap-around are close in the code plane, which removes the loss jumps a
-raw-angle parameterization suffers at the period boundary. The decoder is
-a six-case piecewise argument function mapping the circle back to
-[0, 2*pi), scaled by 1/omega. Only :func:`wrap` reduces an angle by its period,
-and only :func:`omega_ok` states the range of omega, for the config too.
+raw-angle parameterization suffers at the period boundary. Only
+:func:`wrap` reduces an angle by its period, and only :func:`omega_ok`
+states the range of omega, for the config too.
 
 All functions are pure and take scalars or numpy arrays by one route; a
 scalar comes back as a numpy float64 (a float). Non-finite angles and
@@ -45,7 +44,9 @@ def period(omega: float) -> float:
 
 def wrap(theta, omega: float = 1.0):
     """theta (a float or an array) reduced into [0, period(omega)). Rounding
-    can land a tiny negative angle on the period itself, which is angle 0."""
+    can land a tiny negative angle on the period itself, which is angle 0.
+    The default omega serves geometry's boxes; the codec's omega has no
+    default but ``NetworkConfig.omega``."""
     p = period(omega)
     r = theta % p
     return r - p * (r >= p)
@@ -117,7 +118,8 @@ def arg_unit(x, y):
 
 
 def decode(code: AngleCode):
-    """Inverse of :func:`encode`: wrap(arg(x, y) / omega), in [0, period)."""
+    """Inverse of :func:`encode`: wrap(arg(x, y) / omega), in [0, period),
+    so every decoded angle encodes again."""
     omega = _check_omega(code.omega)
     return wrap(arg_unit(code.x, code.y) / omega, omega)
 

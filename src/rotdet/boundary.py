@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angle as eaem
-from .tensor import (Tensor, mean_all, mul, no_recording, normalize_vec,
-                     scale, smooth_l1, sub, sum_all)
+from .tensor import (Tensor, gradients, mean_all, mul, no_recording,
+                     normalize_vec, scale, smooth_l1, sub, sum_all)
 
 METHODS = ("direct_smoothl1", "eaem_chord")
 JUMP_THRESHOLD = 0.5
@@ -107,9 +107,8 @@ def run_regression(method: str, targets: np.ndarray, steps: int, lr: float,
         for _ in range(steps):
             loss = loss_of(param)
             trace.append(loss.item())
-            param.grad = None
-            loss.backward()
-            param.data = param.data - lr * param.grad
+            grad, = gradients(loss, [param])
+            param.data = param.data - lr * grad
         if method == "direct_smoothl1":
             pred_theta = eaem.wrap(float(param.data[0]), omega)
         else:
@@ -124,6 +123,8 @@ def run_regression(method: str, targets: np.ndarray, steps: int, lr: float,
 
 def compare_methods(seed: int, omega: float, steps: int = STEPS,
                     lr: float = LR) -> ExperimentReport:
+    """Both methods on the same targets. STEPS and LR are also
+    ``boundary-exp``'s defaults, so the command run bare is this call."""
     targets = boundary_targets(omega, seed)
     return ExperimentReport({
         method: run_regression(method, targets, steps, lr, seed, omega)

@@ -1,12 +1,11 @@
 """Command-line surface: parameter audits, forward dumps, gradient checks,
 angle codec tools, the boundary experiment, synthetic data, and evaluation.
-
-Exit codes: 0 success, 1 check failure, 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -32,10 +31,6 @@ EXIT_USAGE = 2
 
 
 DTYPES = {"f32": np.float32, "f64": np.float64}  # --dtype: name -> type
-
-
-def _seed(cfg: Config, args) -> int:
-    return args.seed if args.seed is not None else cfg.data_seed
 
 
 def _ruled(parse, *rules):
@@ -82,7 +77,7 @@ def cmd_forward(cfg: Config, args) -> int:
         img = load_tensor(args.image).data
         if img.ndim == 3:
             img = img[np.newaxis]
-    weights = NetworkWeights.create(np.random.default_rng(_seed(cfg, args)),
+    weights = NetworkWeights.create(np.random.default_rng(cfg.data_seed),
                                     cfg.network, dtype)
     # every Tensor rejects a non-finite value, so numpy's overflow warnings
     # would only repeat the error below
@@ -108,7 +103,7 @@ def cmd_forward(cfg: Config, args) -> int:
 
 
 def cmd_gradcheck(cfg: Config, args) -> int:
-    results = gradsuite.full_suite(seed=_seed(cfg, args))
+    results = gradsuite.full_suite(seed=cfg.data_seed)
     ok = True
     print(f"{'check':<20} {'max rel err':>14} {'bound':>10} {'status':>8}")
     for r in results:
@@ -147,8 +142,7 @@ def cmd_angle_codec(cfg: Config, args) -> int:
 
 
 def cmd_boundary_exp(cfg: Config, args) -> int:
-    omega = cfg.network.omega
-    seed = _seed(cfg, args)
+    omega, seed = cfg.network.omega, cfg.data_seed
     with np.errstate(over="ignore", invalid="ignore"):  # tiny omega diverges
         report = boundary.compare_methods(seed, omega, args.steps, args.lr)
         print(f"seed={seed} omega={omega} steps={args.steps} "
@@ -176,22 +170,21 @@ def cmd_boundary_exp(cfg: Config, args) -> int:
 
 
 def cmd_eval(cfg: Config, args) -> int:
-    rng_seed = _seed(cfg, args)
     truths = []
     preds = []
     dtype = DTYPES[args.dtype]
     weights = None
     if args.mode == "model":
         weights = NetworkWeights.create(
-            np.random.default_rng(rng_seed), cfg.network, dtype)
+            np.random.default_rng(cfg.data_seed), cfg.network, dtype)
     for i in range(cfg.images):
         if args.mode == "model":
-            image, truth = gen_scene(rng_seed + i, cfg.scene, cfg.canvas)
+            image, truth = gen_scene(cfg.data_seed + i, cfg.scene, cfg.canvas)
             batch = Tensor(image.data[np.newaxis], dtype=dtype)
             preds.extend(detect(batch, weights, cfg.network,
                                 cfg.score_threshold, cfg.nms_threshold))
         else:  # the oracle and empty predictions need no image
-            truth = scene_boxes(rng_seed + i, cfg.scene, cfg.canvas)
+            truth = scene_boxes(cfg.data_seed + i, cfg.scene, cfg.canvas)
             preds.append(list(truth) if args.mode == "oracle" else [])
         truths.append(truth)
     mean_ap, per_class = eval_map(preds, truths, cfg.iou_threshold)
@@ -206,9 +199,8 @@ def cmd_eval(cfg: Config, args) -> int:
 def cmd_gen_data(cfg: Config, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _seed(cfg, args)
     for i in range(cfg.images):
-        image, truth = gen_scene(seed + i, cfg.scene, cfg.canvas)
+        image, truth = gen_scene(cfg.data_seed + i, cfg.scene, cfg.canvas)
         save_pgm(out_dir / f"scene_{i:03d}.pgm", image.data[0])
         save_tensor(out_dir / f"scene_{i:03d}.rmkt", image)
         save_annotations(out_dir / f"scene_{i:03d}.txt", truth)
@@ -283,7 +275,10 @@ def main(argv=None) -> int:
     other bad input, a config value or a file, is reported here."""
     try:
         args = build_parser().parse_args(argv)
-        return args.run(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, data_seed=args.seed)
+        return args.run(cfg, args)
     except (ConfigError, FormatError, ShapeError, GenerationError,
             DegenerateInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

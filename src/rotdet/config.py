@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from .angle import OMEGA_RANGE, omega_ok
 from .errors import ConfigError
 from .mdcaa import WINDOW_RULES
-from .geometry import LEAST_SIDE_RULE
+from .geometry import FINITE_RULE, LEAST_SIDE_RULE
 from .pyramid import SIDE_RULE, NetworkConfig
 from .scenes import SceneSpec
 
@@ -28,6 +28,9 @@ _DEFAULTS = {
     "eval": {"iou_threshold": 0.5, "nms_threshold": 0.3,
              "score_threshold": 0.05, "coco_sweep": False},
 }
+# the texts a bool key accepts, in any case
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
 # (test, what) of [data] seed, which the --seed and --steps flags share
 NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 
@@ -48,20 +51,10 @@ class Config:
 def _parse_value(section: str, key: str, raw: str):
     typ = type(_DEFAULTS[section][key])
     try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        value = typ(raw)
-    except ValueError:
+        return _BOOLS[raw.strip().lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from None
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
-    return value
 
 
 def _validate(values: dict[str, dict]) -> None:
@@ -86,12 +79,17 @@ def _validate(values: dict[str, dict]) -> None:
         "eval": {key: (lambda v: 0.0 <= v <= 1.0, "in [0, 1]") for key in (
             "iou_threshold", "nms_threshold", "score_threshold")},
     }
-    for section, rules in ranges.items():
-        for key, (test, what) in rules.items():
-            value = values[section][key]
-            if not test(value):
-                raise ConfigError(
-                    f"[{section}] {key} must be {what}, got {value}")
+    # every float key is finite, by the box fields' rule, before any range
+    finite = {section: {key: FINITE_RULE for key, default in defaults.items()
+                        if type(default) is float}
+              for section, defaults in _DEFAULTS.items()}
+    for table in (finite, ranges):
+        for section, rules in table.items():
+            for key, (test, what) in rules.items():
+                value = values[section][key]
+                if not test(value):
+                    raise ConfigError(
+                        f"[{section}] {key} must be {what}, got {value}")
     data = values["data"]
     # gen_scene skips each box whose diagonal reaches the canvas, and no
     # box is smaller than min_size x min_size

@@ -42,9 +42,10 @@ def _match_tables(preds: list[list[OrientedBox]],
                   truth: list[list[OrientedBox]]) -> dict[int, tuple]:
     """Per truth class: its predictions in matching order as (image index,
     IoU row) pairs, each row a list of the prediction's IoU with the
-    image's truths of the class; and the truth count per image. Each
-    image's pred x truth matrix is sliced by class id: the kernel rates
-    each pair apart from its batch.
+    image's truths of the class; and the truth count per image. Matching
+    order is one stable ``np.lexsort`` on (-score, image, cx, cy), as NMS
+    orders its rows. Each image's pred x truth matrix is sliced by class
+    id: the kernel rates each pair apart from its batch.
     """
     if len(preds) != len(truth):
         raise ValueError("preds and truth must cover the same images")
@@ -106,9 +107,6 @@ def eval_map(preds: list[list[OrientedBox]], truth: list[list[OrientedBox]],
 
 
 def eval_map_sweep(preds, truth) -> float:
-    """COCO-style mean of single-threshold mAP over COCO_THRESHOLDS.
-
-    The IoU matrices are built once and matched at every threshold.
-    """
+    """COCO-style mean of single-threshold mAP over COCO_THRESHOLDS."""
     tables = _match_tables(preds, truth)
     return float(np.mean([_map_at(tables, t)[0] for t in COCO_THRESHOLDS]))

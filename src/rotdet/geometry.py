@@ -1,25 +1,17 @@
 """Rotated-rectangle geometry: polygons, exact IoU, a raster oracle, NMS.
 
-A box list is read into arrays once, by :func:`_columns`: one float64 row
-(cx, cy, w, h, cos theta, sin theta, score, class id) per box, from which
-:func:`_stack` derives the polygons (about their centers), areas, centers
-and radii. A :class:`BoxTable`, what decode gives, holds boxes as those
-rows from the start. The one exact IoU route, :func:`iou_pairs`, is a
-batched kernel that clips arrays of (subject, clipper) polygon pairs
-(Sutherland-Hodgman), on x and y arrays apart, and measures each
-intersection with the shoelace formula, in the pair's own frame.
-:func:`rotated_nms`, :func:`iou_matrix` (which AP matching uses), scene
-placement and the one-pair :func:`rotated_iou` run on it; they first drop
-pairs whose circumscribed circles are apart (IoU 0).
-NMS (in score order) and scene placement (in draw order) share one greedy
-loop, :func:`_greedy`, which runs in waves over row indices. It needs only
-whether an IoU exceeds its threshold, so it also drops the pairs whose
-exact IoU bound (:func:`_may_exceed`) does not.
+A box list is read into arrays once, by :func:`_columns`; a
+:class:`BoxTable`, what decode gives, holds boxes as those rows from the
+start. The one exact IoU route is :func:`iou_pairs`, a batched
+Sutherland-Hodgman clip with a shoelace area. :func:`rotated_nms`,
+:func:`iou_matrix` (which AP matching uses), scene placement and the
+one-pair :func:`rotated_iou` run on it, after dropping pairs whose
+circumscribed circles are apart (IoU 0). NMS (in score order) and scene
+placement (in draw order) share one greedy loop, :func:`_greedy`.
 
-The kernel is checked against a scalar clip in the tests and against the
-independent raster oracle, which rates a pair by the share of a uniform
-grid's points that lie in both boxes, counted row by row
-(:func:`_row_spans`) exactly as testing every point would count them.
+The tests check the kernel against a scalar clip, against the interleaved
+(..., 2) vertex layout that its x and y arrays replaced (every candidate
+pair, vertex and IoU bit for bit), and against :func:`raster_iou_oracle`.
 """
 
 from __future__ import annotations
@@ -54,7 +46,8 @@ BOX_RULES = {  # per field, in order
 
 def _canonical(w, h, theta):
     """The same rectangle with w >= h: where w < h, w and h swap and theta
-    gains pi/2; then :func:`rotdet.angle.wrap`. Floats or arrays alike."""
+    gains pi/2; then :func:`rotdet.angle.wrap`. Floats or arrays alike, by
+    operators only, so a float calls no NumPy ufunc."""
     swap = w < h
     return ((w >= h) * w + swap * h, swap * w + (w >= h) * h,
             wrap(theta + swap * (0.5 * math.pi)))
@@ -159,7 +152,9 @@ def _box_frame(px, py, row: np.ndarray):
 
 
 def points_in_box(px: np.ndarray, py: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Which points (px, py) lie in the row's box, edges included."""
+    """Which points (px, py) lie in the row's box, edges included: the one
+    point-in-box test. It reads the box's frame from the row, so cos and
+    sin of theta are taken only where rows are built."""
     u, v = _box_frame(px, py, row)
     return (np.abs(u) <= 0.5 * row[2]) & (np.abs(v) <= 0.5 * row[3])
 
@@ -300,7 +295,9 @@ def _shoelace(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Signed shoelace area of each row's first counts[p] vertex slots.
 
     The formula's two sums are taken slot by slot, so a row's area does
-    not depend on the slot width of the arrays it sits in.
+    not depend on the slot width of the arrays it sits in. A row of 0, 1
+    or 2 vertices needs no guard: its two sums add the same products in
+    swapped order, so its area is exactly 0.
     """
     valid, nxt = _ring(counts, x.shape[1])
     xy = np.where(valid, x * y.ravel()[nxt], 0.0)
@@ -319,8 +316,10 @@ def iou_pairs(polys: np.ndarray, centers: np.ndarray, areas: np.ndarray,
 
     As in detectron2's ``single_box_iou_rotated``, each pair is measured in
     its own frame: the clipper about the origin, the subject about the
-    centers' difference, so no vertex is rounded at a far center's scale.
-    Pairs are processed IOU_CHUNK at a time, on x and y arrays apart.
+    centers' difference, so no vertex is rounded at a far center's scale:
+    a small box far from the origin keeps its area, and a shift that keeps
+    the centers' difference exact keeps the IoU bit for bit. Pairs are
+    processed IOU_CHUNK at a time, on x and y arrays apart.
     """
     px, py = polys[..., 0], polys[..., 1]
     cx, cy = centers[:, 0], centers[:, 1]
@@ -385,7 +384,9 @@ def _may_exceed(half: np.ndarray, centers: np.ndarray, areas: np.ndarray,
 
 def iou_matrix(subjects: list[OrientedBox],
                clippers: list[OrientedBox]) -> np.ndarray:
-    """IoU of every subject with every clipper box, shape (S, C)."""
+    """IoU of every subject with every clipper box, shape (S, C). Only
+    the circle test (:func:`_near_pairs`) skips pairs: AP matching reads
+    the values, not just whether they exceed a threshold."""
     polys, areas, centers, radii = _stack(
         _columns(list(subjects) + list(clippers)))
     rows = np.arange(len(subjects))
@@ -411,6 +412,7 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
     later row they suppress in one kernel call. So each pair reaches the
     kernel as (later row, kept row), as in a one-by-one loop; pairs that
     cannot suppress (:func:`_near_pairs`, :func:`_may_exceed`) skip it.
+    The wave that takes the last rows makes no filtering call.
     """
     polys, areas, centers, radii = _stack(cols)
     half = np.abs(polys).max(axis=1)
@@ -469,6 +471,9 @@ def rotated_nms(boxes: Sequence[OrientedBox],
 
 
 def save_annotations(path, boxes: list[OrientedBox]) -> None:
+    """The annotation text ``gen-data`` writes: a ``# cx cy w h theta
+    class_id`` header, then one line per box in that order, theta to 9
+    decimals and the other floats to 6."""
     with open(path, "w") as fh:
         fh.write("# cx cy w h theta class_id\n")
         for b in boxes:

@@ -22,6 +22,7 @@ from .errors import ContractError
 from .msk import ConvParams, _same_pad
 from .tensor import Tensor, WeightSet, avg_pool, concat_channels, mul, sigmoid
 
+# (test, what) of each window size, which the config's two rows share
 WINDOW_RULES = {key: (lambda v, m=m: v >= m and v % 2 == 1, f"odd and >= {m}")
                 for key, m in (("strip_len", 3), ("pool_window", 1))}
 
@@ -44,6 +45,9 @@ class MdcaaWeights(WeightSet):
     @staticmethod
     def create(rng: np.random.Generator, channels: int, strip_len: int,
                pool_window: int) -> "MdcaaWeights":
+        """Checks both windows by WINDOW_RULES, then draws the convs in
+        field order. The windows have no default: their home is
+        ``NetworkConfig``."""
         for key, size in zip(WINDOW_RULES, (strip_len, pool_window)):
             test, what = WINDOW_RULES[key]
             if not test(size):

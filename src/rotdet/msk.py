@@ -3,16 +3,14 @@
 Each module runs five parallel branches over the same input: an identity
 branch (1x1 then 3x3) and four scale branches for m in {5, 7, 9, 11}. A
 scale branch is a 1x1 conv to branch_out channels, then a depthwise 1xm
-strip, then a depthwise mx1 strip. The strip pair emulates a depthwise
-mxm receptive field at 2/m of that kernel's parameters. The depthwise
-form follows PKINet, whose multi-size kernels run depthwise between
-pointwise convs; it is a choice made for speed, as the source paper's
-abstract does not say which form its blocks use. Branch outputs are
-concatenated along channels in the fixed order
-[m=5, m=7, m=9, m=11, identity].
-
-A block stacks four modules; the first keeps resolution and the other
-three halve it via stride 2 in each branch's leading 1x1 convolution.
+strip, then a depthwise mx1 strip: an mxm field at 2/m of the cost
+(:func:`count_params`). The depthwise form follows PKINet, whose
+multi-size kernels run depthwise between pointwise convs; it is a choice
+made for speed, as the source paper's abstract does not say which form
+its blocks use. Branch outputs are concatenated along channels in the
+fixed order [m=5, m=7, m=9, m=11, identity]. A block stacks four modules;
+the first keeps resolution and the other three halve it via stride 2 in
+each branch's leading 1x1 convolution.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ class ConvParams(WeightSet):
     @staticmethod
     def create(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,
                stride=(1, 1), groups: int = 1) -> "ConvParams":
-        """Every weight is drawn here, in float64, within ±1/sqrt(fan_in)."""
+        """Every weight is drawn here, in float64: the kernel uniform within
+        ±1/sqrt(fan_in), the bias zero."""
         shape = (out_c, in_c // groups, kh, kw)
         bound = 1.0 / math.sqrt(math.prod(shape[1:]))
         kernel = Tensor(rng.uniform(-bound, bound, shape))
@@ -73,6 +72,8 @@ class MskModuleWeights(WeightSet):
     @staticmethod
     def create(rng: np.random.Generator, in_channels: int, branch_out: int,
                downsample: bool = False) -> "MskModuleWeights":
+        """Draws the identity pair, then (reduce, row, col) for each m in
+        STRIP_SIZES; every field is set, none has a default."""
         c, b = in_channels, branch_out
         stride = (2, 2) if downsample else (1, 1)
         return MskModuleWeights(
@@ -94,11 +95,8 @@ def msk_module_forward(x: Tensor, w: MskModuleWeights) -> Tensor:
 
 
 def msk_block_forward(x: Tensor, weights: list[MskModuleWeights]) -> list[Tensor]:
-    """Four chained modules; returns [M1, M2, M3, M4].
-
-    The first module must keep resolution and the remaining three must
-    downsample, so M_{l+1} has half the spatial extent of M_l.
-    """
+    """Four chained modules, the first keeping resolution and the other
+    three halving it (else ``ContractError``); returns [M1, M2, M3, M4]."""
     if len(weights) != 4:
         raise ContractError(f"expected 4 module weight sets, got {len(weights)}")
     strides = [w.identity_reduce.stride for w in weights]

@@ -9,13 +9,15 @@ SIDE_RULE (a multiple of 64 in [64, MAX_CANVAS]):
   M1..M4 sit at strides 2/4/8/16;
 * attention: CP_k = mdcaa_apply(M_k) for k = 2..4 (M1 only seeds the
   bottom-up path);
-* bottom-up path: N = Conv3x3(M_{l+1} + Down(N_prev)) for l = 1..3 with
-  N_prev starting at M1; the last level is N5 (stride 16);
+* bottom-up path (:func:`bottom_up`) from M1, ending in N5 (stride 16);
 * fusion (all sources brought to the target stride by stride-2 3x3
   convolutions): [C3 | CP2] at stride 8, [C4 | CP3] at stride 16,
   [C5 | CP4 | N5] at stride 32;
 * head: per fused level, a 3x3 conv to classes logits and a 3x3 conv to 6
   box channels (dcx, dcy, dw, dh, angle x, angle y): one prediction per cell.
+
+At the default config, C3-C5 have 16 channels, M1-M4, CP2-CP4 and N5 40,
+and the fused levels 56, 56 and 96.
 """
 
 from __future__ import annotations
@@ -135,11 +137,8 @@ class NetworkWeights(WeightSet):
 
 def bottom_up(m_levels: list[Tensor], down_convs: list[ConvParams],
               fuse_convs: list[ConvParams]) -> list[Tensor]:
-    """Downsample-add recursion over the tower levels; the last is N5.
-
-    N_prev starts at M1; each step computes
-    Conv3x3(M_{l+1} + Down(N_prev)) where Down is a stride-2 convolution.
-    """
+    """Downsample-add recursion: N = Conv3x3(M_{l+1} + Down(N_prev)) for
+    l = 1..3, from N_prev = M1, Down a stride-2 conv; the last is N5."""
     if len(m_levels) != 4:
         raise ShapeError("bottom_up expects the four tower levels")
     levels = []

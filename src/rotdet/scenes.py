@@ -1,11 +1,8 @@
 """Seeded synthetic scenes of filled rotated rectangles on a noise background.
 
 A scene's generator first draws the canvas² noise floor, then places the
-boxes in rounds of NMS's greedy loop (:func:`_place`), then renders them.
-:func:`scene_boxes` gives the boxes alone: PCG64 spends one 64-bit output
-per uniform double, so advancing a fresh generator by canvas² outputs
-reaches the state the noise draw leaves, and the boxes are those of
-:func:`gen_scene`, bit for bit.
+boxes in rounds of NMS's greedy loop (:func:`_place`), then renders them;
+:func:`scene_boxes` gives the boxes alone.
 """
 
 from __future__ import annotations
@@ -128,8 +125,9 @@ def gen_scene(seed: int, spec: SceneSpec,
 
 def scene_boxes(seed: int, spec: SceneSpec,
                 canvas: int) -> list[OrientedBox]:
-    """The boxes of ``gen_scene(seed, spec, canvas)``, with no image drawn:
-    the generator skips the noise draw's canvas² outputs."""
+    """The boxes of ``gen_scene(seed, spec, canvas)``, bit for bit, with
+    no image drawn: PCG64 spends one 64-bit output per uniform double, so
+    advancing a fresh generator by canvas² outputs skips the noise draw."""
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(canvas * canvas)
     return _place(rng, spec, canvas)

@@ -1,30 +1,22 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Tensors wrap contiguous numpy arrays (float32 or float64). Every operation
-keeps a backward closure and its parents while recording is on, so calling
-``backward`` on a scalar result accumulates gradients into every leaf it
-reaches. ``Tensor._from_op`` builds each op output in one path: C order, at
-least 1-D, checked finite, and recorded only while recording is on.
-``no_recording()`` is the one switch that turns recording off, for a block, as
-``torch.no_grad`` does: the CLI's inference forwards and ``gradcheck``'s
-finite-difference forwards run inside it, compute the same values and keep no
-graph. The op set is what the feature blocks need: conv2d (with groups and
-stride), average pooling, sigmoid, channel concat, and elementwise arithmetic.
-Quarter rotations (``rot90``) serve the rotation contracts of acceptance
-criterion 7 and the gradcheck battery.
+keeps a backward closure and its parents while recording is on, so
+:func:`backward` of a scalar result accumulates gradients into every leaf it
+reaches, and :func:`gradients` returns those of the leaves asked for.
+``no_recording()`` is the one switch that turns recording off, as
+``torch.no_grad`` does; the CLI's inference forwards and ``gradcheck``'s
+finite-difference forwards run inside it. The op set is what the feature
+blocks need: conv2d (with groups and stride), average pooling, sigmoid,
+channel concat, and elementwise arithmetic; ``rot90`` serves the rotation
+contracts of acceptance criterion 7 and the gradcheck battery.
 
 A convolution is one ``np.matmul`` per direction: every window of the
 padded input is one 7-D strided view, copied once into a new (groups,
 Cg*kH*kW, N*oH*oW) patch buffer; the kernel multiplies it in the forward
 pass, and the backward pass multiplies by its transpose and adds the patch
 gradients back into place, one kernel tap at a time since windows overlap.
-The optional bias is added in the same node. Padding is a zero buffer with
-one slice copy, skipped when the padding is zero. Average pooling is kH*kW
-strided adds of the padded input, in row-major window order, and its
-backward pass is kH*kW strided adds of the scaled gradient. The sigmoid
-takes one ``exp(-|v|)`` over the whole array and picks each lane's stable
-numerator with ``np.where``, so no lane can overflow and no boolean mask
-gathers or scatters.
+The optional bias is added in the same node.
 
 A recorded convolution does not keep its patch buffer, which holds kH*kW
 copies of the input: the backward pass copies the patches again from the
@@ -34,9 +26,6 @@ over that graph; gradients would silently describe the new values.
 
 All forward math is plain numpy in a fixed order, so two identical runs
 produce bit-identical outputs and gradients.
-
-Weight sets are dataclasses deriving from ``WeightSet``: their parameters
-are the tensors ``named_parameters`` finds by walking their fields.
 """
 
 from __future__ import annotations
@@ -74,7 +63,12 @@ def no_recording():
 
 
 class Tensor:
-    """Dense N-d array node in a dynamically built computation graph."""
+    """Dense N-d array node in a dynamically built computation graph.
+
+    ``Tensor(data, dtype=None)`` holds float32 or float64: an explicit
+    ``dtype`` of any other kind raises ``ContractError``, and data of any
+    other kind without one is read as float64.
+    """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
@@ -98,7 +92,8 @@ class Tensor:
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
         """An op's output (float32 or float64) stored as the constructor
         stores data: C order, at least 1-D (a 0-d sum gets shape (1,)), and
-        finite. It records ``parents`` and ``backward`` if recording is on."""
+        finite, so an op may pass a view. It records ``parents`` and
+        ``backward`` if recording is on."""
         data = np.ascontiguousarray(data)
         if not np.isfinite(data).all():
             raise ValueError("tensor values must be finite")
@@ -136,15 +131,13 @@ class Tensor:
             self.grad = np.zeros_like(self.data, dtype=g.dtype)
         self.grad += g
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode accumulation from a scalar loss over its recorded graph.
 
-    Gradients land in ``.grad`` of every reachable node; leaves that never
-    contributed keep ``grad is None`` (read as zero via :func:`gradients`).
+    Gradients land in ``.grad`` of every reachable node, as no tensor has a
+    requires-grad flag; leaves that never contributed keep ``grad is None``
+    (read as zero via :func:`gradients`).
     """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -230,10 +223,12 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function, outputs strictly in (0, 1)."""
+    """Numerically stable logistic function, outputs strictly in (0, 1).
+
+    One ``exp(-|v|)``, never above 1, and ``np.where`` picks each lane's
+    numerator: 1 / (1 + exp(-v)) or exp(v) / (1 + exp(v)), no boolean mask.
+    """
     v = x.data
-    # exp(-|v|) is exp(-v) where v >= 0 and exp(v) elsewhere, never above 1;
-    # so each lane is 1 / (1 + exp(-v)) or exp(v) / (1 + exp(v))
     e = np.exp(-np.abs(v))
     out = np.where(v >= 0, 1.0, e)
     out /= 1.0 + e
@@ -445,7 +440,8 @@ def avg_pool(x: Tensor, window, padding) -> Tensor:
     ``padding`` pairs; the divisor always counts padded cells.
 
     The output is the sum of kh*kw shifted views of the padded input, added
-    in row-major window order, times 1/(kh*kw).
+    in row-major window order, times 1/(kh*kw); the backward pass adds the
+    scaled gradient the same way.
     """
     if x.ndim != 4:
         raise ShapeError("avg_pool expects a 4-D tensor")
@@ -491,6 +487,7 @@ def gradcheck(fn, inputs, eps: float = 1e-5, coord_limit: int | None = None,
     analytic gradient anywhere gives ``inf``. The analytic pass records its
     graph; the finite-difference forwards run with recording off. The inputs
     keep their values and their ``.grad``, also when ``fn`` raises.
+    ``eps`` must be finite and positive.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError(f"eps must be finite and positive, got {eps}")
@@ -561,7 +558,8 @@ def named_parameters(obj, prefix: str = "") -> dict[str, Tensor]:
 
 
 class WeightSet:
-    """Base of the weight dataclasses: their parameters are found by walking."""
+    """Base of the weight dataclasses: their parameters are the tensors
+    :func:`named_parameters` finds by walking their fields."""
 
     def parameters(self) -> list[Tensor]:
         return list(named_parameters(self).values())

@@ -3,8 +3,10 @@
 RMKT layout: magic bytes 0x52 0x4D 0x4B 0x54 ("RMKT"), version byte 0x01,
 dtype byte (0 = float32, 1 = float64), ndim byte, ndim little-endian u32
 extents, then the row-major little-endian payload. Round-trips are
-bit-exact. Both readers raise :class:`FormatError` on a file that is not
-in their format or is cut short, and the PGM reader on a pixel above maxval.
+bit-exact. PGM images are 8-bit gray scaled to [0, 1]: written as P5,
+read as P2 or P5 with any maxval from 1 to 255. Both readers raise
+:class:`FormatError` on a file that is not in their format or is cut
+short, and the PGM reader on a pixel above maxval.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def load_tensor(path) -> Tensor:
         raise FormatError(f"{path}: {exc}") from None
 
 
-# -- PGM images (written as P5, read as P2 or P5), values scaled to [0, 1] -----
+# -- PGM images ---------------------------------------------------------------
 
 
 def save_pgm(path, image: np.ndarray) -> None:

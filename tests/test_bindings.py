@@ -1,5 +1,6 @@
-"""Names other code binds to by string: the package's ``__all__`` and the
-module attributes ``benchmarks/tracer.py`` wraps; that the package defines
+"""Names other code binds to by string: the package's ``__all__``, the
+module attributes ``benchmarks/tracer.py`` wraps, and the dotted names,
+flags and commands README.md gives; that the package defines
 nothing, and no defaulted parameter or dataclass field, that only tests
 call or pass, and no default, of a parameter or of a field, that only tests
 take; and that each benchmark workload still runs one op on the package as
@@ -10,14 +11,23 @@ so a binding the package drops would otherwise surface only as an
 ``AttributeError`` from ``benchmarks/run.py --trace 1``.
 """
 
+import argparse
 import ast
+import importlib
+import pkgutil
+import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import rotdet
+from rotdet.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "benchmarks" / "tracer.py"
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
+README = ROOT / "README.md"
 PACKAGE = sorted((ROOT / "src" / "rotdet").glob("*.py"))
 BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
@@ -58,6 +68,81 @@ def test_public_names_resolve():
     assert len(set(rotdet.__all__)) == len(rotdet.__all__)
     missing = [name for name in rotdet.__all__ if not hasattr(rotdet, name)]
     assert missing == []
+
+
+def _readme_parts():
+    """README.md's prose, with its fenced blocks taken out, and the
+    ``rotdet ...`` lines of its ``sh`` blocks, comments stripped."""
+    text = README.read_text()
+    fences = r"^```(\w*)\n(.*?)^```$"
+    commands = [line.split("#")[0].strip()
+                for lang, body in re.findall(fences, text, re.M | re.S)
+                if lang == "sh" for line in body.splitlines()
+                if line.startswith("rotdet ")]
+    return re.sub(fences, "", text, flags=re.M | re.S), commands
+
+
+def _readme_dotted_names() -> list[str]:
+    """Each backticked dotted name in README.md's prose that starts with
+    ``rotdet.`` or with a ``rotdet`` submodule, a trailing ``()`` dropped."""
+    modules = {m.name for m in pkgutil.iter_modules(rotdet.__path__)}
+    prose, _ = _readme_parts()
+    names = [re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?",
+                          span)
+             for span in re.findall(r"`([^`]+)`", prose)]
+    return [m[1] for m in names
+            if m and m[1].split(".")[0] in modules | {"rotdet"}]
+
+
+def _resolve(dotted: str):
+    """The object a dotted name names: its ``rotdet`` submodule, imported,
+    then ``getattr`` for each later part."""
+    module, *attrs = dotted.removeprefix("rotdet.").split(".")
+    obj = importlib.import_module(f"rotdet.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _parser_options() -> set[str]:
+    """Every option string of ``build_parser()`` and of its subparsers."""
+    parsers, options = [build_parser()], set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return options
+
+
+def test_readme_names_resolve():
+    """The names include the module of each RMK RetinaNet part."""
+    names = _readme_dotted_names()
+    assert {"rotdet.msk", "rotdet.mdcaa", "rotdet.pyramid.bottom_up",
+            "rotdet.angle"} <= set(names)
+    missing = []
+    for name in names:
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == []
+
+
+def test_readme_flags_are_options():
+    """Each ``--flag`` of README.md's prose and of its ``rotdet`` command
+    lines; the install line's pip flag is neither."""
+    prose, commands = _readme_parts()
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                           prose + "\n".join(commands)))
+    assert "--config" in flags
+    assert sorted(flags - _parser_options()) == []
+
+
+@pytest.mark.parametrize("line", _readme_parts()[1])
+def test_readme_command_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])
 
 
 def _uncalled_definitions() -> list[str]:

@@ -409,6 +409,20 @@ class TestConfig:
         if code:
             assert err.startswith("error: ") and key in err
 
+    FLOAT_KEYS = [(sec, key) for sec, keys in _DEFAULTS.items()
+                  for key, default in keys.items() if type(default) is float]
+
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_float_key_must_be_finite(self, tmp_path, section, key):
+        """Every float key fails the one finite rule first, before its
+        range, whatever that range is."""
+        path = tmp_path / "c.ini"
+        for text in ("nan", "inf", "-inf"):
+            path.write_text(f"[{section}]\n{key} = {text}\n")
+            with pytest.raises(ConfigError,
+                               match=rf"^\[{section}\] {key} must be finite"):
+                load_config(str(path))
+
     def test_min_size_must_fit_the_canvas(self, tmp_path, capsys):
         """gen_scene places no box whose diagonal reaches the canvas: the
         largest min_size whose square's diagonal stays under 256 loads, the
