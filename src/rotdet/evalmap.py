@@ -6,17 +6,17 @@ truth IoU matrix per image, sliced by class; each truth box can be
 claimed once. AP is the area under the all-point-interpolated
 precision-recall curve. mAP averages over classes that appear in the
 truth; classes with no truth are excluded from the mean. The matrices do
-not depend on the threshold, so an IoU sweep builds them once and matches
-them at every threshold. Matching walks their rows as Python lists: a
-prediction meets only its image's truths of its class, too few for a
-NumPy call per prediction to pay.
+not depend on the threshold, so an IoU sweep builds them once, in one IoU
+kernel call for all images, and matches them at every threshold. Matching
+walks their rows as Python lists: a prediction meets only its image's
+truths of its class, too few for a NumPy call per prediction to pay.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import OrientedBox, iou_matrix
+from .geometry import OrientedBox, iou_matrices
 # unused here; benchmarks/tracer.py wraps this binding by name
 from .geometry import rotated_iou  # noqa: F401
 
@@ -44,13 +44,14 @@ def _match_tables(preds: list[list[OrientedBox]],
     IoU row) pairs, each row a list of the prediction's IoU with the
     image's truths of the class; and the truth count per image. Matching
     order is one stable ``np.lexsort`` on (-score, image, cx, cy), as NMS
-    orders its rows. Each image's pred x truth matrix is sliced by class
-    id: the kernel rates each pair apart from its batch.
+    orders its rows. Each image's pred x truth matrix, from one
+    ``iou_matrices`` call, is sliced by class id: the kernel rates each
+    pair apart from its batch.
     """
     if len(preds) != len(truth):
         raise ValueError("preds and truth must cover the same images")
     classes = sorted({b.class_id for img in truth for b in img})
-    ious = [iou_matrix(p, t) for p, t in zip(preds, truth)]
+    ious = iou_matrices(preds, truth)
     tables = {}
     for cls in classes:
         records = []  # (box, image index, IoU row)

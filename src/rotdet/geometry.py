@@ -4,10 +4,11 @@ A box list is read into arrays once, by :func:`_columns`; a
 :class:`BoxTable`, what decode gives, holds boxes as those rows from the
 start. The one exact IoU route is :func:`iou_pairs`, a batched
 Sutherland-Hodgman clip with a shoelace area. :func:`rotated_nms`,
-:func:`iou_matrix` (which AP matching uses), scene placement and the
-one-pair :func:`rotated_iou` run on it, after dropping pairs whose
-circumscribed circles are apart (IoU 0). NMS (in score order) and scene
-placement (in draw order) share one greedy loop, :func:`_greedy`.
+:func:`iou_matrices` (which AP matching uses, one call for all images),
+scene placement and the one-pair :func:`rotated_iou` run on it, after
+dropping pairs whose circumscribed circles are apart (IoU 0). NMS (in
+score order) and scene placement (in draw order) share one greedy loop,
+:func:`_greedy`.
 
 The tests check the kernel against a scalar clip, against the interleaved
 (..., 2) vertex layout that its x and y arrays replaced (every candidate
@@ -382,28 +383,40 @@ def _may_exceed(half: np.ndarray, centers: np.ndarray, areas: np.ndarray,
     return m > (threshold - 1e-9) * (area_a + area_b - m)
 
 
-def iou_matrix(subjects: list[OrientedBox],
-               clippers: list[OrientedBox]) -> np.ndarray:
-    """IoU of every subject with every clipper box, shape (S, C). Only
-    the circle test (:func:`_near_pairs`) skips pairs: AP matching reads
-    the values, not just whether they exceed a threshold."""
-    polys, areas, centers, radii = _stack(
-        _columns(list(subjects) + list(clippers)))
-    rows = np.arange(len(subjects))
-    cols = np.arange(len(subjects), len(polys))
-    i, j = _near_pairs(centers, radii, rows, cols)
-    out = np.zeros((len(rows), len(cols)))
-    out[i, j] = iou_pairs(polys, centers, areas, rows[i], cols[j])
+def iou_matrices(subjects: Sequence[Sequence[OrientedBox]],
+                 clippers: Sequence[Sequence[OrientedBox]]
+                 ) -> list[np.ndarray]:
+    """Per image k, the IoU of every box of ``subjects[k]`` with every box
+    of ``clippers[k]``, shape (S_k, C_k): one :func:`_columns` and one
+    :func:`_stack` over all images, :func:`_near_pairs` within each, and
+    one :func:`iou_pairs` call, which rates each pair apart, for the pairs
+    of all images. Only the circle test skips pairs: AP matching reads the
+    values, not just whether they exceed a threshold."""
+    polys, areas, centers, radii = _stack(_columns([
+        b for s, c in zip(subjects, clippers, strict=True) for b in (*s, *c)]))
+    at, near = 0, []  # per image: its rows, its columns, their near pairs
+    for s, c in zip(subjects, clippers):
+        rows, cols = at + np.arange(len(s)), at + len(s) + np.arange(len(c))
+        near.append((rows, cols, *_near_pairs(centers, radii, rows, cols)))
+        at += len(s) + len(c)
+    subj = [np.empty(0, np.intp)] + [rows[i] for rows, _, i, _ in near]
+    clip = [np.empty(0, np.intp)] + [cols[j] for _, cols, _, j in near]
+    ious = iou_pairs(polys, centers, areas, np.concatenate(subj),
+                     np.concatenate(clip))
+    out = [np.zeros((len(rows), len(cols))) for rows, cols, _, _ in near]
+    ends = np.cumsum([len(i) for _, _, i, _ in near], dtype=np.intp)
+    for m, (_, _, i, j), values in zip(out, near, np.split(ious, ends)):
+        m[i, j] = values
     return out
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Exact intersection-over-union of two rotated rectangles, in [0, 1]:
     the kernel on the one pair, ``a`` clipped by ``b``."""
-    return float(iou_matrix([a], [b])[0, 0])
+    return float(iou_matrices([[a]], [[b]])[0][0, 0])
 
 
-def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
+def _greedy(cols: np.ndarray, threshold: float, lead: int) -> np.ndarray:
     """Indices of the :func:`_columns` rows that greedy suppression keeps,
     in the given order, at a threshold in [0, 1): a row goes when its IoU
     with a kept row, clipped by it, exceeds the threshold. Rows resolve in
@@ -411,14 +424,17 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
     order against each other, and their survivors are kept and drop every
     later row they suppress in one kernel call. So each pair reaches the
     kernel as (later row, kept row), as in a one-by-one loop; pairs that
-    cannot suppress (:func:`_near_pairs`, :func:`_may_exceed`) skip it.
-    The wave that takes the last rows makes no filtering call.
+    cannot suppress (:func:`_near_pairs`, :func:`_may_exceed`) skip it, and
+    so do pairs of the first ``lead`` rows, which the caller knows to be
+    kept. The wave that takes the last rows makes no filtering call.
     """
     polys, areas, centers, radii = _stack(cols)
     half = np.abs(polys).max(axis=1)
 
-    def candidates(subj, clip):
+    def candidates(subj, clip):  # (later row, kept row) pairs to rate
         i, j = _near_pairs(centers, radii, subj, clip)
+        rated = (subj[i] > clip[j]) & (subj[i] >= lead)
+        i, j = i[rated], j[rated]
         keep = _may_exceed(half, centers, areas, subj[i], clip[j], threshold)
         return i[keep], j[keep]
 
@@ -427,8 +443,6 @@ def _greedy(cols: np.ndarray, threshold: float) -> np.ndarray:
     while len(rest):
         block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
         i, j = candidates(block, block)
-        later = i > j
-        i, j = i[later], j[later]
         over = iou_pairs(polys, centers, areas, block[i], block[j]) > threshold
         hits = np.zeros((len(block), len(block)), dtype=bool)
         hits[i[over], j[over]] = True  # hits[l, c]: kept c would drop l
@@ -464,7 +478,7 @@ def rotated_nms(boxes: Sequence[OrientedBox],
     order = np.lexsort((cols[:, 1], cols[:, 0], cols[:, 7], -cols[:, 6]))
     if not 0.0 <= iou_threshold < 1.0:
         return [boxes[k] for k in order[:1 if iou_threshold < 0.0 else None]]
-    return [boxes[k] for k in order[_greedy(cols[order], iou_threshold)]]
+    return [boxes[k] for k in order[_greedy(cols[order], iou_threshold, 0)]]
 
 
 # -- annotation files, as gen-data writes them --------------------------------

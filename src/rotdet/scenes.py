@@ -47,8 +47,9 @@ def _place(rng: np.random.Generator, spec: SceneSpec,
     and a try too large for the canvas draws nothing more.
 
     That is greedy suppression in draw order: each round runs
-    :func:`rotdet.geometry._greedy` over the placed boxes (kept again),
-    then the round's fitting tries. A round of min(objects left, tries
+    :func:`rotdet.geometry._greedy` over the placed boxes, its ``lead``
+    (kept, and rated against each other when placed), then the round's
+    fitting tries. A round of min(objects left, tries
     left) tries meets neither the last object nor the budget's end before
     its last try, so no draw is replayed: the generator state is the loop's.
     """
@@ -70,7 +71,8 @@ def _place(rng: np.random.Generator, spec: SceneSpec,
             cls = int(rng.integers(0, spec.classes))
             drawn.append(OrientedBox(cx, cy, w, h, theta, class_id=cls))
         rows = boxes + [b for b in drawn if b is not None]
-        kept = {id(rows[k]) for k in _greedy(_columns(rows), MAX_OVERLAP)}
+        kept = {id(rows[k])
+                for k in _greedy(_columns(rows), MAX_OVERLAP, len(boxes))}
         for cand in drawn:
             if id(cand) in kept:
                 boxes.append(cand)

@@ -441,7 +441,10 @@ def avg_pool(x: Tensor, window, padding) -> Tensor:
 
     The output is the sum of kh*kw shifted views of the padded input, added
     in row-major window order, times 1/(kh*kw); the backward pass adds the
-    scaled gradient the same way.
+    scaled gradient the same way. The forward adds each view as one flat
+    run of the padded (Hp, Wp) planes: output (p, q) sits at p*Wp + q, so
+    window (i, j) adds the run from i*Wp + j, the same adds in the same
+    order; lanes past the output's columns hold sums no output reads.
     """
     if x.ndim != 4:
         raise ShapeError("avg_pool expects a 4-D tensor")
@@ -456,12 +459,14 @@ def avg_pool(x: Tensor, window, padding) -> Tensor:
         raise ShapeError(f"avg_pool output would be empty: ({oh}, {ow})")
 
     xp = _padded(x.data, ph, pw)
-    xp_shape = xp.shape
-    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    for _, _, rs, cs in _windows(kh, kw, 1, 1, oh, ow):
-        out += xp[..., rs, cs]
+    xp_shape, wp = xp.shape, xp.shape[3]
+    run = xp.size - (kh - 1) * wp - (kw - 1)  # the last window's run fits
+    acc = np.zeros(xp.size, dtype=x.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # unread lanes
+        for i, j, _, _ in _windows(kh, kw, 1, 1, oh, ow):
+            acc[:run] += xp.ravel()[i * wp + j:][:run]
     inv = 1.0 / (kh * kw)
-    out *= inv
+    out = acc.reshape(xp_shape)[..., :oh, :ow] * inv
 
     def bwd(g):
         gi = g * inv

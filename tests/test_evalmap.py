@@ -1,16 +1,18 @@
 """Average-precision evaluator against hand-traced fixtures."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rotdet import evalmap
 from rotdet.evalmap import (_ap_from_pr, _match_tables, eval_map,
                             eval_map_sweep)
-from rotdet.geometry import OrientedBox, iou_matrix
-from test_geometry import _reference_iou, decisive
+from rotdet.geometry import OrientedBox
+from test_geometry import _reference_iou, decisive, iou_matrix
 
 
 def _box(cx, cy=0.0, cls=0, score=1.0):
@@ -23,6 +25,17 @@ def test_perfect_predictions():
     mean_ap, per_class = eval_map(preds, truth, 0.5)
     assert mean_ap == pytest.approx(1.0)
     assert per_class == {0: pytest.approx(1.0), 1: pytest.approx(1.0)}
+
+
+def test_no_images():
+    assert eval_map([], []) == (0.0, {})
+
+
+def test_image_count_checked_before_any_kernel_call():
+    with mock.patch.object(evalmap, "iou_matrices") as matrices:
+        with pytest.raises(ValueError, match="cover the same images"):
+            eval_map([[_box(0)]], [[_box(0)], [_box(1)]])
+    matrices.assert_not_called()
 
 
 def test_no_predictions():
@@ -173,7 +186,8 @@ def test_matches_scalar_reference(images, iou_thresh):
 
 def _reference_match_tables(preds, truth):
     """The table builder _match_tables replaced, kept as its oracle: one
-    iou_matrix per image and class, records ordered by a Python sort key."""
+    one-image iou_matrix per image and class, records ordered by a Python
+    sort key."""
     classes = sorted({b.class_id for img in truth for b in img})
     tables = {}
     for cls in classes:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from rotdet import angle, geometry
 from rotdet.config import load_config
-from rotdet.geometry import (OrientedBox, box_polygons, iou_matrix,
+from rotdet.geometry import (OrientedBox, box_polygons, iou_matrices,
                              iou_pairs, points_in_box, raster_iou_oracle,
                              rotated_iou, rotated_nms, save_annotations)
 from rotdet.pyramid import NetworkWeights, assemble_forward, decode_boxes
@@ -63,6 +63,20 @@ def polygons(boxes):
 def stack(boxes):
     """geometry._stack of the boxes' columns."""
     return geometry._stack(geometry._columns(boxes))
+
+
+def iou_matrix(subjects, clippers):
+    """The one-image form that geometry.iou_matrices replaced, kept as its
+    oracle: IoU of every subject with every clipper, shape (S, C), from one
+    _columns, one _stack and one kernel call, only the circle test skipping
+    pairs."""
+    polys, areas, centers, radii = stack(list(subjects) + list(clippers))
+    rows = np.arange(len(subjects))
+    cols = np.arange(len(subjects), len(polys))
+    i, j = geometry._near_pairs(centers, radii, rows, cols)
+    out = np.zeros((len(rows), len(cols)))
+    out[i, j] = iou_pairs(polys, centers, areas, rows[i], cols[j])
+    return out
 
 
 def box_to_polygon(b):
@@ -357,7 +371,8 @@ class TestBoxToPolygon:
         twin = OrientedBox(big, -big, big, big, 0.3, score=0.5)
         assert _reference_iou(b, b) == pytest.approx(1.0, abs=1e-12)
         assert rotated_iou(b, b) == pytest.approx(1.0, abs=1e-12)
-        assert iou_matrix([b], [b])[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert iou_matrices([[b]], [[b]])[0][0, 0] == pytest.approx(
+            1.0, abs=1e-12)
         assert rotated_nms([b, twin], 0.5) == [b]
 
 
@@ -642,7 +657,7 @@ class TestIouKernel:
     @given(st.lists(box_st, max_size=6), st.lists(box_st, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_iou_matrix_matches_scalar(self, subjects, clippers):
-        got = iou_matrix(subjects, clippers)
+        got, = iou_matrices([subjects], [clippers])
         assert got.shape == (len(subjects), len(clippers))
         want = [[_reference_iou(s, c) for c in clippers] for s in subjects]
         np.testing.assert_allclose(got, np.reshape(want, got.shape),
@@ -682,7 +697,8 @@ class TestIouKernel:
 
         near = [snapped(a), snapped(b, score=0.5)]
         far = [snapped(a, sx * t, sy * t), snapped(b, sx * t, sy * t, 0.5)]
-        assert np.array_equal(iou_matrix(far, far), iou_matrix(near, near))
+        assert np.array_equal(iou_matrices([far], [far])[0],
+                              iou_matrices([near], [near])[0])
         for threshold in (0.0, 0.3, 0.7):
             assert [far.index(k) for k in rotated_nms(far, threshold)] == \
                 [near.index(k) for k in rotated_nms(near, threshold)]
@@ -741,12 +757,55 @@ class TestIouKernel:
     def test_identical_and_disjoint(self):
         a = OrientedBox(2, 3, 4, 2, 0.5)
         b = OrientedBox(20, 3, 4, 2, 0.5)
-        got = iou_matrix([a, b], [a, b])
+        got, = iou_matrices([[a, b]], [[a, b]])
         assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert got[0, 1] == 0.0 and got[1, 0] == 0.0
 
+    @given(st.lists(st.tuples(box_lists(max_size=6), box_lists(max_size=6)),
+                    max_size=5))
+    @example([])
+    @example([([], [OrientedBox(0, 0, 4, 2, 0.3)]),
+              ([OrientedBox(1, 0, 4, 2, 0.3)], []), ([], [])])
+    @settings(max_examples=100, deadline=None)
+    def test_iou_matrices_equal_one_image_oracle(self, images):
+        """Every image's matrix is the one-image oracle's, bit for bit, and
+        the images share one kernel call."""
+        subjects, clippers = [s for s, _ in images], [c for _, c in images]
+        with mock.patch.object(geometry, "iou_pairs",
+                               wraps=geometry.iou_pairs) as kernel:
+            got = iou_matrices(subjects, clippers)
+        assert kernel.call_count == 1
+        assert len(got) == len(images)
+        for m, s, c in zip(got, subjects, clippers):
+            want = iou_matrix(s, c)
+            assert m.shape == want.shape and m.tobytes() == want.tobytes()
+
+    def test_iou_matrices_past_one_chunk(self):
+        """Three images of 24 x 24 pairs, more than IOU_CHUNK of them near,
+        go to the kernel in one call of two chunks, bit for bit the
+        oracle's."""
+        rng = np.random.default_rng(5)
+        images = [[OrientedBox(rng.uniform(0, 4), rng.uniform(0, 4),
+                               rng.uniform(4, 8), rng.uniform(1, 4),
+                               rng.uniform(0, math.pi)) for _ in range(48)]
+                  for _ in range(3)]
+        subjects, clippers = [b[:24] for b in images], [b[24:] for b in images]
+        with mock.patch.object(geometry, "iou_pairs",
+                               wraps=geometry.iou_pairs) as kernel:
+            got = iou_matrices(subjects, clippers)
+        (_, _, _, subj, _), _ = kernel.call_args
+        assert kernel.call_count == 1 and len(subj) > geometry.IOU_CHUNK
+        for m, s, c in zip(got, subjects, clippers):
+            assert m.tobytes() == iou_matrix(s, c).tobytes()
+
+    def test_iou_matrices_need_parallel_lists(self):
+        box = OrientedBox(0, 0, 4, 2, 0.3)
+        with pytest.raises(ValueError):
+            iou_matrices([[box]], [])
+
     def test_empty(self):
-        assert iou_matrix([], []).shape == (0, 0)
+        assert iou_matrices([[]], [[]])[0].shape == (0, 0)
+        assert iou_matrices([], []) == []
         assert _kernel([], np.array([], dtype=int),
                        np.array([], dtype=int)).shape == (0,)
 
@@ -1093,6 +1152,42 @@ class TestNmsWaves:
             rotated_nms(boxes, 0.3)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @given(st.one_of(box_lists(), far_box_lists()),
+           st.sampled_from([0.0, 0.05, 0.3, 0.7]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lead_rows_kept_change_nothing(self, block, boxes, threshold,
+                                           data):
+        """Whenever _greedy keeps all of the first k rows, telling it so
+        (lead k) keeps the same rows, though their pairs skip the kernel."""
+        cols = geometry._columns(boxes)
+        with mock.patch.object(geometry, "NMS_BLOCK", block):
+            whole = geometry._greedy(cols, threshold, 0)
+            # decisions on the first k rows depend on those rows alone, so
+            # any k up to the first row greedy drops keeps all k
+            k = data.draw(st.integers(0, int(np.sum(
+                np.cumprod(whole == np.arange(len(whole)))))))
+            assert len(geometry._greedy(cols[:k], threshold, 0)) == k
+            assert np.array_equal(geometry._greedy(cols, threshold, k),
+                                  whole)
+
+    def test_lead_rows_reach_no_kernel(self):
+        """Rows all known kept send no pair to the kernel; the same rows
+        at lead 0 send their near pairs."""
+        cols = geometry._columns(_scattered_boxes())
+        cols = cols[geometry._greedy(cols, 0.3, 0)]
+        pairs = []
+
+        def counting(polys, centers, areas, subj, clip):
+            pairs.append(len(subj))
+            return iou_pairs(polys, centers, areas, subj, clip)
+
+        with mock.patch.object(geometry, "iou_pairs", counting):
+            assert len(geometry._greedy(cols, 0.3, len(cols))) == len(cols)
+            assert sum(pairs) == 0
+            geometry._greedy(cols, 0.3, 0)
+        assert sum(pairs) > 0
+
     @pytest.mark.parametrize("block", [1, 64])
     def test_touching_pair_with_no_box_overlap(self, block):
         """A pair whose bounding boxes do not overlap rates 0 in both clip
@@ -1136,7 +1231,7 @@ class TestNmsWaves:
             ordered = _score_order(boxes)
             rank = {id(b): k for k, b in enumerate(ordered)}
             kept_rank = np.array([rank[id(b)] for b in kept])
-            iou = iou_matrix(ordered, kept)
+            iou, = iou_matrices([ordered], [kept])
             later = np.arange(len(ordered))[:, np.newaxis] > kept_rank
             near = _near_deciding_pairs(iou, later)
             assert not len(near[0]), (

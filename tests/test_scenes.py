@@ -9,9 +9,10 @@ import pytest
 from rotdet import scenes
 from rotdet.config import load_config
 from rotdet.errors import GenerationError
-from rotdet.geometry import OrientedBox, _columns, box_polygons, iou_matrix
+from rotdet.geometry import OrientedBox, _columns, box_polygons
 from rotdet.scenes import (SceneSpec, _place, _render_boxes, gen_scene,
                            scene_boxes)
+from test_geometry import iou_matrix
 
 # Placement runs the batched IoU kernel; a warning here is a defect.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -86,7 +87,8 @@ def test_advance_skips_the_noise_draw(canvas, seeds):
 
 def _reference_place(rng, spec, canvas):
     """The placement loop _place replaced, kept as its oracle: each
-    candidate is rated by iou_matrix against every placed box."""
+    candidate is rated by the one-image iou_matrix oracle against every
+    placed box."""
     boxes = []
     for _ in range(spec.objects):
         for _ in range(scenes.MAX_PLACEMENT_TRIES):

@@ -157,6 +157,23 @@ def _buffered_conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups=1,
     return Tensor._from_op(out, parents, bwd)
 
 
+def _strided_avg_pool(x, window, padding):
+    """The forward avg_pool's flat runs replaced, kept as their oracle: one
+    add of a shifted (N, C, oh, ow) view of the padded input per window,
+    in row-major window order, then the scale."""
+    kh, kw = window
+    ph, pw = padding
+    n, c, h, w = x.shape
+    oh = h + 2 * ph - kh + 1
+    ow = w + 2 * pw - kw + 1
+    xp = _padded(x, ph, pw)
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    for _, _, rs, cs in tensor_module._windows(kh, kw, 1, 1, oh, ow):
+        out += xp[..., rs, cs]
+    out *= 1.0 / (kh * kw)
+    return out
+
+
 def _reference_avg_pool(x, window, padding=(0, 0)):
     """avg_pool as a sum over an (N, C, kh, kw, oh, ow) im2col buffer."""
     kh, kw = window
@@ -336,6 +353,21 @@ class TestAvgPool:
         with pytest.raises(ShapeError):
             avg_pool(Tensor(np.zeros((1, 1, 2, 2))), (5, 5), (0, 0))
 
+    def test_unread_lanes_may_overflow(self):
+        # the run for window (0, 1) adds x[0, 1] + x[1, 0] into a lane past
+        # the output's one column: it overflows, no output reads it, and
+        # no warning is raised
+        big = np.finfo(np.float32).max
+        x = np.array([[[[-big, big], [big, -big]]]], np.float32)
+        out = avg_pool(Tensor(x), (1, 2), (0, 0))
+        assert out.data.tolist() == [[[[0.0], [0.0]]]]
+
+    def test_overflowing_output_raises(self):
+        big = np.finfo(np.float32).max
+        x = Tensor(np.full((1, 1, 1, 2), big, np.float32))
+        with pytest.raises(ValueError, match="must be finite"):
+            avg_pool(x, (1, 2), (0, 0))
+
 
 # f64 differs from the einsum path only in summation order; f32 likewise,
 # at single precision
@@ -437,6 +469,21 @@ class TestAgainstReference:
             for op in (avg_pool, _reference_avg_pool)]
         for got, want in zip(*results):
             _assert_rel_close(got, want, REFERENCE_TOL[dtype])
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
+           st.integers(1, 9), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_avg_pool_bit_equal_to_strided(self, n, c, h, w, kh, kw, ph, pw,
+                                           dtype, seed):
+        assume(h + 2 * ph >= kh and w + 2 * pw >= kw)  # a non-empty output
+        xd = np.random.default_rng(seed).standard_normal(
+            (n, c, h, w)).astype(dtype)
+        got = avg_pool(Tensor(xd), (kh, kw), (ph, pw)).data
+        want = _strided_avg_pool(xd, (kh, kw), (ph, pw))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @given(conv_cases())
     @settings(max_examples=150, deadline=None)
