@@ -71,8 +71,8 @@ def cmd_forward(cfg: Config, args) -> int:
     if not args.image:
         img = np.zeros((1, 3, cfg.canvas, cfg.canvas))
     elif Path(args.image).suffix == ".pgm":
-        gray = load_pgm(args.image)[np.newaxis, np.newaxis]
-        img = np.repeat(gray, 3, axis=1)
+        gray = load_pgm(args.image)
+        img = np.broadcast_to(gray, (1, 3, *gray.shape))  # Tensor copies it
     else:
         img = load_tensor(args.image).data
         if img.ndim == 3:

@@ -1,8 +1,9 @@
 """Seeded synthetic scenes of filled rotated rectangles on a noise background.
 
-A scene's generator first draws the canvas² noise floor, then places the
-boxes in rounds of NMS's greedy loop (:func:`_place`), then renders them;
-:func:`scene_boxes` gives the boxes alone.
+A scene's generator draws the canvas² noise floor in row blocks straight
+into plane 0 of its float32 image, then places the boxes in rounds of NMS's
+greedy loop (:func:`_place`), renders them into that plane and copies it to
+the other two; :func:`scene_boxes` gives the boxes alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .tensor import Tensor
 MAX_PLACEMENT_TRIES = 200
 MAX_OVERLAP = 0.05  # largest kernel IoU of a new box with those placed
 NOISE_LEVEL = 0.1  # background pixels are uniform in [0, NOISE_LEVEL)
+NOISE_BLOCK = 8192  # noise values per draw, bounding its float64 temporary
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ def _place(rng: np.random.Generator, spec: SceneSpec,
 
 def _render_boxes(canvas: np.ndarray, boxes: list[OrientedBox],
                   spec: SceneSpec) -> None:
-    """Set pixels whose centers lie in a box to its class intensity. Each
+    """Set pixels of ``canvas``, the scene's float32 plane, whose centers
+    lie in a box to its class intensity, rounded once on assignment. Each
     box must overlap the canvas, as the boxes :func:`_place` places do."""
     h, w = canvas.shape
     cols = _columns(boxes)
@@ -112,15 +115,19 @@ def gen_scene(seed: int, spec: SceneSpec,
     Returns a (3, H, W) float32 image tensor (grayscale replicated across
     channels) and the ground-truth box list. Raises
     :class:`GenerationError` when a non-overlapping layout cannot be found
-    within the retry budget.
+    within the retry budget. The noise blocks, drawn in row order, spend
+    the canvas² PCG64 outputs (one per double) that :func:`scene_boxes`
+    skips; each value is scaled in float64 and rounded once to float32.
     """
     rng = np.random.default_rng(seed)
-    img = rng.random((canvas, canvas))  # uniform(0, b) is b * random()
-    img *= NOISE_LEVEL
-    boxes = _place(rng, spec, canvas)
-    _render_boxes(img, boxes, spec)
     image = np.empty((3, canvas, canvas), dtype=np.float32)
-    image[0] = img
+    rows = max(1, NOISE_BLOCK // canvas)
+    for y in range(0, canvas, rows):  # uniform(0, b) is b * random()
+        block = image[0, y:y + rows]
+        np.multiply(rng.random(block.shape), NOISE_LEVEL, out=block,
+                    casting="same_kind")
+    boxes = _place(rng, spec, canvas)
+    _render_boxes(image[0], boxes, spec)
     image[1:] = image[0]
     return Tensor(image), boxes
 

@@ -112,4 +112,4 @@ def load_pgm(path) -> np.ndarray:
     if data.max() > maxval:
         raise FormatError(
             f"{path}: PGM pixel {data.max()} exceeds maxval {maxval}")
-    return data.reshape(h, w).astype(np.float64) / maxval
+    return np.divide(data.reshape(h, w), maxval, dtype=np.float64)

@@ -10,10 +10,11 @@ BLAS kernel.
 A forward of any image but zeros differs in its last bits between BLAS
 kernels (OpenBLAS's SkylakeX and Haswell kernels sum in different
 orders). So the forward dumps are pinned as bytes for the default zero
-image, at f32 and f64, and for a gen-data scene at f64 as
-``rint(value * 2**30)``: over its 38,016 values the two kernels differ by
-at most 8.3e-17, and no value lies within 1.7e-14 of a rounding boundary,
-while a changed layer moves values by far more than 2**-30.
+image, at f32 and f64, and for a gen-data scene, read as RMKT and as PGM,
+at f64 as ``rint(value * 2**30)``: over each run's 38,016 values the two
+kernels differ by at most 1.2e-16, and no value lies within 1.0e-14 of a
+rounding boundary, while a changed layer moves values by far more than
+2**-30.
 
 ``tests/data/behaviour.txt`` holds the digests. A change that moves an
 output on purpose rewrites it with
@@ -38,14 +39,17 @@ from test_config_cli import SMALL
 
 MANIFEST = Path(__file__).parent / "data" / "behaviour.txt"
 HEADER = "# sha256 output run"
-SCENE = "{base}/gen-data/scene_000.rmkt"  # written by the gen-data run
-ROUNDED = "forward-scene-f64"  # the run whose dumps are read rounded
+SCENE = "{base}/gen-data/scene_000"  # written by the gen-data run
+ROUNDED = {"forward-scene-f64", "forward-pgm-f64"}  # dumps read rounded
 RUNS = {  # name: argv after --config, in order; {out} is the run's directory
     "param-count": ["param-count"],
     "gen-data": ["gen-data", "--out", "{out}"],
     "forward-f32": ["--dtype", "f32", "forward", "--out", "{out}"],
     "forward-f64": ["--dtype", "f64", "forward", "--out", "{out}"],
-    ROUNDED: ["--dtype", "f64", "forward", "--image", SCENE, "--out", "{out}"],
+    "forward-scene-f64": ["--dtype", "f64", "forward", "--image",
+                          SCENE + ".rmkt", "--out", "{out}"],
+    "forward-pgm-f64": ["--dtype", "f64", "forward", "--image",
+                        SCENE + ".pgm", "--out", "{out}"],
     "eval-model": ["eval", "--mode", "model"],
     "eval-oracle": ["eval", "--mode", "oracle"],
     "boundary-exp": ["boundary-exp", "--csv", "{out}"],
@@ -80,7 +84,7 @@ def behaviour(base: Path) -> list[str]:
             rows = [f"{row.split()[0]} {row.split()[-1]}" for row in rows]
         outputs = {"stdout": "\n".join(rows + [f"exit {code}"]).encode()}
         if out.is_dir():
-            outputs.update((f.name, _read(f, name == ROUNDED))
+            outputs.update((f.name, _read(f, name in ROUNDED))
                            for f in sorted(out.iterdir()))
         lines += [f"{hashlib.sha256(data).hexdigest()} {output} {name}"
                   for output, data in outputs.items()]

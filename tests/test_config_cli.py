@@ -18,7 +18,7 @@ from rotdet.config import _DEFAULTS, NON_NEGATIVE, load_config
 from rotdet.errors import ConfigError
 from rotdet.pyramid import NetworkWeights, assemble_forward
 from rotdet.tensor import Tensor, no_recording
-from rotdet.tensorio import load_tensor, save_pgm, save_tensor
+from rotdet.tensorio import load_pgm, load_tensor, save_pgm, save_tensor
 
 SMALL = """\
 [network]
@@ -688,22 +688,50 @@ class TestCli:
         assert _exit_code(["angle-codec"]) == 2
         assert "--encode --decode --input" in capsys.readouterr().err
 
+    def _forward_dumps(self, small_cfg, image, out, *flags):
+        """The named dumps of one `forward --image` run, as bytes."""
+        assert main(["--config", small_cfg, "--seed", "5", *flags, "forward",
+                     "--image", str(image), "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
     def test_forward_dumps_and_determinism(self, small_cfg, tmp_path, capsys):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        for out in (out_a, out_b):
-            assert main(["--config", small_cfg, "--seed", "5", "forward",
-                         "--out", str(out)]) == 0
-        assert (out_a / "shapes.txt").read_text().splitlines() == [
-            "C3 1x8x8x8", "C4 1x8x4x4", "C5 1x8x2x2",
-            "M1 1x20x32x32", "M2 1x20x16x16", "M3 1x20x8x8", "M4 1x20x4x4",
-            "CP2 1x20x16x16", "CP3 1x20x8x8", "CP4 1x20x4x4", "N5 1x20x4x4",
-            "fused_s8 1x28x8x8", "fused_s16 1x28x4x4", "fused_s32 1x48x2x2",
-            "logits_s8 1x2x8x8", "boxes_s8 1x6x8x8",
-            "logits_s16 1x2x4x4", "boxes_s16 1x6x4x4",
-            "logits_s32 1x2x2x2", "boxes_s32 1x6x2x2"]
-        for name in ("M1.rmkt", "logits_s8.rmkt", "boxes_s32.rmkt"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        # a gen-data scene, as PGM and as RMKT, so that every dump depends
+        # on the weights (the default zero image makes every dump zero)
+        assert main(["--config", small_cfg, "--seed", "5", "gen-data",
+                     "--out", str(tmp_path / "data")]) == 0
+        for ext in (".pgm", ".rmkt"):
+            image = tmp_path / "data" / f"scene_000{ext}"
+            out_a = self._forward_dumps(small_cfg, image, tmp_path / ext / "a")
+            out_b = self._forward_dumps(small_cfg, image, tmp_path / ext / "b")
+            assert out_a["shapes.txt"].decode().splitlines() == [
+                "C3 1x8x8x8", "C4 1x8x4x4", "C5 1x8x2x2",
+                "M1 1x20x32x32", "M2 1x20x16x16", "M3 1x20x8x8",
+                "M4 1x20x4x4", "CP2 1x20x16x16", "CP3 1x20x8x8",
+                "CP4 1x20x4x4", "N5 1x20x4x4", "fused_s8 1x28x8x8",
+                "fused_s16 1x28x4x4", "fused_s32 1x48x2x2",
+                "logits_s8 1x2x8x8", "boxes_s8 1x6x8x8",
+                "logits_s16 1x2x4x4", "boxes_s16 1x6x4x4",
+                "logits_s32 1x2x2x2", "boxes_s32 1x6x2x2"], ext
+            assert out_a == out_b, ext
+            for name in ("M1.rmkt", "logits_s8.rmkt", "boxes_s32.rmkt"):
+                dump = load_tensor(tmp_path / ext / "a" / name).data
+                assert dump.any(), (ext, name)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_forward_pgm_is_its_replicated_gray(self, small_cfg, tmp_path,
+                                                capsys, dtype):
+        """A PGM input is its gray plane in all three channels: the same
+        dumps as an RMKT of the plane repeated three times in float64."""
+        assert main(["--config", small_cfg, "gen-data", "--out",
+                     str(tmp_path / "data")]) == 0
+        pgm = tmp_path / "data" / "scene_000.pgm"
+        gray = load_pgm(pgm)[np.newaxis, np.newaxis]
+        rmkt = tmp_path / "repeated.rmkt"
+        save_tensor(rmkt, Tensor(np.repeat(gray, 3, axis=1)))
+        flags = ("--dtype", dtype)
+        assert (self._forward_dumps(small_cfg, pgm, tmp_path / "a", *flags)
+                == self._forward_dumps(small_cfg, rmkt, tmp_path / "b",
+                                       *flags))
 
     def test_forward_bad_extent_exits_2(self, small_cfg, tmp_path, capsys):
         img = tmp_path / "img.rmkt"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rotdet.errors import GenerationError
 from rotdet.geometry import OrientedBox, _columns, box_polygons
 from rotdet.scenes import (SceneSpec, _place, _render_boxes, gen_scene,
                            scene_boxes)
+from rotdet.tensor import Tensor
 from test_geometry import iou_matrix
 
 # Placement runs the batched IoU kernel; a warning here is a defect.
@@ -83,6 +85,59 @@ def test_advance_skips_the_noise_draw(canvas, seeds):
         skipped = np.random.default_rng(seed)
         skipped.bit_generator.advance(canvas * canvas)
         assert skipped.bit_generator.state == drawn.bit_generator.state, seed
+
+
+def _reference_gen_scene(seed, spec, canvas):
+    """The generator gen_scene replaced, kept as its oracle: one canvas²
+    float64 noise draw, scaled and rendered in float64, then copied into
+    the float32 image."""
+    rng = np.random.default_rng(seed)
+    img = rng.random((canvas, canvas))  # uniform(0, b) is b * random()
+    img *= scenes.NOISE_LEVEL
+    boxes = _place(rng, spec, canvas)
+    _render_boxes(img, boxes, spec)
+    image = np.empty((3, canvas, canvas), dtype=np.float32)
+    image[0] = img
+    image[1:] = image[0]
+    return Tensor(image), boxes
+
+
+# 192 rows is not a multiple of a noise block's 8192 // 192 = 42 rows.
+@pytest.mark.parametrize("spec,canvas,seeds", [
+    (SceneSpec(objects=0), 64, range(8)), (UNFIT, 64, range(8)),
+    *((spec, canvas, seeds)
+      for spec in (SceneSpec(), MATCH_SPEC, SceneSpec(classes=1), UNFIT)
+      for canvas, seeds in ((128, range(8)), (192, range(8)),
+                            (256, range(6)), (512, range(3)),
+                            (1024, range(2))))])
+def test_gen_scene_matches_reference(spec, canvas, seeds):
+    for seed in seeds:
+        try:
+            want_image, want_boxes = _reference_gen_scene(seed, spec, canvas)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                gen_scene(seed, spec, canvas)
+            continue
+        image, boxes = gen_scene(seed, spec, canvas)
+        assert image.data.tobytes() == want_image.data.tobytes(), seed
+        assert boxes == want_boxes, seed
+        assert scene_boxes(seed, spec, canvas) == want_boxes, seed
+
+
+@pytest.mark.parametrize("spec,canvas", [(MATCH_SPEC, 512),
+                                         (SceneSpec(), 1024)])
+def test_gen_scene_memory_is_bounded_by_its_image(spec, canvas):
+    """Beyond the image, a scene allocates a noise block and the Tensor
+    check's bool temporary (a quarter of the image), not a canvas² float64
+    plane."""
+    gen_scene(5, spec, canvas)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        image, _ = gen_scene(5, spec, canvas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= image.data.nbytes * 1.25 + 2**19
 
 
 def _reference_place(rng, spec, canvas):
